@@ -2,9 +2,9 @@
 """Run the full extraction pipeline on a generated synthetic corpus.
 
 Generates notes with known gold labels, then drives the CLI stage by stage
-(lf apply -> labelmodel fit -> train -> predict -> eval) and prints the
-resulting metrics. Useful as a smoke test and as a worked example of the
-project-config layout.
+(candidates -> lf apply -> lf stats -> labelmodel fit -> train -> predict ->
+eval) and prints the resulting metrics. Useful as a smoke test and as a
+worked example of the project-config layout.
 
 Usage:
     python3 scripts/run_synth_pipeline.py --outdir /tmp/synthrun --seed 0
@@ -36,7 +36,7 @@ def main():
         json.dump({"output_dir": args.outdir, "params": {"seed": args.seed}}, fh, indent=2)
     run([sys.executable, "-m", "devicesurv.cli", "synth", "gen", "--config", config_path])
 
-    # Stages 1-5: the extraction pipeline against the generated files.
+    # Stages 1-7: the extraction pipeline against the generated files.
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -51,7 +51,7 @@ def main():
             fh,
             indent=2,
         )
-    for stage in (["lf", "apply"], ["lf", "stats"], ["labelmodel", "fit"],
+    for stage in (["candidates"], ["lf", "apply"], ["lf", "stats"], ["labelmodel", "fit"],
                   ["train"], ["predict"], ["eval"]):
         run([sys.executable, "-m", "devicesurv.cli", *stage, "--config", config_path])
 

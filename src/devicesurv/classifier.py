@@ -161,6 +161,8 @@ class ClassifierModel:
         with open(str(path) + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         fc = FeatureConfig(**sidecar["feature_config"])
+        if sidecar.get("feature_digest") != fc.digest():
+            raise ConfigError(f"{path}: feature digest does not match the feature config")
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ConfigError(f"{path}: not a classifier model file")
@@ -248,16 +250,6 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
             w -= scale * grad_w
             b -= scale * grad_b
     return w, b
-
-
-def predict(model: ClassifierModel, candidate: RelationCandidate,
-            feature_config: FeatureConfig | None = None) -> float:
-    feature_config = feature_config or model.feature_config
-    if feature_config.digest() != model.feature_config.digest():
-        raise ConfigError("feature config does not match the trained model")
-    fv = featurize(candidate, feature_config)
-    z = float(model.weights[fv.indices] @ fv.values) + model.bias
-    return float(_sigmoid(z))
 
 
 def predict_many(model: ClassifierModel, candidates) -> np.ndarray:

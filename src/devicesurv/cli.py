@@ -16,6 +16,7 @@ import importlib.util
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -33,7 +34,13 @@ from .errors import (
     InputFormatError,
     MissingArtifactError,
 )
-from .extraction import extract_candidates, load_dictionary, load_trigger_lexicon
+from .extraction import (
+    extract_candidates,
+    load_dictionary,
+    load_trigger_lexicon,
+    read_candidates,
+    write_candidates,
+)
 
 EXIT_CODES = {
     "config": 2,
@@ -204,13 +211,18 @@ def _load_documents(cfg: ProjectConfig):
 
 
 def _load_candidates(cfg: ProjectConfig):
-    """Recompute candidates deterministically from the notes file."""
-    dictionaries, lexicon = _load_resources(cfg)
-    rtype = cfg.param("relation_type", "pain-anatomy")
-    out = []
-    for doc in _load_documents(cfg):
-        out.extend(extract_candidates(doc, dictionaries, lexicon, relation_types=(rtype,)))
-    return out
+    """Read the candidate set written by 'candidates'. Candidates older than
+    the configured notes file are never used."""
+    path = cfg.artifact("candidates.jsonl")
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"candidates not found: {path} (run 'candidates' first)")
+    notes_path = cfg.paths.get("notes")
+    if notes_path and os.path.getmtime(notes_path) > os.path.getmtime(path):
+        raise MissingArtifactError(
+            f"{path} is older than notes {notes_path} (rerun 'candidates')",
+            context={"path": path, "notes": notes_path},
+        )
+    return read_candidates(path)
 
 
 def _get_lfs(cfg: ProjectConfig):
@@ -229,23 +241,6 @@ def _get_lfs(cfg: ProjectConfig):
     if lf_set == "benchmark":
         return synth.benchmark_lfs()
     raise ConfigError(f"unknown lf_set {lf_set!r} (use 'starter' or 'benchmark')")
-
-
-def _read_gold(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "candidate_id" not in reader.fieldnames:
-            raise InputFormatError(f"{path}: expected a candidate_id column")
-        label_col = "label" if "label" in reader.fieldnames else "gold"
-        if label_col not in reader.fieldnames:
-            raise InputFormatError(f"{path}: expected a label column")
-        for row in reader:
-            cid = row["candidate_id"]
-            if cid in out:
-                raise InputFormatError(f"{path}: duplicate candidate_id {cid!r}")
-            out[cid] = int(row[label_col])
-    return out
 
 
 def _read_scores(path) -> dict[str, float]:
@@ -338,22 +333,17 @@ def tag(config_path):
 @_config_option
 @command_wrapper
 def candidates(config_path):
-    """Generate relation candidates; write candidates.csv."""
+    """Generate relation candidates; write candidates.jsonl for the later stages."""
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
-        cands = _load_candidates(cfg)
-        out_path = cfg.artifact("candidates.csv")
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["candidate_id", "relation_type", "note_id", "section",
-                 "arg1_surface", "arg1_id", "arg2_surface", "arg2_id"]
-            )
-            for c in cands:
-                w.writerow(
-                    [c.candidate_id, c.relation_type, c.note_id, c.section_header,
-                     c.arg1.surface, c.arg1.canonical_id, c.arg2.surface, c.arg2.canonical_id]
-                )
+        dictionaries, lexicon = _load_resources(cfg)
+        rtype = cfg.param("relation_type", "pain-anatomy")
+        cands = [
+            c for doc in _load_documents(cfg)
+            for c in extract_candidates(doc, dictionaries, lexicon, relation_types=(rtype,))
+        ]
+        out_path = cfg.artifact("candidates.jsonl")
+        write_candidates(cands, out_path)
         _write_meta(cfg, "candidates", [out_path])
     click.echo(f"candidates: {len(cands)} candidates -> {out_path}")
 
@@ -400,10 +390,8 @@ def lf_stats(config_path):
         gold_path = cfg.paths.get("dev_gold")
         gold = None
         if gold_path:
-            gold = {
-                cid: lab for cid, lab in _read_gold(gold_path).items()
-                if cid in set(matrix.candidate_ids)
-            }
+            ids = set(matrix.candidate_ids)
+            gold = {cid: lab for cid, lab in evaluation.read_gold(gold_path).items() if cid in ids}
         stats = weaksup.lf_statistics(matrix, gold)
         out_path = cfg.artifact("lf_stats.csv")
         with_acc = gold is not None
@@ -418,6 +406,10 @@ def lf_stats(config_path):
                     row.append("" if st.accuracy is None else f"{st.accuracy:.4f}")
                 w.writerow(row)
                 click.echo(",".join(row))
+        dist = Counter(round(lab.p_true, 2) for lab in weaksup.soft_majority_vote(matrix))
+        click.echo("soft-majority-vote label distribution:")
+        for p in sorted(dist):
+            click.echo(f"  p_true={p:.2f}: {dist[p]}")
         _write_meta(cfg, "lf stats", [out_path])
     click.echo(f"lf stats: {len(stats.per_lf)} LFs -> {out_path}")
 
@@ -486,7 +478,7 @@ def train(config_path):
         model = clf.train_noise_aware(train_cands, labels, train_cfg)
         gold_path = cfg.paths.get("dev_gold")
         if gold_path:
-            dev_gold = _read_gold(gold_path)
+            dev_gold = evaluation.read_gold(gold_path)
             dev_cands = [c for c in cands if c.candidate_id in dev_gold]
             model.threshold = clf.select_threshold(model, dev_cands, dev_gold)
         elif cfg.param("threshold") is not None:
@@ -532,7 +524,7 @@ def eval_cmd(config_path):
             raise MissingArtifactError(
                 f"scores not found: {scores_path} (run 'predict' first)"
             )
-        gold = _read_gold(cfg.path("gold_relations"))
+        gold = evaluation.read_gold(cfg.path("gold_relations"))
         scores = _read_scores(scores_path)
         model = clf.ClassifierModel.load(cfg.artifact("classifier.bin"))
         restricted = {cid: s for cid, s in scores.items() if cid in gold}
@@ -556,25 +548,20 @@ def reconcile_cmd(config_path):
             raise MissingArtifactError(
                 f"extracted implant records not found: {extracted_path}"
             )
-        extracted = reconcile.load_registry_csv(extracted_path)
-        registry = reconcile.load_registry_csv(cfg.path("registry"))
         catalog = load_implant_catalog(cfg.paths.get("implant_catalog"))
-        extracted = [
-            reconcile.RegistryRecord(
-                r.patient_id, r.surgery_date, r.component_role,
-                reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
-            )
-            for r in extracted
-        ]
-        registry = [
-            reconcile.RegistryRecord(
-                r.patient_id, r.surgery_date, r.component_role,
-                reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
-            )
-            for r in registry
-        ]
+
+        def load_canonical(path):
+            return [
+                reconcile.RegistryRecord(
+                    r.patient_id, r.surgery_date, r.component_role,
+                    reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
+                )
+                for r in reconcile.load_registry_csv(path)
+            ]
+
         report = reconcile.reconcile_registry(
-            extracted, registry, int(cfg.param("date_tolerance_days", 30))
+            load_canonical(extracted_path), load_canonical(cfg.path("registry")),
+            int(cfg.param("date_tolerance_days", 30)),
         )
         out_path = cfg.artifact("reconciliation.csv")
         report.write_csv(out_path)

@@ -363,7 +363,6 @@ def _level_label(edges, level: int) -> str:
     if level >= len(edges):
         return f"{fmt(edges[-1])}+"
     lo, hi = edges[level - 1], edges[level]
-    lo_s = f"{lo // 365}" if lo % 365 == 0 and lo >= 365 and hi % 365 == 0 else f"{lo}"
     if lo % 365 == 0 and lo >= 365 and hi % 365 == 0:
         return f"{lo // 365}-{hi // 365}y"
     return f"{lo}-{fmt(hi)}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import dataclass
 
@@ -128,6 +129,25 @@ def split_documents(doc_ids, seed: int, sizes: tuple[int, int, int]):
     dev = set(shuffled[n_train : n_train + n_dev])
     test = set(shuffled[n_train + n_dev : n_train + n_dev + n_test])
     return train, dev, test
+
+
+def read_gold(path) -> dict[str, int]:
+    """Gold labels from a CSV with a candidate_id column and a label (or
+    gold) column; duplicate ids are an error."""
+    out: dict[str, int] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "candidate_id" not in reader.fieldnames:
+            raise InputFormatError(f"{path}: expected a candidate_id column")
+        label_col = "label" if "label" in reader.fieldnames else "gold"
+        if label_col not in reader.fieldnames:
+            raise InputFormatError(f"{path}: expected a label column")
+        for row in reader:
+            cid = row["candidate_id"]
+            if cid in out:
+                raise InputFormatError(f"{path}: duplicate candidate_id {cid!r}")
+            out[cid] = int(row[label_col])
+    return out
 
 
 def metrics_to_csv(metrics: Metrics, path) -> None:

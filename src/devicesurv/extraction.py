@@ -9,6 +9,7 @@ Relation candidates are the typed Cartesian product of mentions in a sentence.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
@@ -159,7 +160,8 @@ class EntityMention:
     attributes: set[str] = field(default_factory=set)
 
     def __post_init__(self):
-        assert (self.subcategory is not None) == (self.entity_type == "complication")
+        if (self.subcategory is not None) != (self.entity_type == "complication"):
+            raise ValueError("only complication mentions carry a subcategory")
 
 
 def tag_entities(
@@ -356,6 +358,71 @@ class RelationCandidate:
     @property
     def right(self) -> EntityMention:
         return self.arg2 if self.arg1.token_start <= self.arg2.token_start else self.arg1
+
+
+_MENTION_FIELDS = ("char_start", "char_end", "entity_type", "canonical_id", "subcategory",
+                   "token_start", "token_end")
+
+
+def write_candidates(cands, path) -> None:
+    """Write candidates as JSONL, one object per candidate. Tokens and
+    surfaces are not stored: ``read_candidates`` rebuilds them from the
+    sentence text exactly as ``preprocess`` and ``tag_entities`` do."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for c in cands:
+            s = c.sentence
+            rec = {
+                "candidate_id": c.candidate_id,
+                "relation_type": c.relation_type,
+                "note_id": c.note_id,
+                "section": c.section_header,
+                "date_bins": list(c.date_bins),
+                "sentence": [s.text, s.char_start, s.char_end],
+            }
+            for key, m in (("arg1", c.arg1), ("arg2", c.arg2)):
+                rec[key] = {f: getattr(m, f) for f in _MENTION_FIELDS}
+                rec[key]["attributes"] = sorted(m.attributes)
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _read_mention(sentence: Sentence, rec: dict) -> EntityMention:
+    cs, ce = rec["char_start"], rec["char_end"]
+    return EntityMention(
+        sentence=sentence,
+        surface=sentence.text[cs - sentence.char_start : ce - sentence.char_start],
+        attributes=set(rec["attributes"]),
+        **{f: rec[f] for f in _MENTION_FIELDS},
+    )
+
+
+def read_candidates(path) -> list[RelationCandidate]:
+    """Read a file written by ``write_candidates``; a damaged line raises
+    ``InputFormatError`` naming it."""
+    out: list[RelationCandidate] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line)
+                text, start, end = rec["sentence"]
+                sentence = Sentence(text, start, end, tokenize(text, offset=start))
+                out.append(
+                    RelationCandidate(
+                        relation_type=rec["relation_type"],
+                        arg1=_read_mention(sentence, rec["arg1"]),
+                        arg2=_read_mention(sentence, rec["arg2"]),
+                        sentence=sentence,
+                        note_id=rec["note_id"],
+                        section_header=rec["section"],
+                        date_bins=tuple(rec["date_bins"]),
+                        candidate_id=rec["candidate_id"],
+                    )
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputFormatError(
+                    f"{path}:{lineno}: damaged candidate record ({exc!r})",
+                    context={"line": lineno},
+                ) from exc
+    return out
 
 
 def make_candidate_id(note_id, relation_type, arg1, arg2) -> str:

@@ -322,14 +322,6 @@ def write_corpus(corpus: SynthCorpus, outdir) -> dict[str, str]:
     return paths
 
 
-def gold_relations_from_csv(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["candidate_id"]] = int(row["label"])
-    return out
-
-
 # --- survival-data oracle ------------------------------------------------
 
 

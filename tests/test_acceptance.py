@@ -331,7 +331,8 @@ class TestEndToEnd:
                 }
             )
         )
-        for cmd in (["lf", "apply"], ["labelmodel", "fit"], ["train"], ["predict"], ["eval"]):
+        for cmd in (["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"],
+                    ["predict"], ["eval"]):
             result = runner.invoke(cli_main, cmd + ["--config", str(cfg_path)])
             assert result.exit_code == 0, (cmd, result.output, result.stderr)
         metrics_line = (outdir / "metrics.csv").read_text().splitlines()[1]

@@ -1,5 +1,7 @@
 """Unit tests for hashed features and the noise-aware classifier."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import optimize, sparse
@@ -104,11 +106,17 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             clf.ClassifierModel.load(path)
 
-    def test_digest_mismatch_at_predict(self, pain_candidates):
+    def test_digest_mismatch_at_load(self, tmp_path):
         fc = clf.FeatureConfig()
         model = clf.ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc)
-        with pytest.raises(ConfigError):
-            clf.predict(model, pain_candidates[0], clf.FeatureConfig(window=5))
+        path = tmp_path / "model.bin"
+        model.save(path)
+        sidecar_path = tmp_path / "model.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["feature_config"]["window"] = 5
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match="digest"):
+            clf.ClassifierModel.load(path)
 
 
 def _small_problem(seed=0, n=20, d=5):
@@ -207,13 +215,6 @@ class TestTraining:
         scores = clf.predict_many(model, pain_candidates)
         assert scores[0] > 0.9
         assert max(scores[1:]) < 0.1
-
-    def test_predict_matches_predict_many(self, pain_candidates):
-        labels = [ProbabilisticLabel(c.candidate_id, 0.8) for c in pain_candidates]
-        model = clf.train_noise_aware(pain_candidates, labels, clf.TrainConfig(epochs=5))
-        many = clf.predict_many(model, pain_candidates)
-        singles = [clf.predict(model, c) for c in pain_candidates]
-        assert np.allclose(many, singles)
 
 
 class TestThreshold:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -143,9 +144,45 @@ class TestArtifacts:
         assert runner.invoke(main, ["tag", "--config", cfg]).exit_code == 0
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
-        lines = (outdir / "candidates.csv").read_text().splitlines()
-        assert lines[0].startswith("candidate_id,relation_type,note_id")
-        assert len(lines) - 1 == len(corpus.candidates)
+        records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
+        assert [r["candidate_id"] for r in records] == [
+            c.candidate_id for c in corpus.candidates
+        ]
+
+    def test_missing_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        cfg = _write_config(tmp_path, tmp_path / "out", paths={"notes": paths["notes"]})
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 4
+        assert "run 'candidates' first" in _stderr_json(result)["message"]
+
+    def test_damaged_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
+        path = outdir / "candidates.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+        path.write_text("".join(lines))
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 3
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert err["context"]["line"] == 3
+
+    def test_stale_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        notes = tmp_path / "notes.jsonl"
+        shutil.copy(paths["notes"], notes)
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={"notes": notes})
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
+        cand_mtime = os.path.getmtime(outdir / "candidates.jsonl")
+        os.utime(notes, (cand_mtime + 10, cand_mtime + 10))
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 4
+        assert "rerun 'candidates'" in _stderr_json(result)["message"]
 
 
 class TestPipelineChain:
@@ -163,6 +200,7 @@ class TestPipelineChain:
             params={"lf_set": "benchmark", "seed": 0},
         )
         for cmd in (
+            ["candidates"],
             ["lf", "apply"],
             ["lf", "stats"],
             ["labelmodel", "fit"],
@@ -196,7 +234,8 @@ class TestPipelineChain:
                 },
                 params={"lf_set": "benchmark", "seed": 0},
             )
-            for cmd in (["lf", "apply"], ["labelmodel", "fit"], ["train"], ["predict"]):
+            for cmd in (["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"],
+                        ["predict"]):
                 assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
             outputs.append((outdir / "scores.csv").read_text())
         assert outputs[0] == outputs[1]

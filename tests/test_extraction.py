@@ -1,12 +1,16 @@
 """Unit tests for dictionary tagging, context attributes, and candidates."""
 
+import json
 from datetime import datetime
 
+import numpy as np
 import pytest
 
+from devicesurv import synth
 from devicesurv.corpus import RawNote, preprocess
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.extraction import (
+    RELATION_TYPES,
     ExpansionOptions,
     apply_context,
     extract_candidates,
@@ -14,8 +18,12 @@ from devicesurv.extraction import (
     load_dictionary,
     load_trigger_lexicon,
     make_candidate_id,
+    read_candidates,
     tag_entities,
+    write_candidates,
 )
+from devicesurv.lf_lib import starter_lfs
+from devicesurv.weaksup import apply_lfs
 
 
 def _doc(text, when=datetime(2020, 1, 1)):
@@ -240,6 +248,59 @@ class TestCandidates:
         a = make_candidate_id("n1", "pain-anatomy", pain, anat)
         b = make_candidate_id("n1", "implant-complication", pain, anat)
         assert a != b
+
+
+class TestCandidateFile:
+    def test_round_trip(self, synth_corpus, reference_doc, dictionaries, trigger_lexicon,
+                        tmp_path):
+        cands = synth_corpus.candidates + extract_candidates(
+            reference_doc, dictionaries, trigger_lexicon, relation_types=RELATION_TYPES
+        )
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(cands, path)
+        back = read_candidates(path)
+        assert len(back) == len(cands)
+        for a, b in zip(back, cands):
+            assert a.sentence == b.sentence  # text, offsets and tokens
+            for ma, mb in ((a.arg1, b.arg1), (a.arg2, b.arg2)):
+                assert (ma.char_start, ma.char_end, ma.surface) == (
+                    mb.char_start, mb.char_end, mb.surface)
+                assert (ma.entity_type, ma.canonical_id, ma.subcategory) == (
+                    mb.entity_type, mb.canonical_id, mb.subcategory)
+                assert (ma.token_start, ma.token_end) == (mb.token_start, mb.token_end)
+                assert ma.attributes == mb.attributes
+                assert ma.sentence == mb.sentence
+            assert (a.candidate_id, a.relation_type, a.note_id) == (
+                b.candidate_id, b.relation_type, b.note_id)
+            assert (a.section_header, a.date_bins) == (b.section_header, b.date_bins)
+        assert back == cands
+        assert any(c.arg1.attributes for c in cands) and any(c.date_bins for c in cands)
+
+        for rtype, lfs in (
+            ("pain-anatomy", starter_lfs("pain-anatomy")),
+            ("pain-anatomy", synth.benchmark_lfs()),
+            ("implant-complication", starter_lfs("implant-complication")),
+        ):
+            orig = apply_lfs([c for c in cands if c.relation_type == rtype], lfs)
+            read = apply_lfs([c for c in back if c.relation_type == rtype], lfs)
+            assert read.candidate_ids == orig.candidate_ids
+            assert np.array_equal(read.votes, orig.votes)
+            assert read.lf_errors == orig.lf_errors
+
+    @pytest.mark.parametrize("damage", ["missing_field", "bad_subcategory"])
+    def test_damaged_line_names_it(self, synth_corpus, tmp_path, damage):
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(synth_corpus.candidates[:3], path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if damage == "missing_field":
+            del rec["arg2"]["token_end"]
+        else:
+            rec["arg1"]["subcategory"] = "revision"
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFormatError, match="candidates.jsonl:2"):
+            read_candidates(path)
 
 
 class TestTriggerLexicon:

@@ -132,6 +132,7 @@ class TestCorpus:
 class TestWriteCorpus:
     def test_files_round_trip(self, synth_corpus, tmp_path):
         from devicesurv.corpus import ingest_notes
+        from devicesurv.evaluation import read_gold
         from devicesurv.outcomes import events_from_csv
         from devicesurv.reconcile import load_registry_csv
 
@@ -139,7 +140,7 @@ class TestWriteCorpus:
         notes = list(ingest_notes(paths["notes"]))
         assert [n.note_id for n in notes] == [n.note_id for n in synth_corpus.notes]
         assert notes[0].text == synth_corpus.notes[0].text
-        gold = synth.gold_relations_from_csv(paths["gold_relations"])
+        gold = read_gold(paths["gold_relations"])
         assert gold == synth_corpus.gold_relations
         assert events_from_csv(paths["gold_events"]) == synth_corpus.events
         assert load_registry_csv(paths["registry"]) == synth_corpus.registry_records

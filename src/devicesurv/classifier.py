@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, InputFormatError
 from .extraction import RelationCandidate
 from .lf_lib import between_tokens, left_window, right_window, token_distance
 
@@ -159,23 +159,38 @@ class ClassifierModel:
     @classmethod
     def load(cls, path) -> "ClassifierModel":
         with open(str(path) + ".json", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        fc = FeatureConfig(**sidecar["feature_config"])
+            try:
+                sidecar = json.load(fh)
+                fc = FeatureConfig(**sidecar["feature_config"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputFormatError(
+                    f"{path}.json: damaged classifier sidecar", context={"path": f"{path}.json"}
+                ) from exc
         if sidecar.get("feature_digest") != fc.digest():
             raise ConfigError(f"{path}: feature digest does not match the feature config")
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ConfigError(f"{path}: not a classifier model file")
-            n_bits, bias, threshold = struct.unpack("<Bdd", fh.read(17))
+            n_bits, bias, threshold = struct.unpack("<Bdd", _read_exact(fh, 17, path))
             if n_bits != fc.n_bits:
                 raise ConfigError(f"{path}: dim mismatch between binary and sidecar")
-            (nnz,) = struct.unpack("<Q", fh.read(8))
-            idx = np.frombuffer(fh.read(8 * nnz), dtype=np.int64)
-            vals = np.frombuffer(fh.read(8 * nnz), dtype=np.float64)
+            (nnz,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+            idx = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.int64)
+            vals = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.float64)
         w = np.zeros(fc.dim)
         w[idx] = vals
         return cls(weights=w, bias=bias, feature_config=fc,
                    metadata=sidecar.get("metadata", {}), threshold=threshold)
+
+
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise InputFormatError(
+            f"{path}: truncated classifier model (expected {size} more bytes, found {len(data)})",
+            context={"path": str(path)},
+        )
+    return data
 
 
 def _sigmoid(z):

@@ -23,8 +23,9 @@ from datetime import datetime
 import click
 import numpy as np
 
-from . import classifier as clf
-from . import countreg, evaluation, lf_lib, outcomes, reconcile, survival, synth, weaksup
+# classifier, survival and countreg pull in scipy: the commands that run
+# them import them, so every other command starts without it.
+from . import evaluation, lf_lib, outcomes, reconcile, synth, weaksup
 from .corpus import ingest_notes, preprocess
 from .defaults import default_dictionaries, default_trigger_lexicon, load_implant_catalog
 from .errors import (
@@ -212,16 +213,19 @@ def _load_documents(cfg: ProjectConfig):
 
 def _load_candidates(cfg: ProjectConfig):
     """Read the candidate set written by 'candidates'. Candidates older than
-    the configured notes file are never used."""
+    the configured notes, dictionaries or trigger lexicon are never used."""
     path = cfg.artifact("candidates.jsonl")
     if not os.path.exists(path):
         raise MissingArtifactError(f"candidates not found: {path} (run 'candidates' first)")
-    notes_path = cfg.paths.get("notes")
-    if notes_path and os.path.getmtime(notes_path) > os.path.getmtime(path):
-        raise MissingArtifactError(
-            f"{path} is older than notes {notes_path} (rerun 'candidates')",
-            context={"path": path, "notes": notes_path},
-        )
+    made = os.path.getmtime(path)
+    inputs = [cfg.paths.get("notes"), *(cfg.paths.get("dictionaries") or []),
+              cfg.paths.get("trigger_lexicon")]
+    for inp in inputs:
+        if inp and os.path.getmtime(inp) > made:
+            raise MissingArtifactError(
+                f"{path} is older than input {inp} (rerun 'candidates')",
+                context={"path": path, "input": inp},
+            )
     return read_candidates(path)
 
 
@@ -452,6 +456,8 @@ def labelmodel_fit(config_path):
 @command_wrapper
 def train(config_path):
     """Train the noise-aware classifier on the probabilistic labels."""
+    from . import classifier as clf
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         labels_path = cfg.artifact("labels.csv")
@@ -496,6 +502,8 @@ def train(config_path):
 @command_wrapper
 def predict(config_path):
     """Score candidates with the trained classifier; write scores.csv."""
+    from . import classifier as clf
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         model_path = cfg.artifact("classifier.bin")
@@ -517,6 +525,8 @@ def predict(config_path):
 @command_wrapper
 def eval_cmd(config_path):
     """Score predictions against gold labels; write metrics.csv."""
+    from . import classifier as clf
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         scores_path = cfg.artifact("scores.csv")
@@ -676,6 +686,8 @@ def survival_group():
 @_config_option
 @command_wrapper
 def survival_km(config_path):
+    from . import survival
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         ds = _load_survival_dataset(cfg)
@@ -696,6 +708,8 @@ def survival_km(config_path):
               help="Covariate grouping the comparison.")
 @command_wrapper
 def survival_logrank(config_path, group_by):
+    from . import survival
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         ds = _load_survival_dataset(cfg)
@@ -723,6 +737,8 @@ def survival_logrank(config_path, group_by):
 @_config_option
 @command_wrapper
 def survival_cox(config_path):
+    from . import survival
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         ds = _load_survival_dataset(cfg)
@@ -771,6 +787,8 @@ def regression():
               help="CSV with columns patient_id, count, and optional exposure.")
 @command_wrapper
 def regression_nb(config_path, counts_file):
+    from . import countreg
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         if not os.path.exists(counts_file):
@@ -808,6 +826,8 @@ def regression_nb(config_path, counts_file):
 @command_wrapper
 def ttest(config_path, a_file, b_file):
     """Two-sided Welch t-test between two value files."""
+    from . import countreg
+
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         def read_values(path):

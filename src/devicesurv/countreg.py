@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ConfigError, FitError
 
@@ -156,7 +156,7 @@ def nb_fit(counts, X, columns=None, exposure=None) -> NBFit:
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     z = beta / se
-    pvals = 2 * stats.norm.sf(np.abs(z))
+    pvals = 2 * special.ndtr(-np.abs(z))
     k = D.shape[1] + 1  # coefficients plus dispersion
     return NBFit(
         coef=beta,
@@ -253,5 +253,5 @@ def ttest_welch(a, b) -> TTestResult:
     df = (sa + sb) ** 2 / (
         sa**2 / (a.size - 1) + sb**2 / (b.size - 1)
     )
-    p = 2 * stats.t.sf(abs(t), df)
+    p = 2 * special.stdtr(df, -abs(t))
     return TTestResult(float(t), float(df), float(p), float(a.mean()), float(b.mean()))

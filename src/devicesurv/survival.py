@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigError, FitError
 from .outcomes import SurvivalDataset
@@ -79,6 +79,12 @@ class LogRankResult:
     p_value: float
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper chi-squared tail, the kernel scipy.stats.chi2.sf calls. A
+    round-off negative statistic gives p = 1, not chdtrc's nan."""
+    return float(special.chdtrc(df, max(x, 0.0)))
+
+
 def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     """Standard log-rank test over the dataset's group labels."""
     if dataset.groups is None:
@@ -121,7 +127,7 @@ def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
         stat = float(diff @ np.linalg.solve(V, diff))
     except np.linalg.LinAlgError:
         stat = float(diff @ np.linalg.pinv(V) @ diff)
-    p = float(stats.chi2.sf(stat, df=k - 1))
+    p = _chi2_sf(stat, k - 1)
     return LogRankResult(statistic=stat, df=k - 1, p_value=p)
 
 
@@ -212,7 +218,7 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
             score_stat = float(score0 @ np.linalg.solve(info0, score0))
         except np.linalg.LinAlgError:
             score_stat = float(score0 @ np.linalg.pinv(info0) @ score0)
-        score_p = float(stats.chi2.sf(score_stat, df=p))
+        score_p = _chi2_sf(score_stat, p)
     else:
         score_stat, score_p = 0.0, 1.0
     beta = np.zeros(p)
@@ -263,7 +269,7 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
     else:
         se = np.zeros(0)
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    pvals = 2 * stats.norm.sf(np.abs(z))
+    pvals = 2 * special.ndtr(-np.abs(z))
     with np.errstate(over="ignore"):  # degenerate fits get infinite CI bounds
         ci_low = np.exp(beta - 1.96 * se)
         ci_high = np.exp(beta + 1.96 * se)

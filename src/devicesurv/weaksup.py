@@ -75,10 +75,23 @@ class LabelMatrix:
     @classmethod
     def load(cls, path) -> "LabelMatrix":
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
+            line = fh.readline()
             raw = fh.read()
-        votes = np.frombuffer(raw, dtype=np.int8).reshape(header["n"], header["m"]).copy()
-        return cls(header["candidate_ids"], header["lf_ids"], votes)
+        try:
+            header = json.loads(line.decode("utf-8"))
+            n, m = int(header["n"]), int(header["m"])
+            candidate_ids, lf_ids = header["candidate_ids"], header["lf_ids"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputFormatError(
+                f"{path}: damaged label matrix header", context={"path": str(path)}
+            ) from exc
+        if min(n, m) < 0 or len(raw) != n * m:
+            raise InputFormatError(
+                f"{path}: expected {n * m} vote bytes for {n} x {m} votes, found {len(raw)}",
+                context={"path": str(path)},
+            )
+        votes = np.frombuffer(raw, dtype=np.int8).reshape(n, m).copy()
+        return cls(candidate_ids, lf_ids, votes)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

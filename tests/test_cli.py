@@ -3,12 +3,16 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import devicesurv
 from devicesurv import synth
 from devicesurv.cli import main
+from devicesurv.defaults import DICTIONARY_FILES, resource_path
 
 
 @pytest.fixture()
@@ -27,7 +31,8 @@ def small_corpus_dir(tmp_path_factory):
 def _write_config(tmp_path, output_dir, paths=None, params=None, extra=None):
     cfg = {"output_dir": str(output_dir)}
     if paths:
-        cfg["paths"] = {k: str(v) for k, v in paths.items()}
+        cfg["paths"] = {k: [str(x) for x in v] if isinstance(v, list) else str(v)
+                        for k, v in paths.items()}
     if params:
         cfg["params"] = params
     if extra:
@@ -184,6 +189,73 @@ class TestArtifacts:
         assert result.exit_code == 4
         assert "rerun 'candidates'" in _stderr_json(result)["message"]
 
+    @pytest.mark.parametrize("edited", ["dictionary", "trigger_lexicon"])
+    def test_stale_candidates_after_resource_edit(self, runner, tmp_path, small_corpus_dir,
+                                                  edited):
+        _, paths, _ = small_corpus_dir
+        dictionaries = []
+        for fname in DICTIONARY_FILES.values():
+            dictionaries.append(tmp_path / fname)
+            shutil.copy(resource_path(fname), dictionaries[-1])
+        lexicon = tmp_path / "context_triggers.tsv"
+        shutil.copy(resource_path("context_triggers.tsv"), lexicon)
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={
+            "notes": paths["notes"], "dictionaries": dictionaries, "trigger_lexicon": lexicon})
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
+        assert runner.invoke(main, ["lf", "apply", "--config", cfg]).exit_code == 0
+        touched = dictionaries[1] if edited == "dictionary" else lexicon
+        cand_mtime = os.path.getmtime(outdir / "candidates.jsonl")
+        os.utime(touched, (cand_mtime + 10, cand_mtime + 10))
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 4
+        err = _stderr_json(result)
+        assert "rerun 'candidates'" in err["message"]
+        assert err["context"]["input"] == str(touched)
+
+
+def _chain(runner, tmp_path, paths, commands):
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]},
+                        params={"lf_set": "benchmark", "seed": 0})
+    for cmd in commands:
+        assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
+    return outdir, cfg
+
+
+def _truncate(path, size):
+    data = path.read_bytes()
+    path.write_bytes(data[:size if size >= 0 else len(data) + size])
+
+
+class TestDamagedArtifacts:
+    # Sizes cut the header line, then the vote bytes.
+    @pytest.mark.parametrize("size", [10, -3])
+    def test_damaged_label_matrix_exit_code(self, runner, tmp_path, small_corpus_dir, size):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
+        _truncate(outdir / "label_matrix.bin", size)
+        result = runner.invoke(main, ["labelmodel", "fit", "--config", cfg])
+        assert result.exit_code == 3
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert "label_matrix.bin" in err["message"]
+
+    # Sizes cut the struct fields after the magic, then the weight block;
+    # the last case damages the JSON sidecar.
+    @pytest.mark.parametrize("name,size", [("classifier.bin", 12), ("classifier.bin", -4),
+                                           ("classifier.bin.json", 20)])
+    def test_damaged_classifier_exit_code(self, runner, tmp_path, small_corpus_dir, name, size):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [
+            ["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"]])
+        _truncate(outdir / name, size)
+        result = runner.invoke(main, ["predict", "--config", cfg])
+        assert result.exit_code == 3
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert "classifier.bin" in err["message"]
+
 
 class TestPipelineChain:
     def test_full_chain(self, runner, tmp_path, small_corpus_dir):
@@ -319,3 +391,38 @@ class TestSynthCommand:
         for name in ("notes.jsonl", "gold_relations.csv", "gold_events.csv",
                      "registry.csv", "extracted_implants.csv"):
             assert (outdir / name).exists()
+
+
+def _modules_after(statement):
+    """The sorted sys.modules keys of a fresh interpreter after ``statement``."""
+    src = os.path.dirname(os.path.dirname(devicesurv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return set(out.stdout.split())
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        modules = _modules_after("import devicesurv.cli")
+        assert "devicesurv.cli" in modules
+        assert "scipy" not in modules
+
+    def test_statistics_modules_load_no_scipy_stats(self):
+        modules = _modules_after("import devicesurv.survival, devicesurv.countreg")
+        assert "scipy.special" in modules
+        assert "scipy.stats" not in modules
+
+    @pytest.mark.parametrize("command,doc", [
+        (["train"], "Train the noise-aware classifier on the probabilistic labels."),
+        (["predict"], "Score candidates with the trained classifier; write scores.csv."),
+        (["eval"], "Score predictions against gold labels; write metrics.csv."),
+        (["ttest"], "Two-sided Welch t-test between two value files."),
+    ])
+    def test_help_keeps_docstring(self, runner, command, doc):
+        result = runner.invoke(main, command + ["--help"])
+        assert result.exit_code == 0
+        assert doc in result.output

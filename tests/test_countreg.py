@@ -187,3 +187,22 @@ class TestWelch:
 class TestThetaCap:
     def test_cap_value(self):
         assert THETA_CAP == 1e8
+
+
+class TestPValuesMatchScipyStats:
+    """The tail probabilities call the scipy.special kernels that scipy.stats
+    calls, so p-values are bit-identical to the scipy.stats ones."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_nb(self, seed):
+        counts, X = gen_nb_counts(800, beta=(0.3, 0.05), theta=2.0, seed=seed)
+        fit = nb_fit(counts, X)
+        assert np.array_equal(fit.p_values, 2 * stats.norm.sf(np.abs(fit.coef / fit.se)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_welch(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0, 1, size=3 + 11 * seed)
+        b = rng.normal(0.4, 2, size=4 + 5 * seed)
+        res = ttest_welch(a, b)
+        assert res.p_value == 2 * stats.t.sf(abs(res.statistic), res.df)

@@ -6,7 +6,7 @@ from scipy import optimize, stats
 
 from devicesurv.errors import ConfigError, FitError
 from devicesurv.outcomes import SurvivalDataset
-from devicesurv.survival import cox_fit, km_estimate, logrank_test
+from devicesurv.survival import _chi2_sf, cox_fit, km_estimate, logrank_test
 
 
 def _dataset(times, events, X=None, columns=None, groups=None):
@@ -286,3 +286,34 @@ class TestCox:
         ds = gen_survival_dataset(2000, hazard_ratio=2.0, seed=0)
         fit = cox_fit(ds)
         assert 1.7 <= fit.hr[0] <= 2.4
+
+
+class TestPValuesMatchScipyStats:
+    """The tail probabilities call the scipy.special kernels that scipy.stats
+    calls, so p-values are bit-identical to the scipy.stats ones."""
+
+    @pytest.mark.parametrize("seed,k", [(1, 2), (2, 3), (3, 4)])
+    def test_logrank(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n = 90
+        times = np.ceil(rng.exponential(100, size=n))
+        events = (rng.uniform(size=n) < 0.7).astype(int)
+        groups = [chr(ord("A") + i % k) for i in range(n)]
+        res = logrank_test(_dataset(times, events, groups=groups))
+        assert res.p_value == stats.chi2.sf(res.statistic, res.df)
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_cox(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        X = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)]).astype(float)
+        times = np.ceil(rng.exponential(50 * np.exp(-(0.7 * X[:, 0] - 0.3 * X[:, 1]))))
+        events = (rng.uniform(size=n) < 0.8).astype(int)
+        fit = cox_fit(_dataset(times, events, X=X))
+        assert np.array_equal(fit.p_values, 2 * stats.norm.sf(np.abs(fit.coef / fit.se)))
+        assert fit.score_p_value == stats.chi2.sf(fit.score_statistic, 2)
+
+    @pytest.mark.parametrize("x", [-3.0, -1e-12, 0.0, 1e-300, 0.5, 3.84, 80.0, np.inf])
+    @pytest.mark.parametrize("df", [1, 2, 5])
+    def test_chi2_tail_edges(self, x, df):
+        assert _chi2_sf(x, df) == stats.chi2.sf(x, df)

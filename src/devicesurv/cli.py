@@ -55,9 +55,10 @@ _KNOWN_PATH_KEYS = {
     "coded_events", "text_events", "gold_relations", "dev_gold",
     "implant_catalog", "lf_module",
 }
+_LIST_PATH_KEYS = {"dictionaries"}
 _KNOWN_PARAM_KEYS = {
     "seed", "relation_type", "merge_window_days", "date_tolerance_days",
-    "split_sizes", "epochs", "learning_rate", "l2", "batch_size",
+    "epochs", "learning_rate", "l2", "batch_size",
     "class_prior", "lf_set", "outcome_class", "threshold",
 }
 
@@ -109,11 +110,12 @@ def load_config(path: str) -> ProjectConfig:
         raise ConfigError(f"unknown config params keys: {sorted(bad)}")
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
-    # Environment overrides apply to paths only, e.g. DEVICESURV_NOTES.
+    # Environment overrides apply to paths only, e.g. DEVICESURV_NOTES; a
+    # list-valued key takes several paths joined by os.pathsep.
     for key in _KNOWN_PATH_KEYS:
         env = os.environ.get(f"DEVICESURV_{key.upper()}")
         if env:
-            paths[key] = env
+            paths[key] = env.split(os.pathsep) if key in _LIST_PATH_KEYS else env
     for key, value in paths.items():
         targets = value if isinstance(value, list) else [value]
         for target in targets:
@@ -128,12 +130,15 @@ def load_config(path: str) -> ProjectConfig:
 
 
 class _Lock:
-    """One command at a time per output directory."""
+    """One command at a time per output directory. The lock file holds the
+    owner's pid; a lock whose owner no longer runs is taken over."""
 
     def __init__(self, outdir: str):
         self.path = os.path.join(outdir, ".lock")
 
     def __enter__(self):
+        if self._owner_gone():
+            self.__exit__()
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -144,6 +149,17 @@ class _Lock:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
+
+    def _owner_gone(self) -> bool:
+        """True only when the lock names a pid that no longer exists."""
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                os.kill(int(fh.read()), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            pass  # no lock, a lock being written, or another user's live pid
+        return False
 
     def __exit__(self, *exc):
         try:
@@ -644,13 +660,18 @@ def events_merge(config_path):
     )
 
 
-def _load_survival_dataset(cfg: ProjectConfig) -> outcomes.SurvivalDataset:
+def _load_survival_dataset(
+    cfg: ProjectConfig, group_by: str | None = None
+) -> outcomes.SurvivalDataset:
+    """The cohort's survival dataset; with ``group_by``, each subject's group
+    label is that cohort.csv column ("Unknown" if the column is absent)."""
     cohort_path = cfg.artifact("cohort.csv")
     if not os.path.exists(cohort_path):
         raise MissingArtifactError(f"cohort not found: {cohort_path} (run 'cohort' first)")
     from datetime import date
 
     cohort: dict[str, outcomes.CohortPatient] = {}
+    labels: dict[str, str] = {}
     with open(cohort_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             cohort[row["patient_id"]] = outcomes.CohortPatient(
@@ -661,6 +682,8 @@ def _load_survival_dataset(cfg: ProjectConfig) -> outcomes.SurvivalDataset:
                     k: row[k] for k in ("age_band", "sex", "race", "ethnicity", "cci")
                 },
             )
+            if group_by is not None:
+                labels[row["patient_id"]] = row.get(group_by, "Unknown")
     events_path = cfg.artifact("merged_events.csv")
     if not os.path.exists(events_path):
         raise MissingArtifactError(
@@ -672,9 +695,12 @@ def _load_survival_dataset(cfg: ProjectConfig) -> outcomes.SurvivalDataset:
         outcomes.Covariate("sex", reference="F"),
         outcomes.Covariate("cci", reference="none"),
     ]
-    return outcomes.build_survival_dataset(
+    ds = outcomes.build_survival_dataset(
         cohort, evts, cfg.param("outcome_class", "revision"), spec
     )
+    if group_by is not None:
+        ds.groups = [labels[pid] for pid in ds.subject_ids]
+    return ds
 
 
 @main.group("survival")
@@ -712,13 +738,7 @@ def survival_logrank(config_path, group_by):
 
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
-        ds = _load_survival_dataset(cfg)
-        # Re-group by the requested covariate column.
-        cohort_path = cfg.artifact("cohort.csv")
-        with open(cohort_path, newline="", encoding="utf-8") as fh:
-            by_pid = {row["patient_id"]: row.get(group_by, "Unknown")
-                      for row in csv.DictReader(fh)}
-        ds.groups = [by_pid.get(pid, "Unknown") for pid in ds.subject_ids]
+        ds = _load_survival_dataset(cfg, group_by)
         result = survival.logrank_test(ds)
         out_path = cfg.artifact("logrank.json")
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -765,15 +785,13 @@ def survival_cox(config_path):
 def _group_summaries(ds: outcomes.SurvivalDataset):
     """Per-group patient/event/person-year summaries for the forest table."""
     labels = ds.groups if ds.groups is not None else ["All"] * len(ds.subject_ids)
-    out = {}
-    for g in sorted(set(labels)):
-        mask = np.array([x == g for x in labels])
-        out[g] = {
-            "n_patients": int(mask.sum()),
-            "n_events": int(ds.events[mask].sum()),
-            "person_years": float(ds.times[mask].sum() / 365.25),
-        }
-    return out
+    labels, g = np.unique(np.asarray(labels), return_inverse=True)
+    n, events, days = (np.bincount(g, weights=w) for w in (None, ds.events, ds.times))
+    return {
+        label: {"n_patients": int(n[j]), "n_events": int(events[j]),
+                "person_years": float(days[j] / 365.25)}
+        for j, label in enumerate(labels.tolist())
+    }
 
 
 @main.group()

@@ -16,6 +16,29 @@ from .errors import ConfigError, FitError
 from .outcomes import SurvivalDataset
 
 
+class _RiskSets:
+    """Risk sets of a sample, found once. ``times`` are the distinct event
+    times t_1 < ... < t_T; subject i is at risk at the first ``index[i]`` of
+    them. ``per_time`` sums a per-subject value over the subjects whose time
+    lies in [t_k, t_k+1), so per_time(events) counts the events at t_k;
+    ``at_risk`` sums it over the risk set of t_k (time >= t_k) as a reverse
+    cumulative sum. KM, log-rank and Cox need no loop over event times
+    (Therneau & Grambsch 2000, ch. 3)."""
+
+    def __init__(self, times: np.ndarray, events: np.ndarray):
+        self.times = np.unique(times[events == 1])
+        self.index = np.searchsorted(self.times, times, side="right")
+
+    def per_time(self, values: np.ndarray) -> np.ndarray:
+        # bin 0 holds the subjects censored before the first event time
+        out = np.zeros((len(self.times) + 1,) + values.shape[1:])
+        np.add.at(out, self.index, values)
+        return out[1:]
+
+    def at_risk(self, values: np.ndarray) -> np.ndarray:
+        return np.cumsum(self.per_time(values)[::-1], axis=0)[::-1]
+
+
 @dataclass(frozen=True)
 class KMCurve:
     times: np.ndarray  # distinct event times, ascending
@@ -25,13 +48,8 @@ class KMCurve:
 
     def at(self, t: float) -> float:
         """Right-continuous step evaluation of S(t)."""
-        s = 1.0
-        for tk, sk in zip(self.times, self.survival):
-            if tk <= t:
-                s = sk
-            else:
-                break
-        return s
+        k = np.searchsorted(self.times, t, side="right")
+        return float(self.survival[k - 1]) if k else 1.0
 
 
 def km_estimate(dataset: SurvivalDataset, group_by: bool = False):
@@ -42,33 +60,23 @@ def km_estimate(dataset: SurvivalDataset, group_by: bool = False):
     if group_by:
         if dataset.groups is None:
             raise ConfigError("dataset carries no group labels")
-        out = {}
-        for g in sorted(set(dataset.groups)):
-            mask = np.array([x == g for x in dataset.groups])
-            out[g] = _km(dataset.times[mask], dataset.events[mask])
-        return out
+        labels, g = np.unique(np.asarray(dataset.groups), return_inverse=True)
+        return {
+            label: _km(dataset.times[g == j], dataset.events[g == j])
+            for j, label in enumerate(labels.tolist())
+        }
     return _km(dataset.times, dataset.events)
 
 
 def _km(times: np.ndarray, events: np.ndarray) -> KMCurve:
-    order = np.argsort(times, kind="stable")
-    t, e = times[order], events[order]
-    n = len(t)
-    distinct = sorted(set(t[e == 1]))
-    surv, at_risk, n_ev = [], [], []
-    s = 1.0
-    for tk in distinct:
-        nk = int(np.sum(t >= tk))
-        dk = int(np.sum((t == tk) & (e == 1)))
-        s *= 1.0 - dk / nk
-        surv.append(s)
-        at_risk.append(nk)
-        n_ev.append(dk)
+    risk = _RiskSets(times, events)
+    d = risk.per_time(events)
+    n = risk.at_risk(np.ones(len(times)))
     return KMCurve(
-        times=np.array(distinct, dtype=float),
-        survival=np.array(surv),
-        n_at_risk=np.array(at_risk, dtype=int),
-        n_events=np.array(n_ev, dtype=int),
+        times=risk.times.astype(float),
+        survival=np.cumprod(1.0 - d / n),
+        n_at_risk=n.astype(int),
+        n_events=d.astype(int),
     )
 
 
@@ -89,37 +97,24 @@ def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     """Standard log-rank test over the dataset's group labels."""
     if dataset.groups is None:
         raise ConfigError("dataset carries no group labels")
-    labels = sorted(set(dataset.groups))
-    if len(labels) < 2:
+    labels, g = np.unique(np.asarray(dataset.groups), return_inverse=True)
+    k = len(labels)
+    if k < 2:
         raise ConfigError("log-rank requires at least two groups")
     if int(dataset.events.sum()) < 1:
         raise ConfigError("log-rank requires at least one event")
-    g = np.array([labels.index(x) for x in dataset.groups])
-    k = len(labels)
-    t, e = dataset.times, dataset.events
-    event_times = sorted(set(t[e == 1]))
-    observed = np.zeros(k)
-    expected = np.zeros(k)
-    # covariance of the first k-1 group O-E sums
-    V = np.zeros((k - 1, k - 1))
-    for tk in event_times:
-        at_risk = t >= tk
-        n_j = np.array([np.sum(at_risk & (g == j)) for j in range(k)], dtype=float)
-        n_tot = n_j.sum()
-        d_j = np.array(
-            [np.sum((t == tk) & (e == 1) & (g == j)) for j in range(k)], dtype=float
-        )
-        d_tot = d_j.sum()
-        observed += d_j
-        expected += d_tot * n_j / n_tot
-        if n_tot > 1:
-            factor = d_tot * (n_tot - d_tot) / (n_tot - 1)
-            for a in range(k - 1):
-                for b in range(k - 1):
-                    if a == b:
-                        V[a, b] += factor * n_j[a] * (n_tot - n_j[a]) / n_tot**2
-                    else:
-                        V[a, b] -= factor * n_j[a] * n_j[b] / n_tot**2
+    risk = _RiskSets(dataset.times, dataset.events)
+    member = np.eye(k)[g]  # one-hot group membership
+    d_j = risk.per_time(member * dataset.events[:, None])
+    n_j = risk.at_risk(member)
+    d, n = d_j.sum(axis=1), n_j.sum(axis=1)
+    observed = d_j.sum(axis=0)
+    expected = (d[:, None] * n_j / n[:, None]).sum(axis=0)
+    # covariance of the first k-1 group O-E sums; a risk set of one
+    # contributes nothing (its one event leaves n - d = 0)
+    f = d * (n - d) / np.maximum(n - 1, 1) / n**2
+    m = n_j[:, : k - 1]
+    V = np.diag((f * n) @ m) - (m * f[:, None]).T @ m
     diff = (observed - expected)[: k - 1]
     if np.allclose(diff, 0.0):
         return LogRankResult(statistic=0.0, df=k - 1, p_value=1.0)
@@ -159,46 +154,30 @@ class CoxFit:
             }
 
 
-def _breslow_quantities(beta, times, events, X):
-    """Return (loglik, score vector, information matrix) under Breslow ties."""
-    order = np.argsort(-times, kind="stable")  # descending time
-    t, e, Xs = times[order], events[order], X[order]
-    eta = Xs @ beta
+def _breslow_quantities(beta, X, events, risk: _RiskSets):
+    """Return (loglik, score vector, information matrix) under Breslow ties.
+
+    With w = exp(X beta), S0 and S1 the risk-set sums of w and w x, and
+    xbar = S1 / S0 per event time, the information sum_t d_t (S2_t / S0_t -
+    xbar_t xbar_t') equals X' diag(w c) X - sum_t d_t xbar_t xbar_t', where c
+    is each subject's sum of d_t / S0_t over the event times t <= its own; no
+    per-subject p x p array is built."""
+    eta = X @ beta
     eta = eta - eta.max()
     w = np.exp(eta)
-    n, p = Xs.shape
-    ll = 0.0
-    score = np.zeros(p)
-    info = np.zeros((p, p))
-    # cumulative risk-set sums, walking times descending so the risk set grows
-    S0 = 0.0
-    S1 = np.zeros(p)
-    S2 = np.zeros((p, p))
-    i = 0
-    while i < n:
-        j = i
-        while j < n and t[j] == t[i]:
-            j += 1
-        for r in range(i, j):
-            S0 += w[r]
-            S1 += w[r] * Xs[r]
-            S2 += w[r] * np.outer(Xs[r], Xs[r])
-        d_idx = [r for r in range(i, j) if e[r] == 1]
-        d = len(d_idx)
-        if d:
-            xbar = S1 / S0
-            for r in d_idx:
-                ll += eta[r]
-                score += Xs[r]
-            ll -= d * np.log(S0)
-            score -= d * xbar
-            info += d * (S2 / S0 - np.outer(xbar, xbar))
-        i = j
+    d = risk.per_time(events)
+    S0 = risk.at_risk(w)
+    xbar = risk.at_risk(w[:, None] * X) / S0[:, None]
+    died = events == 1
+    ll = eta[died].sum() - d @ np.log(S0)
+    score = X[died].sum(axis=0) - d @ xbar
+    c = np.cumsum(np.r_[0.0, d / S0])[risk.index]
+    info = (X * (w * c)[:, None]).T @ X - (xbar * d[:, None]).T @ xbar
     return ll, score, info
 
 
 def cox_fit(dataset: SurvivalDataset) -> CoxFit:
-    times, events, X = dataset.times, dataset.events, dataset.X
+    events, X = dataset.events, dataset.X
     if int(events.sum()) < 1:
         raise ConfigError("Cox fit requires at least one event")
     n, p = X.shape
@@ -212,7 +191,8 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                 "design matrix is rank deficient; collinear or constant columns: "
                 f"{degenerate or dataset.columns}"
             )
-    ll_null, score0, info0 = _breslow_quantities(np.zeros(p), times, events, X)
+    risk = _RiskSets(dataset.times, events)
+    ll_null, score0, info0 = _breslow_quantities(np.zeros(p), X, events, risk)
     if p:
         try:
             score_stat = float(score0 @ np.linalg.solve(info0, score0))
@@ -227,7 +207,7 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
     n_iter = 0
     if p:
         for n_iter in range(1, 51):
-            ll_cur, score, info = _breslow_quantities(beta, times, events, X)
+            ll_cur, score, info = _breslow_quantities(beta, X, events, risk)
             try:
                 step = np.linalg.solve(info, score)
             except np.linalg.LinAlgError as exc:
@@ -237,12 +217,12 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                     context={"iterations": trace},
                 ) from exc
             new_beta = beta + step
-            new_ll, _, _ = _breslow_quantities(new_beta, times, events, X)
+            new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)
             halvings = 0
             while new_ll < ll_cur and halvings < 30:
                 step /= 2.0
                 new_beta = beta + step
-                new_ll, _, _ = _breslow_quantities(new_beta, times, events, X)
+                new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)
                 halvings += 1
             beta = new_beta
             trace.append(new_ll)
@@ -262,7 +242,7 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                 "Cox fit did not converge in 50 iterations",
                 context={"iterations": trace},
             )
-    _, _, info = _breslow_quantities(beta, times, events, X)
+    _, _, info = _breslow_quantities(beta, X, events, risk)
     if p:
         cov = np.linalg.inv(info)
         se = np.sqrt(np.diag(cov))

@@ -102,17 +102,52 @@ class TestConfigValidation:
         assert result.exit_code == 0
         assert "100 notes" in result.output  # 25 patients x 4 notes
 
+    @pytest.mark.parametrize("names", [["anatomy"], ["pain", "anatomy"]])
+    def test_env_override_for_list_paths(self, runner, tmp_path, small_corpus_dir,
+                                         monkeypatch, names):
+        # DEVICESURV_DICTIONARIES joins several files with os.pathsep and
+        # acts like the same list under paths.dictionaries.
+        _, paths, _ = small_corpus_dir
+        files = [resource_path(DICTIONARY_FILES[name]) for name in names]
+        listed = _write_config(tmp_path, tmp_path / "listed",
+                               paths={"notes": paths["notes"], "dictionaries": files})
+        assert runner.invoke(main, ["candidates", "--config", listed]).exit_code == 0
+        cfg = _write_config(tmp_path, tmp_path / "env", paths={"notes": paths["notes"]})
+        monkeypatch.setenv("DEVICESURV_DICTIONARIES", os.pathsep.join(map(str, files)))
+        result = runner.invoke(main, ["candidates", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert ((tmp_path / "env" / "candidates.jsonl").read_bytes()
+                == (tmp_path / "listed" / "candidates.jsonl").read_bytes())
+
 
 class TestLocking:
     def test_lock_blocks_second_run(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
         outdir = tmp_path / "out"
         outdir.mkdir()
-        (outdir / ".lock").write_text("12345")
-        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        owner = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            (outdir / ".lock").write_text(str(owner.pid))
+            cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
+            result = runner.invoke(main, ["ingest", "--config", cfg])
+        finally:
+            owner.kill()
+            owner.wait()
         assert result.exit_code == 2
         assert "locked" in _stderr_json(result)["message"]
+        assert (outdir / ".lock").read_text() == str(owner.pid)
+
+    def test_lock_of_exited_run_taken_over(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        owner = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        (outdir / ".lock").write_text(owner.stdout.strip())
+        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
+        result = runner.invoke(main, ["ingest", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert not (outdir / ".lock").exists()
 
     def test_lock_released_after_success(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir

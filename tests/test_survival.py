@@ -317,3 +317,82 @@ class TestPValuesMatchScipyStats:
     @pytest.mark.parametrize("df", [1, 2, 5])
     def test_chi2_tail_edges(self, x, df):
         assert _chi2_sf(x, df) == stats.chi2.sf(x, df)
+
+
+def _oracle_logrank_statistic(times, events, groups):
+    """Log-rank chi-squared by a plain loop over event times: hypergeometric
+    means and covariances of each group's event count, summed."""
+    labels = sorted(set(groups))
+    k = len(labels)
+    g = np.array([labels.index(x) for x in groups])
+    observed, expected, V = np.zeros(k), np.zeros(k), np.zeros((k, k))
+    for tk in sorted(set(times[events == 1])):
+        n = np.array([np.sum((times >= tk) & (g == j)) for j in range(k)], dtype=float)
+        d = np.array([np.sum((times == tk) & (events == 1) & (g == j)) for j in range(k)],
+                     dtype=float)
+        n_tot, d_tot = n.sum(), d.sum()
+        observed += d
+        expected += d_tot * n / n_tot
+        if n_tot > 1:
+            V += d_tot * (n_tot - d_tot) / (n_tot - 1) * (
+                np.diag(n) / n_tot - np.outer(n, n) / n_tot**2)
+    diff = (observed - expected)[:-1]
+    return float(diff @ np.linalg.solve(V[:-1, :-1], diff))
+
+
+class TestRiskSetOracles:
+    """KM, log-rank and Cox share one risk-set computation; these pin the
+    log-rank statistic and the Cox standard errors to brute-force oracles."""
+
+    def test_logrank_hand_fixture_against_loop(self):
+        # Ties at t=2 (two events, one censoring) and t=6; every A subject has
+        # left before the last event time, t=9, whose risk set is one C subject.
+        times = np.array([1, 2, 2, 3, 4, 2, 3, 5, 6, 8, 2, 4, 6, 7, 9], dtype=float)
+        events = np.array([1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1])
+        groups = list("AAAAABBBBBCCCCC")
+        res = logrank_test(_dataset(times, events, groups=groups))
+        assert res.df == 2
+        assert res.statistic == pytest.approx(
+            _oracle_logrank_statistic(times, events, groups), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_logrank_tied_three_groups_against_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 120
+        groups = [["A", "B", "C"][i % 3] for i in range(n)]
+        times = np.ceil(rng.exponential(20, size=n))
+        # group C leaves early; the latest time is a lone event
+        times[2::3] = np.minimum(times[2::3], 5)
+        events = (rng.uniform(size=n) < 0.6).astype(int)
+        times[0], events[0] = times.max() + 1, 1
+        res = logrank_test(_dataset(times, events, groups=groups))
+        assert res.statistic == pytest.approx(
+            _oracle_logrank_statistic(times, events, groups), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cox_se_against_finite_difference_hessian(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        X = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)]).astype(float)
+        times = np.ceil(rng.exponential(10 * np.exp(-(0.6 * X[:, 0] - 0.4 * X[:, 1]))))
+        events = (rng.uniform(size=n) < 0.8).astype(int)
+        assert len(set(times)) < n  # tied times
+        fit = cox_fit(_dataset(times, events, X=X))
+
+        def loglik(beta):
+            eta = X @ beta
+            ll = 0.0
+            for tk in sorted(set(times[events == 1])):
+                died = (times == tk) & (events == 1)
+                ll += eta[died].sum() - died.sum() * np.log(np.exp(eta[times >= tk]).sum())
+            return ll
+
+        h = 1e-3
+        H = np.zeros((2, 2))
+        for a in range(2):
+            for b in range(2):
+                ea, eb = np.eye(2)[a] * h, np.eye(2)[b] * h
+                H[a, b] = (loglik(fit.coef + ea + eb) - loglik(fit.coef + ea - eb)
+                           - loglik(fit.coef - ea + eb) + loglik(fit.coef - ea - eb)) / (4 * h * h)
+        expected = np.sqrt(np.diag(np.linalg.inv(-H)))
+        assert fit.se == pytest.approx(expected, rel=1e-5)

@@ -263,11 +263,25 @@ def _get_lfs(cfg: ProjectConfig):
     raise ConfigError(f"unknown lf_set {lf_set!r} (use 'starter' or 'benchmark')")
 
 
-def _read_scores(path) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _read_scores(path) -> dict[str, int]:
+    """The 0/1 predicted_label column of scores.csv, which 'predict' wrote
+    from the full-precision score, keyed by candidate_id."""
+    out: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["candidate_id"]] = float(row["score"])
+        reader = csv.DictReader(fh)
+        if not {"candidate_id", "predicted_label"} <= set(reader.fieldnames or ()):
+            raise InputFormatError(
+                f"{path}: expected candidate_id and predicted_label columns",
+                context={"path": str(path)},
+            )
+        for row in reader:
+            if row["predicted_label"] not in ("0", "1"):
+                raise InputFormatError(
+                    f"{path}: line {reader.line_num}: predicted_label must be 0 or 1, "
+                    f"found {row['predicted_label']!r}",
+                    context={"path": str(path)},
+                )
+            out[row["candidate_id"]] = int(row["predicted_label"])
     return out
 
 
@@ -541,8 +555,6 @@ def predict(config_path):
 @command_wrapper
 def eval_cmd(config_path):
     """Score predictions against gold labels; write metrics.csv."""
-    from . import classifier as clf
-
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         scores_path = cfg.artifact("scores.csv")
@@ -551,10 +563,9 @@ def eval_cmd(config_path):
                 f"scores not found: {scores_path} (run 'predict' first)"
             )
         gold = evaluation.read_gold(cfg.path("gold_relations"))
-        scores = _read_scores(scores_path)
-        model = clf.ClassifierModel.load(cfg.artifact("classifier.bin"))
-        restricted = {cid: s for cid, s in scores.items() if cid in gold}
-        metrics = evaluation.prf1(restricted, gold, threshold=model.threshold)
+        labels = _read_scores(scores_path)
+        restricted = {cid: y for cid, y in labels.items() if cid in gold}
+        metrics = evaluation.prf1(restricted, gold)
         out_path = cfg.artifact("metrics.csv")
         evaluation.metrics_to_csv(metrics, out_path)
         _write_meta(cfg, "eval", [out_path])

@@ -218,8 +218,11 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                 ) from exc
             new_beta = beta + step
             new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)
+            # A step is halved only when it loses more than round-off, so the
+            # fit does not depend on the order in which the sums are taken.
+            tol = 8 * np.finfo(float).eps * abs(ll_cur)
             halvings = 0
-            while new_ll < ll_cur and halvings < 30:
+            while new_ll < ll_cur - tol and halvings < 30:
                 step /= 2.0
                 new_beta = beta + step
                 new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)

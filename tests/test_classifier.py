@@ -267,3 +267,71 @@ class TestScoresCsv:
         assert lines[0] == "candidate_id,score,predicted_label"
         assert lines[1] == "a,0.750000,1"
         assert lines[2] == "b,0.250000,0"
+
+
+def _dense_train_on_matrix(X, p, config, dim):
+    """The dim-wide SGD loop that train_on_matrix replaced, kept verbatim as
+    the reference whose weights and bias it must reproduce bit for bit."""
+    n = X.shape[0]
+    w = np.zeros(dim)
+    b = 0.0
+    rng = np.random.default_rng(config.seed)
+    order = np.arange(n)
+    for _epoch in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            Xb = X[batch]
+            z = Xb @ w + b
+            resid = clf._sigmoid(z) - p[batch]
+            grad_w = np.asarray(Xb.T @ resid).ravel() + 2 * config.l2 * (len(batch) / n) * w
+            grad_b = float(np.sum(resid))
+            scale = config.learning_rate / len(batch)
+            w -= scale * grad_w
+            b -= scale * grad_b
+    return w, b
+
+
+def _hashed_problem(seed, dim, n=50, n_active=40):
+    """A CSR matrix shaped like design_matrix output: sorted column indices
+    per row, signed counts, a few dozen active columns out of dim, and one
+    stored explicit zero (in row 0, on a column no other entry touches)."""
+    rng = np.random.default_rng(seed)
+    active = rng.choice(dim, size=n_active + 1, replace=False)
+    zero_col, active = active[0], active[1:]
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        cols = rng.choice(active, size=rng.integers(1, 8), replace=False)
+        vals = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], size=len(cols))
+        if i == 0:
+            cols, vals = np.append(cols, zero_col), np.append(vals, 0.0)
+        order = np.argsort(cols)
+        indices.extend(cols[order].tolist())
+        data.extend(vals[order].tolist())
+        indptr.append(len(indices))
+    X = sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(n, dim),
+    )
+    return X, rng.uniform(size=n), zero_col
+
+
+class TestActiveColumnTraining:
+    @pytest.mark.parametrize("dim", [1 << 20, 1 << 12])
+    @pytest.mark.parametrize("batch_size", [7, 64])  # does not divide n = 50; >= n
+    def test_bit_identical_to_dense_loop(self, dim, batch_size):
+        for seed in range(3):
+            X, p, zero_col = _hashed_problem(seed, dim)
+            config = clf.TrainConfig(seed=seed, epochs=4, learning_rate=0.5, l2=0.05,
+                                     batch_size=batch_size)
+            w_old, b_old = _dense_train_on_matrix(X, p, config, dim)
+            w_new, b_new = clf.train_on_matrix(X, p, config, dim)
+            assert w_new.shape == (dim,)
+            assert np.array_equal(w_new, w_old)
+            assert w_new.tobytes() == w_old.tobytes()
+            assert b_new == b_old
+            untouched = np.ones(dim, dtype=bool)
+            untouched[X.indices] = False
+            assert np.all(w_new[untouched] == 0.0)
+            assert w_new[zero_col] == 0.0
+            assert np.count_nonzero(w_new) == np.unique(X.indices).size - 1

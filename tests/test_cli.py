@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -292,6 +293,50 @@ class TestDamagedArtifacts:
         assert "classifier.bin" in err["message"]
 
 
+_SCORES_CSV = "candidate_id,score,predicted_label\na,0.900000,1\nb,0.500000,0\nc,0.100000,0\n"
+
+
+def _eval_setup(tmp_path, scores_csv=_SCORES_CSV):
+    """An output directory with a hand-written scores.csv and a classifier.bin
+    of threshold 0.5 (which eval need not read), plus a gold file."""
+    from devicesurv.classifier import ClassifierModel, FeatureConfig
+
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "scores.csv").write_text(scores_csv)
+    fc = FeatureConfig(n_bits=4)
+    ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc,
+                    threshold=0.5).save(outdir / "classifier.bin")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("candidate_id,label\na,1\nb,1\nc,0\n")
+    return outdir, _write_config(tmp_path, outdir, paths={"gold_relations": gold})
+
+
+class TestEvalCommand:
+    def test_scores_predicted_labels(self, runner, tmp_path):
+        # "b" reads 0.500000, but predict wrote label 0 from its full-precision
+        # score (below 0.5): eval counts it as a negative, so a false negative.
+        outdir, cfg = _eval_setup(tmp_path)
+        result = runner.invoke(main, ["eval", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        header, row = (outdir / "metrics.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(","))) == {
+            "precision": "100.0", "recall": "50.0", "f1": "66.7", "tp": "1", "fp": "0", "fn": "1"}
+
+    @pytest.mark.parametrize("scores_csv", [
+        "candidate_id,score\na,0.900000\n",
+        "candidate_id,score,predicted_label\na,0.900000,2\n",
+        "candidate_id,score,predicted_label\na,0.900000\n",
+    ], ids=["no_label_column", "label_2", "label_missing"])
+    def test_bad_scores_file_exit_code(self, runner, tmp_path, scores_csv):
+        _, cfg = _eval_setup(tmp_path, scores_csv)
+        result = runner.invoke(main, ["eval", "--config", cfg])
+        assert result.exit_code == 3
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert "scores.csv" in err["message"]
+
+
 class TestPipelineChain:
     def test_full_chain(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir
@@ -450,6 +495,15 @@ class TestStartup:
         modules = _modules_after("import devicesurv.survival, devicesurv.countreg")
         assert "scipy.special" in modules
         assert "scipy.stats" not in modules
+
+    def test_eval_loads_no_classifier_or_scipy(self, tmp_path):
+        _, cfg = _eval_setup(tmp_path)
+        modules = _modules_after(
+            f"from devicesurv.cli import main; main(['eval', '--config', {cfg!r}], "
+            "standalone_mode=False)")
+        assert "devicesurv.evaluation" in modules
+        assert "devicesurv.classifier" not in modules
+        assert "scipy" not in modules
 
     @pytest.mark.parametrize("command,doc", [
         (["train"], "Train the noise-aware classifier on the probabilistic labels."),

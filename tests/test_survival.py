@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from devicesurv import survival
 from devicesurv.errors import ConfigError, FitError
 from devicesurv.outcomes import SurvivalDataset
 from devicesurv.survival import _chi2_sf, cox_fit, km_estimate, logrank_test
@@ -286,6 +287,24 @@ class TestCox:
         ds = gen_survival_dataset(2000, hazard_ratio=2.0, seed=0)
         fit = cox_fit(ds)
         assert 1.7 <= fit.hr[0] <= 2.4
+
+
+class TestStepHalving:
+    @pytest.mark.parametrize("drop,coef", [
+        (np.nextafter(-100.0, -np.inf) + 100.0, 0.75),  # 1 ulp: round-off, step taken whole
+        (-1e-10, 0.75 / 2**30),  # a real loss: halved until the 30-halving cap
+    ], ids=["one_ulp", "real_loss"])
+    def test_halves_only_a_loss_beyond_round_off(self, monkeypatch, drop, coef):
+        # Every beta but 0 reads `drop` below the log-likelihood at 0, and the
+        # exact Newton step from 0 is 0.75.
+        def quantities(beta, X, events, risk):
+            ll = -100.0 if not beta.any() else -100.0 + drop
+            return ll, np.array([0.75]), np.eye(1)
+
+        monkeypatch.setattr(survival, "_breslow_quantities", quantities)
+        fit = cox_fit(_dataset([1, 2, 3, 4], [1, 1, 0, 1], X=[0.0, 1.0, 0.0, 1.0]))
+        assert fit.n_iter == 1
+        assert fit.coef.tolist() == [coef]
 
 
 class TestPValuesMatchScipyStats:

@@ -169,18 +169,6 @@ class _Lock:
         return False
 
 
-def _warn_if_stale(inputs, output) -> None:
-    if not os.path.exists(output):
-        return
-    out_mtime = os.path.getmtime(output)
-    for inp in inputs:
-        if inp and os.path.exists(inp) and os.path.getmtime(inp) > out_mtime:
-            click.echo(
-                f"warning: {output} is older than input {inp}; regenerating",
-                err=True,
-            )
-
-
 def _write_meta(cfg: ProjectConfig, command: str, outputs) -> None:
     meta = {
         "command": command,
@@ -222,11 +210,6 @@ def _load_resources(cfg: ProjectConfig):
     return dictionaries, lexicon
 
 
-def _load_documents(cfg: ProjectConfig):
-    notes_path = cfg.path("notes")
-    return [preprocess(note) for note in ingest_notes(notes_path)]
-
-
 def _load_candidates(cfg: ProjectConfig):
     """Read the candidate set written by 'candidates'. Candidates older than
     the configured notes, dictionaries or trigger lexicon are never used."""
@@ -243,6 +226,13 @@ def _load_candidates(cfg: ProjectConfig):
                 context={"path": path, "input": inp},
             )
     return read_candidates(path)
+
+
+def _load_label_matrix(cfg: ProjectConfig):
+    path = cfg.artifact("label_matrix.bin")
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"label matrix not found: {path} (run 'lf apply' first)")
+    return weaksup.LabelMatrix.load(path)
 
 
 def _get_lfs(cfg: ProjectConfig):
@@ -297,74 +287,6 @@ _config_option = click.option(
 
 @main.command()
 @_config_option
-@click.option("--on-error", type=click.Choice(["skip", "abort"]), default="skip")
-@command_wrapper
-def ingest(config_path, on_error):
-    """Validate and normalize the notes file."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        out_path = cfg.artifact("notes.normalized.jsonl")
-        _warn_if_stale([cfg.path("notes")], out_path)
-        n = 0
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for note in ingest_notes(cfg.path("notes"), on_error=on_error):
-                fh.write(
-                    json.dumps(
-                        {
-                            "note_id": note.note_id,
-                            "patient_id": note.patient_id,
-                            "note_datetime": note.note_datetime.isoformat(),
-                            "note_type": note.note_type,
-                            "text": note.text,
-                        }
-                    )
-                    + "\n"
-                )
-                n += 1
-        _write_meta(cfg, "ingest", [out_path])
-    click.echo(f"ingest: {n} notes -> {out_path}")
-
-
-@main.command()
-@_config_option
-@command_wrapper
-def tag(config_path):
-    """Tag entity mentions with attributes; write mentions.csv."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        from .extraction import apply_context, tag_entities
-
-        dictionaries, lexicon = _load_resources(cfg)
-        out_path = cfg.artifact("mentions.csv")
-        _warn_if_stale([cfg.path("notes")], out_path)
-        n = 0
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["note_id", "char_start", "char_end", "surface", "entity_type",
-                 "canonical_id", "subcategory", "attributes"]
-            )
-            for doc in _load_documents(cfg):
-                for sent in doc.sentences:
-                    mentions = tag_entities(sent, dictionaries)
-                    if not mentions:
-                        continue
-                    apply_context(
-                        sent, mentions, lexicon, doc.section_for(sent.char_start), doc.dates_in(sent)
-                    )
-                    for m in mentions:
-                        w.writerow(
-                            [doc.note.note_id, m.char_start, m.char_end, m.surface,
-                             m.entity_type, m.canonical_id, m.subcategory or "",
-                             "|".join(sorted(m.attributes))]
-                        )
-                        n += 1
-        _write_meta(cfg, "tag", [out_path])
-    click.echo(f"tag: {n} mentions -> {out_path}")
-
-
-@main.command()
-@_config_option
 @command_wrapper
 def candidates(config_path):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
@@ -373,8 +295,10 @@ def candidates(config_path):
         dictionaries, lexicon = _load_resources(cfg)
         rtype = cfg.param("relation_type", "pain-anatomy")
         cands = [
-            c for doc in _load_documents(cfg)
-            for c in extract_candidates(doc, dictionaries, lexicon, relation_types=(rtype,))
+            c for note in ingest_notes(cfg.path("notes"))
+            for c in extract_candidates(
+                preprocess(note), dictionaries, lexicon, relation_types=(rtype,)
+            )
         ]
         out_path = cfg.artifact("candidates.jsonl")
         write_candidates(cands, out_path)
@@ -413,12 +337,7 @@ def lf_stats(config_path):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
-        matrix_path = cfg.artifact("label_matrix.bin")
-        if not os.path.exists(matrix_path):
-            raise MissingArtifactError(
-                f"label matrix not found: {matrix_path} (run 'lf apply' first)"
-            )
-        matrix = weaksup.LabelMatrix.load(matrix_path)
+        matrix = _load_label_matrix(cfg)
         if matrix.n == 0:
             raise ConfigError("label matrix has no candidates")
         gold_path = cfg.paths.get("dev_gold")
@@ -460,12 +379,7 @@ def labelmodel_fit(config_path):
     """Fit the label model and write posterior probabilistic labels."""
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
-        matrix_path = cfg.artifact("label_matrix.bin")
-        if not os.path.exists(matrix_path):
-            raise MissingArtifactError(
-                f"label matrix not found: {matrix_path} (run 'lf apply' first)"
-            )
-        matrix = weaksup.LabelMatrix.load(matrix_path)
+        matrix = _load_label_matrix(cfg)
         config = weaksup.LabelModelConfig(class_prior=float(cfg.param("class_prior", 0.5)))
         model = weaksup.fit_label_model(matrix, config)
         model_path = cfg.artifact("label_model.json")
@@ -496,14 +410,10 @@ def train(config_path):
                 f"labels not found: {labels_path} (run 'labelmodel fit' first)"
             )
         labels = weaksup.labels_from_csv(labels_path)
-        cands = _load_candidates(cfg)
         # All-abstain rows carry no supervision signal; train on covered rows.
-        matrix_path = cfg.artifact("label_matrix.bin")
-        if os.path.exists(matrix_path):
-            covered = weaksup.covered_candidate_ids(weaksup.LabelMatrix.load(matrix_path))
-            train_cands = [c for c in cands if c.candidate_id in covered]
-        else:
-            train_cands = cands
+        covered = weaksup.covered_candidate_ids(_load_label_matrix(cfg))
+        cands = _load_candidates(cfg)
+        train_cands = [c for c in cands if c.candidate_id in covered]
         train_cfg = clf.TrainConfig(
             seed=int(cfg.param("seed", 0)),
             epochs=int(cfg.param("epochs", 20)),

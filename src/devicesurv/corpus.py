@@ -159,16 +159,11 @@ class Document:
 REQUIRED_NOTE_FIELDS = ("note_id", "patient_id", "note_datetime", "note_type", "text")
 
 
-def ingest_notes(path, fmt: str = "jsonl", on_error: str = "skip"):
+def ingest_notes(path):
     """Yield ``RawNote`` records from a line-delimited JSON file.
 
-    ``on_error`` is "skip" (log and continue) or "abort" (raise on the first
-    malformed record). Duplicate note_ids always abort.
+    A malformed record is logged and skipped; a duplicate note_id raises.
     """
-    if fmt != "jsonl":
-        raise ConfigError(f"unsupported note format: {fmt}")
-    if on_error not in ("skip", "abort"):
-        raise ConfigError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -177,8 +172,6 @@ def ingest_notes(path, fmt: str = "jsonl", on_error: str = "skip"):
             try:
                 note = _parse_note_record(line, lineno)
             except InputFormatError as exc:
-                if on_error == "abort":
-                    raise
                 log.warning("skipping note record: %s", exc.message)
                 continue
             if note.note_id in seen:

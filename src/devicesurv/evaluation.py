@@ -155,11 +155,3 @@ def metrics_to_csv(metrics: Metrics, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("precision,recall,f1,tp,fp,fn\n")
         fh.write(f"{p},{r},{f},{metrics.tp},{metrics.fp},{metrics.fn}\n")
-
-
-def pr_points_to_csv(curve: PRCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("recall,precision\n")
-        for r, p in zip(curve.recalls, curve.precisions):
-            fh.write(f"{r:.6f},{p:.6f}\n")
-        fh.write(f"# average_precision,{curve.average_precision:.6f}\n")

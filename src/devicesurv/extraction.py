@@ -72,10 +72,6 @@ class Dictionary:
     source: str = ""
     version: str = ""
 
-    @property
-    def max_term_tokens(self) -> int:
-        return max((len(k.split()) for k in self.entries), default=0)
-
 
 def load_dictionary(path, expansion: ExpansionOptions | None = None) -> Dictionary:
     """Load a tab-separated dictionary: term, canonical_id, entity_type,

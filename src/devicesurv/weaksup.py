@@ -241,18 +241,6 @@ class LabelModel:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, raw: str) -> "LabelModel":
-        d = json.loads(raw)
-        return cls(
-            lf_ids=d["lf_ids"],
-            class_prior=d["class_prior"],
-            alpha=np.asarray(d["alpha"], dtype=float),
-            beta=np.asarray(d["beta"], dtype=float),
-            n_iter=d.get("n_iter", 0),
-            log_likelihood=d.get("log_likelihood", float("nan")),
-        )
-
 
 def _log_class_scores(V, alpha, beta, eps=1e-12):
     """Per-row log P(votes | Y=T) and log P(votes | Y=F)."""

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line surface."""
 
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -50,7 +53,7 @@ def _stderr_json(result):
 class TestConfigValidation:
     def test_unknown_top_level_key(self, runner, tmp_path):
         cfg = _write_config(tmp_path, tmp_path / "out", extra={"mystery": 1})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 2
         err = _stderr_json(result)
         assert err["code"] == "config"
@@ -58,29 +61,29 @@ class TestConfigValidation:
 
     def test_unknown_paths_key(self, runner, tmp_path):
         cfg = _write_config(tmp_path, tmp_path / "out", paths={"bogus": tmp_path})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 2
 
     def test_unknown_params_key(self, runner, tmp_path):
         cfg = _write_config(tmp_path, tmp_path / "out", params={"bogus": 1})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 2
 
     def test_missing_output_dir_key(self, runner, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"paths": {}}))
-        result = runner.invoke(main, ["ingest", "--config", str(path)])
+        result = runner.invoke(main, ["candidates", "--config", str(path)])
         assert result.exit_code == 2
 
     def test_invalid_json(self, runner, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
-        result = runner.invoke(main, ["ingest", "--config", str(path)])
+        result = runner.invoke(main, ["candidates", "--config", str(path)])
         assert result.exit_code == 3
         assert _stderr_json(result)["code"] == "input_format"
 
     def test_missing_config_file(self, runner, tmp_path):
-        result = runner.invoke(main, ["ingest", "--config", str(tmp_path / "nope.json")])
+        result = runner.invoke(main, ["candidates", "--config", str(tmp_path / "nope.json")])
         assert result.exit_code == 4
         assert _stderr_json(result)["code"] == "missing_artifact"
 
@@ -88,20 +91,24 @@ class TestConfigValidation:
         cfg = _write_config(
             tmp_path, tmp_path / "out", paths={"notes": tmp_path / "missing.jsonl"}
         )
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 4
         err = _stderr_json(result)
         assert err["context"]["key"] == "notes"
 
     def test_env_override_for_paths(self, runner, tmp_path, small_corpus_dir, monkeypatch):
-        _, paths, _ = small_corpus_dir
+        _, paths, corpus = small_corpus_dir
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text("")
-        cfg = _write_config(tmp_path, tmp_path / "out", paths={"notes": bogus})
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={"notes": bogus})
         monkeypatch.setenv("DEVICESURV_NOTES", paths["notes"])
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
-        assert "100 notes" in result.output  # 25 patients x 4 notes
+        records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
+        assert [r["candidate_id"] for r in records] == [
+            c.candidate_id for c in corpus.candidates
+        ]
 
     @pytest.mark.parametrize("names", [["anatomy"], ["pain", "anatomy"]])
     def test_env_override_for_list_paths(self, runner, tmp_path, small_corpus_dir,
@@ -130,7 +137,7 @@ class TestLocking:
         try:
             (outdir / ".lock").write_text(str(owner.pid))
             cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-            result = runner.invoke(main, ["ingest", "--config", cfg])
+            result = runner.invoke(main, ["candidates", "--config", cfg])
         finally:
             owner.kill()
             owner.wait()
@@ -146,7 +153,7 @@ class TestLocking:
                                capture_output=True, text=True, check=True)
         (outdir / ".lock").write_text(owner.stdout.strip())
         cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert not (outdir / ".lock").exists()
 
@@ -154,22 +161,22 @@ class TestLocking:
         _, paths, _ = small_corpus_dir
         outdir = tmp_path / "out"
         cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-        assert runner.invoke(main, ["ingest", "--config", cfg]).exit_code == 0
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
         assert not (outdir / ".lock").exists()
-        assert runner.invoke(main, ["ingest", "--config", cfg]).exit_code == 0
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
 
 
 class TestArtifacts:
-    def test_ingest_writes_meta(self, runner, tmp_path, small_corpus_dir):
+    def test_candidates_writes_meta(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
         outdir = tmp_path / "out"
         cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-        result = runner.invoke(main, ["ingest", "--config", cfg])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
-        meta = json.loads((outdir / "ingest.meta.json").read_text())
-        assert meta["command"] == "ingest"
+        meta = json.loads((outdir / "candidates.meta.json").read_text())
+        assert meta["command"] == "candidates"
         assert len(meta["config_hash"]) == 12
-        assert (outdir / "notes.normalized.jsonl").exists()
+        assert (outdir / "candidates.jsonl").exists()
 
     def test_missing_artifact_exit_code(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
@@ -178,11 +185,25 @@ class TestArtifacts:
         assert result.exit_code == 4
         assert "labelmodel fit" in _stderr_json(result)["message"]
 
+    def test_train_without_label_matrix_exit_code(self, runner, tmp_path, small_corpus_dir):
+        # Without the matrix, train cannot tell covered rows from uncovered
+        # ones, so it stops instead of training on every candidate.
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [
+            ["candidates"], ["lf", "apply"], ["labelmodel", "fit"]])
+        (outdir / "label_matrix.bin").unlink()
+        result = runner.invoke(main, ["train", "--config", cfg])
+        assert result.exit_code == 4
+        err = _stderr_json(result)
+        assert err["code"] == "missing_artifact"
+        assert "label matrix not found" in err["message"]
+        assert "run 'lf apply' first" in err["message"]
+        assert not (outdir / "classifier.bin").exists()
+
     def test_tag_and_candidates(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir
         outdir = tmp_path / "out"
         cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
-        assert runner.invoke(main, ["tag", "--config", cfg]).exit_code == 0
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
         records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
@@ -515,3 +536,34 @@ class TestStartup:
         result = runner.invoke(main, command + ["--help"])
         assert result.exit_code == 0
         assert doc in result.output
+
+
+def _readme_commands():
+    """Every `devicesurv <cmd> [<sub>]` in README's bash blocks, with
+    `a|b|c` alternatives expanded."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```bash\n(.*?)```", fh.read(), re.S)
+    found = set()
+    for line in "".join(blocks).splitlines():
+        words = line.split("#")[0].split()
+        if words[:1] != ["devicesurv"]:
+            continue
+        names = list(itertools.takewhile(lambda w: not w.startswith("-"), words[1:]))
+        found.update(itertools.product(*(name.split("|") for name in names)))
+    return found
+
+
+def _command_tree(group, prefix=()):
+    out = set()
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            out |= _command_tree(cmd, prefix + (name,))
+        else:
+            out.add(prefix + (name,))
+    return out
+
+
+class TestDocs:
+    def test_readme_lists_every_command(self):
+        assert _readme_commands() == _command_tree(main)

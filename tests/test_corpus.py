@@ -1,6 +1,7 @@
 """Unit tests for note ingestion, sentence splitting, sections, and dates."""
 
 import json
+import logging
 from datetime import date, datetime
 
 import pytest
@@ -55,33 +56,30 @@ class TestIngest:
         assert [n.note_id for n in notes] == ["n0", "n1", "n2"]
         assert notes[0].note_datetime == datetime(2020, 1, 1)
 
-    def test_missing_field_error_names_line_and_field(self, tmp_path):
+    def test_missing_field_error_names_line_and_field(self, tmp_path, caplog):
         path = tmp_path / "notes.jsonl"
         bad = {k: v for k, v in VALID_RECORD.items() if k != "note_datetime"}
         _write_jsonl(path, [bad])
-        with pytest.raises(InputFormatError) as exc:
-            list(ingest_notes(path, on_error="abort"))
-        assert exc.value.context == {"line": 1, "field": "note_datetime"}
+        with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
+            assert list(ingest_notes(path)) == []
+        [record] = caplog.records
+        assert record.getMessage() == (
+            "skipping note record: line 1: missing field 'note_datetime'"
+        )
 
     def test_skip_mode_logs_and_continues(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         bad = dict(VALID_RECORD, note_id="bad")
         del bad["text"]
         _write_jsonl(path, [VALID_RECORD, bad, dict(VALID_RECORD, note_id="b")])
-        notes = list(ingest_notes(path, on_error="skip"))
+        notes = list(ingest_notes(path))
         assert [n.note_id for n in notes] == ["a", "b"]
 
     def test_duplicate_note_id_always_aborts(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         _write_jsonl(path, [VALID_RECORD, VALID_RECORD])
         with pytest.raises(InputFormatError, match="duplicate note_id"):
-            list(ingest_notes(path, on_error="skip"))
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "notes.jsonl"
-        path.write_text("")
-        with pytest.raises(ConfigError):
-            list(ingest_notes(path, fmt="xml"))
+            list(ingest_notes(path))
 
 
 class TestSentences:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, FitError, InputFormatError
+from .errors import ConfigError, FitError, InputFormatError, parsing
 from .extraction import RelationCandidate
 from .lf_lib import between_tokens, left_window, right_window, token_distance
 
@@ -158,14 +158,9 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":
-        with open(str(path) + ".json", encoding="utf-8") as fh:
-            try:
-                sidecar = json.load(fh)
-                fc = FeatureConfig(**sidecar["feature_config"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise InputFormatError(
-                    f"{path}.json: damaged classifier sidecar", context={"path": f"{path}.json"}
-                ) from exc
+        with open(str(path) + ".json", encoding="utf-8") as fh, parsing(f"{path}.json"):
+            sidecar = json.load(fh)
+            fc = FeatureConfig(**sidecar["feature_config"])
         if sidecar.get("feature_digest") != fc.digest():
             raise ConfigError(f"{path}: feature digest does not match the feature config")
         with open(path, "rb") as fh:
@@ -307,9 +302,3 @@ def select_threshold(model: ClassifierModel, dev_candidates, dev_gold: dict[str,
             best_t, best_f1 = float(t), f1
     return best_t
 
-
-def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("candidate_id,score,predicted_label\n")
-        for cid, s in zip(candidate_ids, scores):
-            fh.write(f"{cid},{float(s):.6f},{int(s >= threshold)}\n")

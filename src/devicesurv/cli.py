@@ -31,9 +31,9 @@ from .defaults import default_dictionaries, default_trigger_lexicon, load_implan
 from .errors import (
     ConfigError,
     DeviceSurvError,
-    FitError,
     InputFormatError,
     MissingArtifactError,
+    parsing,
 )
 from .extraction import (
     extract_candidates,
@@ -74,12 +74,10 @@ class ProjectConfig:
         canon = json.dumps(self.raw, sort_keys=True).encode("utf-8")
         return hashlib.sha1(canon).hexdigest()[:12]
 
-    def path(self, key: str, required: bool = True) -> str | None:
+    def path(self, key: str) -> str:
         value = self.paths.get(key)
         if value is None:
-            if required:
-                raise ConfigError(f"config paths.{key} is required for this command")
-            return None
+            raise ConfigError(f"config paths.{key} is required for this command")
         return value
 
     def param(self, key: str, default=None):
@@ -97,6 +95,11 @@ def load_config(path: str) -> ProjectConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    for key in ("paths", "params"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{path}: config {key} must be a JSON object")
     unknown = set(raw) - {"output_dir", "paths", "params"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -253,28 +256,6 @@ def _get_lfs(cfg: ProjectConfig):
     raise ConfigError(f"unknown lf_set {lf_set!r} (use 'starter' or 'benchmark')")
 
 
-def _read_scores(path) -> dict[str, int]:
-    """The 0/1 predicted_label column of scores.csv, which 'predict' wrote
-    from the full-precision score, keyed by candidate_id."""
-    out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not {"candidate_id", "predicted_label"} <= set(reader.fieldnames or ()):
-            raise InputFormatError(
-                f"{path}: expected candidate_id and predicted_label columns",
-                context={"path": str(path)},
-            )
-        for row in reader:
-            if row["predicted_label"] not in ("0", "1"):
-                raise InputFormatError(
-                    f"{path}: line {reader.line_num}: predicted_label must be 0 or 1, "
-                    f"found {row['predicted_label']!r}",
-                    context={"path": str(path)},
-                )
-            out[row["candidate_id"]] = int(row["predicted_label"])
-    return out
-
-
 @click.group()
 def main():
     """Clinical-text device-event extraction and surveillance statistics."""
@@ -380,8 +361,7 @@ def labelmodel_fit(config_path):
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         matrix = _load_label_matrix(cfg)
-        config = weaksup.LabelModelConfig(class_prior=float(cfg.param("class_prior", 0.5)))
-        model = weaksup.fit_label_model(matrix, config)
+        model = weaksup.fit_label_model(matrix, float(cfg.param("class_prior", 0.5)))
         model_path = cfg.artifact("label_model.json")
         with open(model_path, "w", encoding="utf-8") as fh:
             fh.write(model.to_json())
@@ -455,7 +435,7 @@ def predict(config_path):
         cands = _load_candidates(cfg)
         scores = clf.predict_many(model, cands)
         out_path = cfg.artifact("scores.csv")
-        clf.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
+        evaluation.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
         _write_meta(cfg, "predict", [out_path])
     click.echo(f"predict: {len(cands)} candidates -> {out_path}")
 
@@ -473,7 +453,7 @@ def eval_cmd(config_path):
                 f"scores not found: {scores_path} (run 'predict' first)"
             )
         gold = evaluation.read_gold(cfg.path("gold_relations"))
-        labels = _read_scores(scores_path)
+        labels = evaluation.read_scores(scores_path)
         restricted = {cid: y for cid, y in labels.items() if cid in gold}
         metrics = evaluation.prf1(restricted, gold)
         out_path = cfg.artifact("metrics.csv")
@@ -594,15 +574,17 @@ def _load_survival_dataset(
     cohort: dict[str, outcomes.CohortPatient] = {}
     labels: dict[str, str] = {}
     with open(cohort_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cohort[row["patient_id"]] = outcomes.CohortPatient(
-                patient_id=row["patient_id"],
-                index_date=date.fromisoformat(row["index_date"]),
-                last_contact_date=date.fromisoformat(row["last_contact_date"]),
-                covariates={
-                    k: row[k] for k in ("age_band", "sex", "race", "ethnicity", "cci")
-                },
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            with parsing(cohort_path, reader.line_num):
+                cohort[row["patient_id"]] = outcomes.CohortPatient(
+                    patient_id=row["patient_id"],
+                    index_date=date.fromisoformat(row["index_date"]),
+                    last_contact_date=date.fromisoformat(row["last_contact_date"]),
+                    covariates={
+                        k: row[k] for k in ("age_band", "sex", "race", "ethnicity", "cci")
+                    },
+                )
             if group_by is not None:
                 labels[row["patient_id"]] = row.get(group_by, "Unknown")
     events_path = cfg.artifact("merged_events.csv")
@@ -739,9 +721,10 @@ def regression_nb(config_path, counts_file):
                 raise InputFormatError(f"{counts_file}: expected a count column")
             has_exposure = "exposure" in reader.fieldnames
             for row in reader:
-                counts.append(int(row["count"]))
-                if has_exposure:
-                    exposure.append(float(row["exposure"]))
+                with parsing(counts_file, reader.line_num):
+                    counts.append(int(row["count"]))
+                    if has_exposure:
+                        exposure.append(float(row["exposure"]))
         fit = countreg.nb_fit(
             counts, np.zeros((len(counts), 0)), columns=[],
             exposure=exposure if exposure else None,
@@ -776,7 +759,11 @@ def ttest(config_path, a_file, b_file):
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None or "value" not in reader.fieldnames:
                     raise InputFormatError(f"{path}: expected a value column")
-                return [float(row["value"]) for row in reader]
+                values = []
+                for row in reader:
+                    with parsing(path, reader.line_num):
+                        values.append(float(row["value"]))
+                return values
 
         result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
         out_path = cfg.artifact("ttest.json")
@@ -832,7 +819,7 @@ def report_forest(config_path):
             raise MissingArtifactError(
                 f"Cox fit not found: {cox_path} (run 'survival cox' first)"
             )
-        with open(cox_path, encoding="utf-8") as fh:
+        with open(cox_path, encoding="utf-8") as fh, parsing(cox_path):
             fit = json.load(fh)
         groups = fit.get("groups", {})
         terms = {t["term"]: t for t in fit.get("terms", [])}

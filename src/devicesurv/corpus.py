@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 from .errors import ConfigError, InputFormatError
 
@@ -20,6 +20,9 @@ log = logging.getLogger(__name__)
 # Signed relative-time bins. Edges are inclusive upper bounds in days; an
 # exact boundary falls into the smaller bin.
 DEFAULT_BIN_EDGES_DAYS = (1, 7, 30, 365, 1825)
+
+# Two-digit years below the pivot are 20xx, the rest 19xx.
+TWO_DIGIT_YEAR_PIVOT = 50
 
 DEFAULT_ABBREVIATIONS = frozenset(
     {
@@ -125,14 +128,6 @@ class DateMention:
     delta_bin: DeltaBin
     char_start: int
     char_end: int
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-    header_lexicon: tuple[str, ...] = DEFAULT_HEADER_LEXICON
-    bin_edges_days: tuple[int, ...] = DEFAULT_BIN_EDGES_DAYS
-    two_digit_year_pivot: int = 50
 
 
 @dataclass
@@ -277,17 +272,16 @@ def sentence_spans(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[tuple
     return spans
 
 
-def preprocess(note: RawNote, config: PreprocessConfig | None = None) -> Document:
+def preprocess(note: RawNote) -> Document:
     """Split a note into sentences/tokens and attach sections and date bins."""
-    config = config or PreprocessConfig()
     doc = Document(note=note)
-    for s, e in sentence_spans(note.text, config.abbreviations):
+    for s, e in sentence_spans(note.text):
         seg = note.text[s:e]
         doc.sentences.append(
             Sentence(text=seg, char_start=s, char_end=e, tokens=tokenize(seg, offset=s))
         )
-    doc.sections = detect_sections(doc, config.header_lexicon)
-    doc.dates = normalize_dates(doc, note.note_datetime, config)
+    doc.sections = detect_sections(doc, DEFAULT_HEADER_LEXICON)
+    doc.dates = normalize_dates(doc, note.note_datetime)
     return doc
 
 
@@ -375,22 +369,17 @@ def compute_delta_bin(delta_days: int, edges=DEFAULT_BIN_EDGES_DAYS) -> DeltaBin
     return DeltaBin(sign=sign, level=level, label=label)
 
 
-def _resolve_year(two_digit: int, pivot: int) -> int:
-    return 2000 + two_digit if two_digit <= pivot - 1 else 1900 + two_digit
+def _resolve_year(two_digit: int) -> int:
+    return 2000 + two_digit if two_digit < TWO_DIGIT_YEAR_PIVOT else 1900 + two_digit
 
 
-def normalize_dates(
-    doc: Document,
-    note_datetime: datetime,
-    config: PreprocessConfig | None = None,
-) -> list[DateMention]:
+def normalize_dates(doc: Document, note_datetime: datetime) -> list[DateMention]:
     """Recognize unambiguous date surfaces and bin them against the note date.
 
-    Handles YYYY-MM-DD, M/D/YYYY, M/D/YY (two-digit years pivot at the
-    configured year), and Month YYYY (resolved to the first of the month).
-    Unresolvable or ambiguous surfaces produce no mention.
+    Handles YYYY-MM-DD, M/D/YYYY, M/D/YY (two-digit years pivot at
+    ``TWO_DIGIT_YEAR_PIVOT``), and Month YYYY (resolved to the first of the
+    month). Unresolvable or ambiguous surfaces produce no mention.
     """
-    config = config or PreprocessConfig()
     text = doc.note.text
     note_date = note_datetime.date()
     mentions: list[DateMention] = []
@@ -407,7 +396,7 @@ def normalize_dates(
             DateMention(
                 surface=text[s:e],
                 resolved_date=resolved,
-                delta_bin=compute_delta_bin(delta, config.bin_edges_days),
+                delta_bin=compute_delta_bin(delta),
                 char_start=s,
                 char_end=e,
             )
@@ -422,7 +411,7 @@ def normalize_dates(
             pass
     for m in _SLASH_DATE_RE.finditer(text):
         mo, dy, ystr = int(m.group(1)), int(m.group(2)), m.group(3)
-        y = int(ystr) if len(ystr) == 4 else _resolve_year(int(ystr), config.two_digit_year_pivot)
+        y = int(ystr) if len(ystr) == 4 else _resolve_year(int(ystr))
         try:
             emit(m.start(), m.end(), date(y, mo, dy))
         except ValueError:

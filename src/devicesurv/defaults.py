@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from importlib import resources as _ir
 
-from .extraction import Dictionary, ExpansionOptions, TriggerLexicon, load_dictionary, load_trigger_lexicon
+from .extraction import Dictionary, TriggerLexicon, load_dictionary, load_trigger_lexicon
 
 DICTIONARY_FILES = {
     "pain": "pain_terms.tsv",
@@ -19,11 +19,8 @@ def resource_path(name: str):
     return _ir.files("devicesurv").joinpath("resources", name)
 
 
-def default_dictionaries(expansion: ExpansionOptions | None = None) -> list[Dictionary]:
-    return [
-        load_dictionary(resource_path(fname), expansion)
-        for fname in DICTIONARY_FILES.values()
-    ]
+def default_dictionaries() -> list[Dictionary]:
+    return [load_dictionary(resource_path(fname)) for fname in DICTIONARY_FILES.values()]
 
 
 def default_trigger_lexicon() -> TriggerLexicon:

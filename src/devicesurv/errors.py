@@ -35,3 +35,27 @@ class FitError(DeviceSurvError):
     """A statistical fit could not be completed."""
 
     code = "fit"
+
+
+class parsing:
+    """Context manager that reports a value it cannot parse as bad input: a
+    ValueError, KeyError, TypeError or IndexError raised inside becomes an
+    ``InputFormatError`` naming ``path`` and, when given, ``line``. Wrap the
+    parsing of one record only, so a fault in the program still shows. (A
+    class, not a generator: readers enter it once per row.)"""
+
+    __slots__ = ("path", "line")
+
+    def __init__(self, path, line=None):
+        self.path, self.line = path, line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, (ValueError, KeyError, TypeError, IndexError)):
+            if self.line is None:
+                where, context = str(self.path), {"path": str(self.path)}
+            else:
+                where, context = f"{self.path}:{self.line}", {"line": self.line}
+            raise InputFormatError(f"{where}: cannot parse ({exc!r})", context=context) from exc

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError, InputFormatError, parsing
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,9 @@ def f1_from_pr(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _as_map(pairs, name: str) -> dict:
-    """Accept a mapping or an iterable of (candidate_id, value) pairs;
-    duplicate ids in pair form are an error."""
-    if isinstance(pairs, dict):
-        return pairs
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise InputFormatError(f"duplicate candidate_id {key!r} in {name}")
-        out[key] = value
-    return out
-
-
-def prf1(predictions, gold, threshold: float = 0.5) -> Metrics:
-    """Counts over the union of keys; a missing prediction scores as
-    negative (an unextracted gold relation is a false negative)."""
-    predictions = _as_map(predictions, "predictions")
-    gold = _as_map(gold, "gold")
+def prf1(predictions: dict, gold: dict, threshold: float = 0.5) -> Metrics:
+    """Counts over the union of candidate_id keys; a missing prediction
+    scores as negative (an unextracted gold relation is a false negative)."""
     keys = set(predictions) | set(gold)
     tp = fp = fn = 0
     for k in keys:
@@ -146,7 +131,38 @@ def read_gold(path) -> dict[str, int]:
             cid = row["candidate_id"]
             if cid in out:
                 raise InputFormatError(f"{path}: duplicate candidate_id {cid!r}")
-            out[cid] = int(row[label_col])
+            with parsing(path, reader.line_num):
+                out[cid] = int(row[label_col])
+    return out
+
+
+def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
+    """Write scores.csv: candidate_id, score to 6 places, and the 0/1
+    predicted_label taken from the full-precision score."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("candidate_id,score,predicted_label\n")
+        for cid, s in zip(candidate_ids, scores):
+            fh.write(f"{cid},{float(s):.6f},{int(s >= threshold)}\n")
+
+
+def read_scores(path) -> dict[str, int]:
+    """The predicted_label column of a scores.csv, keyed by candidate_id."""
+    out: dict[str, int] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if not {"candidate_id", "predicted_label"} <= set(reader.fieldnames or ()):
+            raise InputFormatError(
+                f"{path}: expected candidate_id and predicted_label columns",
+                context={"path": str(path)},
+            )
+        for row in reader:
+            if row["predicted_label"] not in ("0", "1"):
+                raise InputFormatError(
+                    f"{path}: line {reader.line_num}: predicted_label must be 0 or 1, "
+                    f"found {row['predicted_label']!r}",
+                    context={"path": str(path)},
+                )
+            out[row["candidate_id"]] = int(row["predicted_label"])
     return out
 
 

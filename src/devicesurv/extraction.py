@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError, InputFormatError, parsing
 
 ENTITY_TYPES = ("implant", "complication", "pain", "anatomy")
 
@@ -47,6 +47,14 @@ ATTR_NEGATED = "negated"
 ATTR_HISTORICAL = "historical"
 ATTR_HYPOTHETICAL = "hypothetical"
 
+# ConText: a trigger's scope runs this many tokens from it.
+CONTEXT_WINDOW = 6
+# Sections under these headers are historical.
+HISTORICAL_HEADERS = frozenset({"PAST MEDICAL HISTORY", "PAST SURGICAL HISTORY"})
+# Past date bins at this level or older mark the sentence historical
+# (level 3 is the 30-365 day bin).
+HISTORICAL_BIN_LEVEL = 3
+
 
 def _norm_term(term: str) -> str:
     return " ".join(t.text.lower() for t in tokenize(term))
@@ -60,29 +68,16 @@ class DictEntry:
     source_line: int
 
 
-@dataclass(frozen=True)
-class ExpansionOptions:
-    punctuation_stripped: bool = True
-    pluralize: bool = True
-
-
 @dataclass
 class Dictionary:
     entries: dict[str, DictEntry]
-    source: str = ""
-    version: str = ""
 
 
-def load_dictionary(path, expansion: ExpansionOptions | None = None) -> Dictionary:
+def load_dictionary(path) -> Dictionary:
     """Load a tab-separated dictionary: term, canonical_id, entity_type,
-    subcategory (optional, complications only).
-
-    With expansion enabled, punctuation-stripped and "-s" pluralized variants
-    are added mapping to the same canonical_id; variants never overwrite
-    explicit entries. Lookup is case-insensitive throughout.
+    subcategory (optional, complications only). Lookup is case-insensitive.
     """
     entries: dict[str, DictEntry] = {}
-    variants: dict[str, DictEntry] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -124,22 +119,7 @@ def load_dictionary(path, expansion: ExpansionOptions | None = None) -> Dictiona
                     context={"lines": [existing.source_line, lineno]},
                 )
             entries[key] = entry
-            if expansion is not None:
-                for vkey in _expand(key, expansion):
-                    variants.setdefault(vkey, entry)
-    for vkey, entry in variants.items():
-        entries.setdefault(vkey, entry)
-    return Dictionary(entries=entries, source=str(path))
-
-
-def _expand(key: str, options: ExpansionOptions):
-    toks = key.split()
-    if options.punctuation_stripped:
-        stripped = [t for t in toks if any(c.isalnum() for c in t)]
-        if stripped and stripped != toks:
-            yield " ".join(stripped)
-    if options.pluralize and toks and toks[-1].isalpha():
-        yield " ".join(toks[:-1] + [toks[-1] + "s"])
+    return Dictionary(entries=entries)
 
 
 @dataclass
@@ -160,11 +140,7 @@ class EntityMention:
             raise ValueError("only complication mentions carry a subcategory")
 
 
-def tag_entities(
-    sentence: Sentence,
-    dictionaries,
-    position_modifiers=POSITION_MODIFIERS,
-) -> list[EntityMention]:
+def tag_entities(sentence: Sentence, dictionaries) -> list[EntityMention]:
     """Tag dictionary terms with longest-match-wins, left-to-right matching,
     independently per entity type. Anatomy mentions absorb adjacent preceding
     laterality/position modifier tokens into their span."""
@@ -192,7 +168,7 @@ def tag_entities(
             length, entry = matched
             start_tok, end_tok = i, i + length
             if etype == "anatomy":
-                while start_tok > 0 and norm[start_tok - 1] in position_modifiers:
+                while start_tok > 0 and norm[start_tok - 1] in POSITION_MODIFIERS:
                     start_tok -= 1
             cs, ce = toks[start_tok].start, toks[end_tok - 1].end
             mentions.append(
@@ -261,17 +237,6 @@ def load_trigger_lexicon(path) -> TriggerLexicon:
     return TriggerLexicon(triggers)
 
 
-@dataclass(frozen=True)
-class ContextConfig:
-    window: int = 6
-    historical_headers: frozenset[str] = frozenset(
-        {"PAST MEDICAL HISTORY", "PAST SURGICAL HISTORY"}
-    )
-    # Past bins at this level or older mark the sentence historical
-    # (level 3 is the 30-365 day bin).
-    historical_bin_level: int = 3
-
-
 def _find_phrase(norm_tokens, phrase: str) -> list[tuple[int, int]]:
     words = _norm_term(phrase).split()
     hits = []
@@ -287,35 +252,33 @@ def apply_context(
     lexicon: TriggerLexicon,
     section: SectionSpan | None = None,
     dates: list[DateMention] | None = None,
-    config: ContextConfig | None = None,
 ) -> list[EntityMention]:
     """Union attributes onto mentions from trigger scopes, the section rule,
     and the past-date rule. Spans are never altered; attributes only grow."""
-    config = config or ContextConfig()
     norm = [t.text.lower() for t in sentence.tokens]
 
     for trig in lexicon.triggers:
         attr = TRIGGER_CATEGORIES[trig.category]
         for tstart, tend in _find_phrase(norm, trig.phrase):
             if trig.direction in ("forward", "bidirectional"):
-                scope_end = min(len(norm), tend + config.window)
+                scope_end = min(len(norm), tend + CONTEXT_WINDOW)
                 scope_end = _truncate_forward(norm, tend, scope_end, trig.terminators)
                 for m in mentions:
                     if tend <= m.token_start < scope_end:
                         m.attributes.add(attr)
             if trig.direction in ("backward", "bidirectional"):
-                scope_start = max(0, tstart - config.window)
+                scope_start = max(0, tstart - CONTEXT_WINDOW)
                 scope_start = _truncate_backward(norm, scope_start, tstart, trig.terminators)
                 for m in mentions:
                     if scope_start <= m.token_end - 1 < tstart:
                         m.attributes.add(attr)
 
-    if section is not None and section.canonical_header in config.historical_headers:
+    if section is not None and section.canonical_header in HISTORICAL_HEADERS:
         for m in mentions:
             m.attributes.add(ATTR_HISTORICAL)
 
     for d in dates or []:
-        if d.delta_bin.older_than_or_at(config.historical_bin_level):
+        if d.delta_bin.older_than_or_at(HISTORICAL_BIN_LEVEL):
             for m in mentions:
                 m.attributes.add(ATTR_HISTORICAL)
             break
@@ -397,7 +360,7 @@ def read_candidates(path) -> list[RelationCandidate]:
     out: list[RelationCandidate] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
+            with parsing(path, lineno):
                 rec = json.loads(line)
                 text, start, end = rec["sentence"]
                 sentence = Sentence(text, start, end, tokenize(text, offset=start))
@@ -413,11 +376,6 @@ def read_candidates(path) -> list[RelationCandidate]:
                         candidate_id=rec["candidate_id"],
                     )
                 )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise InputFormatError(
-                    f"{path}:{lineno}: damaged candidate record ({exc!r})",
-                    context={"line": lineno},
-                ) from exc
     return out
 
 
@@ -470,8 +428,7 @@ def generate_candidates(
 
 
 def extract_candidates(doc: Document, dictionaries, lexicon: TriggerLexicon,
-                       relation_types=RELATION_TYPES,
-                       config: ContextConfig | None = None) -> list[RelationCandidate]:
+                       relation_types=RELATION_TYPES) -> list[RelationCandidate]:
     """Full per-document pipeline: tag, apply context, generate candidates."""
     out: list[RelationCandidate] = []
     for sentence in doc.sentences:
@@ -480,7 +437,7 @@ def extract_candidates(doc: Document, dictionaries, lexicon: TriggerLexicon,
             continue
         section = doc.section_for(sentence.char_start)
         dates = doc.dates_in(sentence)
-        apply_context(sentence, mentions, lexicon, section, dates, config)
+        apply_context(sentence, mentions, lexicon, section, dates)
         for rtype in relation_types:
             out.extend(
                 generate_candidates(sentence, mentions, rtype, doc.note.note_id, section, dates)

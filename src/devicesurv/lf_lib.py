@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import re
 
-from .extraction import ATTR_HISTORICAL, ATTR_HYPOTHETICAL, ATTR_NEGATED, RelationCandidate
+from .extraction import (
+    ATTR_HISTORICAL,
+    ATTR_HYPOTHETICAL,
+    ATTR_NEGATED,
+    HISTORICAL_HEADERS,
+    RelationCandidate,
+)
 from .weaksup import ABSTAIN, FALSE, TRUE, LabelingFunction
 
-DEFAULT_REJECT_HEADERS = frozenset({"PAST MEDICAL HISTORY", "PAST SURGICAL HISTORY"})
+DEFAULT_REJECT_HEADERS = HISTORICAL_HEADERS
 
 
 # --- primitives ---------------------------------------------------------

@@ -15,7 +15,7 @@ from datetime import date, datetime
 
 import numpy as np
 
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError, InputFormatError, parsing
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,6 @@ class PatientRecord:
     procedures: list[CodedProcedure] = field(default_factory=list)
     cci: int = 0
     last_contact_date: date | None = None
-    bmi: list[tuple[date, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,6 @@ class Event:
             raise ConfigError("event provenance must be nonempty")
 
 
-@dataclass(frozen=True)
-class CodeConfig:
-    primary_codes: frozenset = DEFAULT_PRIMARY_CODES
-    revision_codes: frozenset = DEFAULT_REVISION_CODES
-
-
 @dataclass
 class CohortPatient:
     patient_id: str
@@ -99,20 +92,17 @@ class CohortPatient:
     covariates: dict[str, str] = field(default_factory=dict)
 
 
-def select_cohort(records, code_config: CodeConfig | None = None):
+def select_cohort(records):
     """Return (cohort patients keyed by id, coded revision events).
 
     A patient enters on >= 1 primary code; index date is the earliest
     primary-code date; revision codes strictly after index emit coded
     revision events."""
-    code_config = code_config or CodeConfig()
-    if not code_config.primary_codes:
-        raise ConfigError("primary code set must be nonempty")
     cohort: dict[str, CohortPatient] = {}
     events: list[Event] = []
     for rec in records:
         primaries = [
-            p.when for p in rec.procedures if (p.system, p.code) in code_config.primary_codes
+            p.when for p in rec.procedures if (p.system, p.code) in DEFAULT_PRIMARY_CODES
         ]
         if not primaries:
             continue
@@ -125,7 +115,7 @@ def select_cohort(records, code_config: CodeConfig | None = None):
             covariates=patient_covariates(rec, index),
         )
         for p in rec.procedures:
-            if (p.system, p.code) in code_config.revision_codes and p.when > index:
+            if (p.system, p.code) in DEFAULT_REVISION_CODES and p.when > index:
                 events.append(
                     Event(
                         patient_id=rec.patient_id,
@@ -225,8 +215,9 @@ def merge_events(coded, text, window_days: int = 90) -> list[Event]:
 
 @dataclass(frozen=True)
 class Covariate:
+    """A categorical covariate, dummy-coded against ``reference``."""
+
     name: str
-    kind: str = "categorical"  # categorical | numeric
     reference: str | None = None
 
 
@@ -243,29 +234,19 @@ class SurvivalDataset:
 
 def build_design(rows: list[dict[str, str]], spec: list[Covariate]):
     """Dummy-code categoricals against their reference level; missing values
-    become an explicit "Unknown" level. Numeric covariates pass through."""
+    become an explicit "Unknown" level."""
     columns: list[str] = []
     encoders = []
     for cov in spec:
-        if cov.kind == "numeric":
-            columns.append(cov.name)
-            encoders.append((cov, None))
-            continue
         levels = sorted({str(r.get(cov.name, "Unknown") or "Unknown") for r in rows})
         ref = cov.reference if cov.reference in levels else levels[0]
         nonref = [lv for lv in levels if lv != ref]
         for lv in nonref:
             columns.append(f"{cov.name}={lv}")
-        encoders.append((cov, (ref, nonref)))
+        encoders.append((cov, nonref))
     X = np.zeros((len(rows), len(columns)))
     col = 0
-    for cov, enc in encoders:
-        if enc is None:
-            for i, r in enumerate(rows):
-                X[i, col] = float(r.get(cov.name, 0.0) or 0.0)
-            col += 1
-            continue
-        _ref, nonref = enc
+    for cov, nonref in encoders:
         for k, lv in enumerate(nonref):
             for i, r in enumerate(rows):
                 if str(r.get(cov.name, "Unknown") or "Unknown") == lv:
@@ -279,7 +260,6 @@ def build_survival_dataset(
     events,
     outcome_class: str,
     covariate_spec: list[Covariate],
-    restrict_to: set[str] | None = None,
 ) -> SurvivalDataset:
     """Time from index to first matching event (event=1) or to last contact
     (censored). ``outcome_class`` may be a single class or "any_complication".
@@ -304,8 +284,6 @@ def build_survival_dataset(
     group_name = next((c.name for c in covariate_spec if c.name == "implant_system"), None)
     groups = [] if group_name else None
     for pid in sorted(cohort):
-        if restrict_to is not None and pid not in restrict_to:
-            continue
         pat = cohort[pid]
         if pid in first_event:
             t = (first_event[pid] - pat.index_date).days
@@ -351,16 +329,17 @@ def events_from_csv(path) -> list[Event]:
         required = {"patient_id", "class", "date", "source", "provenance"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise InputFormatError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            out.append(
-                Event(
-                    patient_id=row["patient_id"],
-                    event_class=row["class"],
-                    timestamp=datetime.fromisoformat(row["date"]).date(),
-                    source=row["source"],
-                    provenance=row["provenance"],
+        for lineno, row in enumerate(reader, start=2):
+            with parsing(path, lineno):
+                out.append(
+                    Event(
+                        patient_id=row["patient_id"],
+                        event_class=row["class"],
+                        timestamp=datetime.fromisoformat(row["date"]).date(),
+                        source=row["source"],
+                        provenance=row["provenance"],
+                    )
                 )
-            )
     return out
 
 
@@ -375,26 +354,21 @@ def patients_from_csv(path) -> list[PatientRecord]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise InputFormatError(f"{path}: expected columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
-            procedures = []
-            for item in filter(None, (row["procedures"] or "").split(";")):
-                try:
+            with parsing(path, lineno):
+                procedures = []
+                for item in filter(None, (row["procedures"] or "").split(";")):
                     system, code, when = item.split(":")
-                except ValueError as exc:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: bad procedure entry {item!r}",
-                        context={"line": lineno},
-                    ) from exc
-                procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
-            out.append(
-                PatientRecord(
-                    patient_id=row["patient_id"],
-                    birth_date=date.fromisoformat(row["birth_date"]),
-                    sex=row["sex"],
-                    race=row["race"],
-                    ethnicity=row["ethnicity"],
-                    procedures=procedures,
-                    cci=int(row["cci"]),
-                    last_contact_date=date.fromisoformat(row["last_contact_date"]),
+                    procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
+                out.append(
+                    PatientRecord(
+                        patient_id=row["patient_id"],
+                        birth_date=date.fromisoformat(row["birth_date"]),
+                        sex=row["sex"],
+                        race=row["race"],
+                        ethnicity=row["ethnicity"],
+                        procedures=procedures,
+                        cci=int(row["cci"]),
+                        last_contact_date=date.fromisoformat(row["last_contact_date"]),
+                    )
                 )
-            )
     return out

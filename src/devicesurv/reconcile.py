@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from datetime import date, datetime
 
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError, InputFormatError, parsing
 
 COMPONENT_ROLES = ("acetabular", "femoral", "other")
 
@@ -165,23 +165,31 @@ def reconcile_registry(extracted, registry, date_tolerance_days: int = 30) -> Re
     return ReconciliationReport(entries=entries)
 
 
+_REGISTRY_COLUMNS = ("patient_id", "surgery_date", "component_role", "manufacturer", "model")
+
+
+def registry_to_csv(records, path) -> None:
+    """Write records in the format ``load_registry_csv`` reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(_REGISTRY_COLUMNS)
+        for r in records:
+            w.writerow([r.patient_id, r.surgery_date.isoformat(), r.component_role,
+                        r.manufacturer, r.model])
+
+
 def load_registry_csv(path) -> list[RegistryRecord]:
     """CSV columns: patient_id, surgery_date (ISO-8601), component_role,
     manufacturer, model."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"patient_id", "surgery_date", "component_role", "manufacturer", "model"}
+        required = set(_REGISTRY_COLUMNS)
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise InputFormatError(f"{path}: expected columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
-            try:
+            with parsing(path, lineno):
                 when = datetime.fromisoformat(row["surgery_date"]).date()
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"{path}:{lineno}: bad surgery_date {row['surgery_date']!r}",
-                    context={"line": lineno},
-                ) from exc
             out.append(
                 RegistryRecord(
                     patient_id=row["patient_id"],

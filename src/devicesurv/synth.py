@@ -20,8 +20,8 @@ from .defaults import default_dictionaries, default_trigger_lexicon
 from .errors import ConfigError
 from .extraction import extract_candidates
 from .lf_lib import attribute_lf, historical_lf, keyword_lf
-from .outcomes import CohortPatient, Event, SurvivalDataset
-from .reconcile import RegistryRecord
+from .outcomes import CohortPatient, Event, SurvivalDataset, events_to_csv
+from .reconcile import RegistryRecord, registry_to_csv
 from .weaksup import ABSTAIN, FALSE, TRUE, LabelMatrix
 
 
@@ -306,19 +306,9 @@ def write_corpus(corpus: SynthCorpus, outdir) -> dict[str, str]:
         w.writerow(["candidate_id", "label", "note_id"])
         for cid in sorted(corpus.gold_relations):
             w.writerow([cid, corpus.gold_relations[cid], corpus.candidate_note[cid]])
-    with open(paths["gold_events"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["patient_id", "class", "date", "source", "provenance"])
-        for e in corpus.events:
-            w.writerow([e.patient_id, e.event_class, e.timestamp.isoformat(), e.source, e.provenance])
-    for key, records in (("registry", corpus.registry_records),
-                         ("extracted_implants", corpus.extracted_records)):
-        with open(paths[key], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["patient_id", "surgery_date", "component_role", "manufacturer", "model"])
-            for r in records:
-                w.writerow([r.patient_id, r.surgery_date.isoformat(), r.component_role,
-                            r.manufacturer, r.model])
+    events_to_csv(corpus.events, paths["gold_events"])
+    registry_to_csv(corpus.registry_records, paths["registry"])
+    registry_to_csv(corpus.extracted_records, paths["extracted_implants"])
     return paths
 
 

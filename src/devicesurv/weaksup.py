@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, InputFormatError
+from .errors import ConfigError, FitError, InputFormatError, parsing
 
 log = logging.getLogger(__name__)
 
@@ -77,14 +77,10 @@ class LabelMatrix:
         with open(path, "rb") as fh:
             line = fh.readline()
             raw = fh.read()
-        try:
+        with parsing(path):
             header = json.loads(line.decode("utf-8"))
             n, m = int(header["n"]), int(header["m"])
             candidate_ids, lf_ids = header["candidate_ids"], header["lf_ids"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputFormatError(
-                f"{path}: damaged label matrix header", context={"path": str(path)}
-            ) from exc
         if min(n, m) < 0 or len(raw) != n * m:
             raise InputFormatError(
                 f"{path}: expected {n * m} vote bytes for {n} x {m} votes, found {len(raw)}",
@@ -207,15 +203,12 @@ def soft_majority_vote(matrix: LabelMatrix) -> list[ProbabilisticLabel]:
     ]
 
 
-@dataclass(frozen=True)
-class LabelModelConfig:
-    max_iter: int = 100
-    tol: float = 1e-6
-    class_prior: float = 0.5
-    learn_prior: bool = False
-    init_alpha: float = 0.7
-    alpha_min: float = 0.01
-    alpha_max: float = 0.99
+# EM settings: iteration cap, relative log-likelihood tolerance, the
+# initial LF accuracy and the bounds each M-step clips accuracies to.
+EM_MAX_ITER = 100
+EM_TOL = 1e-6
+INIT_ALPHA = 0.7
+ALPHA_MIN, ALPHA_MAX = 0.01, 0.99
 
 
 @dataclass
@@ -272,14 +265,14 @@ def _loglik(logA, logB, pi):
     return float(np.sum(hi + np.log1p(np.exp(lo - hi))))
 
 
-def fit_label_model(matrix: LabelMatrix, config: LabelModelConfig | None = None) -> LabelModel:
+def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel:
     """EM fit of the accuracy/propensity model.
 
     E-step computes posteriors q_i; M-step sets alpha_j to the q-weighted
     agreement rate over non-abstaining rows. beta_j is pinned to empirical
-    coverage. Stops on relative log-likelihood change < tol or max_iter.
+    coverage; the class prior stays fixed. Stops on relative log-likelihood
+    change < EM_TOL or after EM_MAX_ITER iterations.
     """
-    config = config or LabelModelConfig()
     V = matrix.votes
     n, m = V.shape
     if n < 1 or m < 1:
@@ -288,8 +281,8 @@ def fit_label_model(matrix: LabelMatrix, config: LabelModelConfig | None = None)
     if not nonabstain.any():
         raise FitError("no signal: every labeling function abstained on every row")
     beta = nonabstain.mean(axis=0)
-    alpha = np.full(m, config.init_alpha)
-    pi = config.class_prior
+    alpha = np.full(m, INIT_ALPHA)
+    pi = class_prior
     if not 0 < pi < 1:
         raise ConfigError("class prior must be in (0, 1)")
     ll_history: list[float] = []
@@ -298,24 +291,22 @@ def fit_label_model(matrix: LabelMatrix, config: LabelModelConfig | None = None)
     is_true = (V == TRUE).astype(float)
     is_false = (V == FALSE).astype(float)
     denom = nonabstain.sum(axis=0).astype(float)
-    for n_iter in range(1, config.max_iter + 1):
+    for n_iter in range(1, EM_MAX_ITER + 1):
         logA, logB = _log_class_scores(V, alpha, beta)
         q = _posterior(logA, logB, pi)
         ll = _loglik(logA, logB, pi)
         ll_history.append(ll)
-        if prev_ll != -np.inf and abs(ll - prev_ll) < config.tol * abs(prev_ll):
+        if prev_ll != -np.inf and abs(ll - prev_ll) < EM_TOL * abs(prev_ll):
             break
         prev_ll = ll
         agree = q @ is_true + (1 - q) @ is_false
         with np.errstate(invalid="ignore"):
             new_alpha = np.where(denom > 0, agree / np.where(denom > 0, denom, 1.0), alpha)
-        alpha = np.clip(new_alpha, config.alpha_min, config.alpha_max)
-        if config.learn_prior:
-            pi = float(np.clip(q.mean(), 1e-3, 1 - 1e-3))
+        alpha = np.clip(new_alpha, ALPHA_MIN, ALPHA_MAX)
     # Symmetry breaking: labeling functions are assumed better than chance.
     active = beta > 0
     if active.any() and float(alpha[active].mean()) < 0.5:
-        alpha = np.clip(1 - alpha, config.alpha_min, config.alpha_max)
+        alpha = np.clip(1 - alpha, ALPHA_MIN, ALPHA_MAX)
         logA, logB = _log_class_scores(V, alpha, beta)
         ll_history.append(_loglik(logA, logB, pi))
     return LabelModel(
@@ -356,9 +347,10 @@ def labels_from_csv(path) -> list[ProbabilisticLabel]:
         header = fh.readline()
         if not header.startswith("candidate_id"):
             raise InputFormatError(f"{path}: expected candidate_id,p_true header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            cid, p = line.rstrip("\n").split(",")
-            out.append(ProbabilisticLabel(cid, float(p)))
+            with parsing(path, lineno):
+                cid, p = line.rstrip("\n").split(",")
+                out.append(ProbabilisticLabel(cid, float(p)))
     return out

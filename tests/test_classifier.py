@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize, sparse
 
 from devicesurv import classifier as clf
+from devicesurv import evaluation
 from devicesurv.errors import ConfigError, FitError
 from devicesurv.extraction import extract_candidates
 from devicesurv.weaksup import ProbabilisticLabel
@@ -260,13 +261,15 @@ class TestThreshold:
 
 
 class TestScoresCsv:
+    # scores.csv is written from predict's scores; evaluation owns its columns.
     def test_round_numbers(self, tmp_path):
         path = tmp_path / "scores.csv"
-        clf.scores_to_csv(["a", "b"], [0.75, 0.25], 0.5, path)
+        evaluation.scores_to_csv(["a", "b"], [0.75, 0.25], 0.5, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "candidate_id,score,predicted_label"
         assert lines[1] == "a,0.750000,1"
         assert lines[2] == "b,0.250000,0"
+        assert evaluation.read_scores(path) == {"a": 1, "b": 0}
 
 
 def _dense_train_on_matrix(X, p, config, dim):

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import devicesurv
-from devicesurv import synth
+from devicesurv import cli, synth
 from devicesurv.cli import main
 from devicesurv.defaults import DICTIONARY_FILES, resource_path
 
@@ -127,6 +127,13 @@ class TestConfigValidation:
         assert ((tmp_path / "env" / "candidates.jsonl").read_bytes()
                 == (tmp_path / "listed" / "candidates.jsonl").read_bytes())
 
+    def test_every_known_key_is_read(self):
+        # A key that loses its last reader in cli.py must leave the known set.
+        with open(cli.__file__, encoding="utf-8") as fh:
+            src = fh.read()
+        assert set(re.findall(r'cfg\.param\("(\w+)"', src)) == cli._KNOWN_PARAM_KEYS
+        assert set(re.findall(r'cfg\.(?:path|paths\.get)\("(\w+)"', src)) == cli._KNOWN_PATH_KEYS
+
 
 class TestLocking:
     def test_lock_blocks_second_run(self, runner, tmp_path, small_corpus_dir):
@@ -199,6 +206,15 @@ class TestArtifacts:
         assert "label matrix not found" in err["message"]
         assert "run 'lf apply' first" in err["message"]
         assert not (outdir / "classifier.bin").exists()
+
+    def test_class_prior_out_of_range_exit_code(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
+        _write_config(tmp_path, outdir, paths={"notes": paths["notes"]},
+                      params={"lf_set": "benchmark", "class_prior": 1.5})
+        result = runner.invoke(main, ["labelmodel", "fit", "--config", cfg])
+        assert result.exit_code == 2
+        assert "class prior" in _stderr_json(result)["message"]
 
     def test_tag_and_candidates(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir
@@ -285,6 +301,46 @@ def _truncate(path, size):
     path.write_bytes(data[:size if size >= 0 else len(data) + size])
 
 
+_SCORES_CSV = "candidate_id,score,predicted_label\na,0.900000,1\nb,0.500000,0\nc,0.100000,0\n"
+_COHORT_CSV = ("patient_id,index_date,last_contact_date,age_band,sex,race,ethnicity,cci\n"
+               "p1,{index},2015-01-01,60-69,F,White,Unknown,none\n")
+_PATIENTS_CSV = ("patient_id,birth_date,sex,race,ethnicity,cci,last_contact_date,procedures\n"
+                 "p1,{birth},M,White,Unknown,{cci},2015-01-01,CPT:27130:2010-01-01\n")
+
+# case: (files written to the output directory, which also holds the config;
+# config paths naming them; command, where "{out}" is that directory; the
+# damaged file the error must name; exit code).
+_DAMAGED_INPUTS = {
+    "labels_no_comma": ({"labels.csv": "candidate_id,p_true\nc1\n"}, {}, ["train"],
+                        "labels.csv", 3),
+    "gold_label_yes": ({"scores.csv": _SCORES_CSV, "gold.csv": "candidate_id,label\na,yes\n"},
+                       {"gold_relations": "gold.csv"}, ["eval"], "gold.csv", 3),
+    "cohort_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-13-01")}, {},
+                        ["survival", "km"], "cohort.csv", 3),
+    "events_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-01-01"),
+                         "merged_events.csv": "patient_id,class,date,source,provenance\n"
+                                              "p1,revision,2012-02-30,coded,CPT:27134\n"},
+                        {}, ["survival", "km"], "merged_events.csv", 3),
+    "cox_truncated": ({"cox.json": '{"terms": [{"term": "implant_sys'}, {},
+                      ["report", "forest"], "cox.json", 3),
+    "nb_count_fraction": ({"counts.csv": "patient_id,count\np1,2\np2,1.5\n"}, {},
+                          ["regression", "nb", "--counts-file", "{out}/counts.csv"],
+                          "counts.csv", 3),
+    "ttest_not_numeric": ({"a.csv": "value\n1\nabc\n", "b.csv": "value\n1\n2\n"}, {},
+                          ["ttest", "--a-file", "{out}/a.csv", "--b-file", "{out}/b.csv"],
+                          "a.csv", 3),
+    "patients_bad_date": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-13-01", cci=0)},
+                          {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
+    "patients_bad_cci": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci="two")},
+                         {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
+    "config_not_object": ({"config.json": "[]"}, {}, ["cohort"], "config.json", 2),
+    "config_paths_not_object": ({"config.json": '{"output_dir": ".", "paths": ["a"]}'}, {},
+                                ["cohort"], "config.json", 2),
+    "config_params_not_object": ({"config.json": '{"output_dir": ".", "params": "x"}'}, {},
+                                 ["cohort"], "config.json", 2),
+}
+
+
 class TestDamagedArtifacts:
     # Sizes cut the header line, then the vote bytes.
     @pytest.mark.parametrize("size", [10, -3])
@@ -313,8 +369,18 @@ class TestDamagedArtifacts:
         assert err["code"] == "input_format"
         assert "classifier.bin" in err["message"]
 
-
-_SCORES_CSV = "candidate_id,score,predicted_label\na,0.900000,1\nb,0.500000,0\nc,0.100000,0\n"
+    @pytest.mark.parametrize("case", list(_DAMAGED_INPUTS))
+    def test_damaged_input_exit_code(self, runner, tmp_path, case):
+        files, paths, command, damaged, code = _DAMAGED_INPUTS[case]
+        cfg = _write_config(tmp_path, tmp_path, paths={k: tmp_path / v for k, v in paths.items()})
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(out=tmp_path) for arg in command] + ["--config", cfg]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code, result.output
+        err = _stderr_json(result)
+        assert err["code"] == {2: "config", 3: "input_format"}[code]
+        assert damaged in err["message"]
 
 
 def _eval_setup(tmp_path, scores_csv=_SCORES_CSV):

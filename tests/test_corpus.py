@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from devicesurv.corpus import (
     DEFAULT_BIN_EDGES_DAYS,
-    PreprocessConfig,
     RawNote,
     compute_delta_bin,
     detect_sections,
     ingest_notes,
-    normalize_dates,
     preprocess,
     sentence_spans,
     tokenize,
@@ -253,9 +251,3 @@ class TestDates:
         text = reference_doc.note.text
         for d in reference_doc.dates:
             assert text[d.char_start : d.char_end] == d.surface
-
-    def test_custom_pivot(self):
-        config = PreprocessConfig(two_digit_year_pivot=30)
-        doc = preprocess(_note("On 1/1/29 and 1/1/31.", when=datetime(2020, 1, 1)))
-        dates = normalize_dates(doc, datetime(2020, 1, 1), config)
-        assert [d.resolved_date.year for d in dates] == [2029, 1931]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devicesurv.errors import ConfigError, InputFormatError
+from devicesurv.errors import ConfigError
 from devicesurv.evaluation import (
     Metrics,
     f1_from_pr,
@@ -48,14 +48,6 @@ class TestPRF1:
         m = prf1({"a": 0.6}, {"a": 1}, threshold=0.7)
         assert (m.tp, m.fp, m.fn) == (0, 0, 1)
         m = prf1({"a": 0.7}, {"a": 1}, threshold=0.7)
-        assert (m.tp, m.fp, m.fn) == (1, 0, 0)
-
-    def test_pair_form_duplicate_id_rejected(self):
-        with pytest.raises(InputFormatError):
-            prf1([("a", 0.5), ("a", 0.7)], {"a": 1})
-
-    def test_pair_form_accepted(self):
-        m = prf1([("a", 0.9)], [("a", 1)])
         assert (m.tp, m.fp, m.fn) == (1, 0, 0)
 
 

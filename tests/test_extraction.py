@@ -11,7 +11,6 @@ from devicesurv.corpus import RawNote, preprocess
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.extraction import (
     RELATION_TYPES,
-    ExpansionOptions,
     apply_context,
     extract_candidates,
     generate_candidates,
@@ -66,19 +65,6 @@ class TestLoadDictionary:
         with pytest.raises(InputFormatError) as exc:
             load_dictionary(path)
         assert exc.value.context["lines"] == [1, 2]
-
-    def test_plural_expansion(self, tmp_path):
-        path = tmp_path / "d.tsv"
-        path.write_text("implant\timplant\tanatomy\n")
-        d = load_dictionary(path, ExpansionOptions())
-        assert "implants" in d.entries
-        assert d.entries["implants"].canonical_id == "implant"
-
-    def test_variants_never_overwrite_explicit_entries(self, tmp_path):
-        path = tmp_path / "d.tsv"
-        path.write_text("cup\tcup_a\tanatomy\ncups\tcup_b\tanatomy\n")
-        d = load_dictionary(path, ExpansionOptions())
-        assert d.entries["cups"].canonical_id == "cup_b"
 
 
 class TestTagEntities:

@@ -11,7 +11,6 @@ from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.outcomes import (
     ANY_COMPLICATION,
     COMPLICATION_CLASSES,
-    CodeConfig,
     CodedProcedure,
     CohortPatient,
     Covariate,
@@ -101,10 +100,6 @@ class TestSelectCohort:
         )
         cohort, _ = select_cohort([rec])
         assert cohort["p1"].last_contact_date == D0 + timedelta(days=200)
-
-    def test_empty_primary_set_rejected(self):
-        with pytest.raises(ConfigError):
-            select_cohort([], CodeConfig(primary_codes=frozenset()))
 
     def test_covariates_attached(self):
         rec = _patient(
@@ -217,12 +212,6 @@ class TestBuildDesign:
         X, cols = build_design(rows, [Covariate("cci", reference="none")])
         assert cols == ["cci=low"]
 
-    def test_numeric_passthrough(self):
-        rows = [{"age": "61.5"}, {"age": ""}]
-        X, cols = build_design(rows, [Covariate("age", kind="numeric")])
-        assert cols == ["age"]
-        assert X[:, 0].tolist() == [61.5, 0.0]
-
 
 def _cohort_pair():
     cohort = {
@@ -288,13 +277,6 @@ class TestBuildSurvivalDataset:
         assert ds.groups == ["A", "B"]
         assert ds.columns == ["implant_system=B"]
         assert np.array_equal(ds.X[:, 0], [0.0, 1.0])
-
-    def test_restrict_to(self):
-        cohort, events = _cohort_pair()
-        ds = build_survival_dataset(
-            cohort, events, "revision", [], restrict_to={"p2"}
-        )
-        assert ds.subject_ids == ["p2"]
 
 
 class TestCsv:

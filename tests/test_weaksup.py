@@ -12,7 +12,6 @@ from devicesurv.weaksup import (
     FALSE,
     TRUE,
     LabelMatrix,
-    LabelModelConfig,
     LabelingFunction,
     apply_lfs,
     covered_candidate_ids,
@@ -266,7 +265,7 @@ class TestLabelModel:
 class TestPosteriors:
     def test_all_abstain_row_gets_prior(self):
         matrix = _matrix([[TRUE], [ABSTAIN]])
-        model = fit_label_model(matrix, LabelModelConfig(class_prior=0.3))
+        model = fit_label_model(matrix, class_prior=0.3)
         labels = posterior_labels(model, matrix)
         assert labels[1].p_true == pytest.approx(0.3)
 

@@ -5,6 +5,10 @@ between the argument mentions plus markup flags (section, attributes, date
 bins, token distance), hashed into a fixed 2^20-dimensional space. Training
 minimizes the expected cross-entropy against probabilistic labels with L2,
 by mini-batch SGD with seeded shuffling.
+
+The sparse algebra is plain numpy over compressed-sparse-row arrays. Each
+product adds its terms from 0.0 in entry order, as scipy's CSR and CSC
+kernels do, so results match scipy.sparse bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, FitError, InputFormatError, parsing
 from .extraction import RelationCandidate
@@ -100,7 +103,42 @@ def featurize(c: RelationCandidate, config: FeatureConfig | None = None) -> Feat
     )
 
 
-def design_matrix(candidates, config: FeatureConfig | None = None) -> sparse.csr_matrix:
+@dataclass(frozen=True)
+class CSRMatrix:
+    """Compressed sparse rows: row i holds ``data[indptr[i]:indptr[i + 1]]``
+    at columns ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def rows(self, which) -> "CSRMatrix":
+        """The rows ``which``, in that order, each with its entries in order."""
+        which = np.asarray(which, dtype=np.int64)
+        starts = self.indptr[which]
+        lengths = self.indptr[which + 1] - starts
+        indptr = np.zeros(len(which) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[take], self.indices[take], indptr, (len(which), self.shape[1]))
+
+
+def _entry_rows(X) -> np.ndarray:
+    return np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+
+
+def matvec(X, w) -> np.ndarray:
+    """``X @ w`` for a CSR ``X``."""
+    return np.bincount(_entry_rows(X), X.data * w[X.indices], minlength=X.shape[0])
+
+
+def rmatvec(X, r) -> np.ndarray:
+    """``X.T @ r`` for a CSR ``X``."""
+    return np.bincount(X.indices, X.data * r[_entry_rows(X)], minlength=X.shape[1])
+
+
+def design_matrix(candidates, config: FeatureConfig | None = None) -> CSRMatrix:
     config = config or FeatureConfig()
     indptr = [0]
     indices: list[int] = []
@@ -110,9 +148,9 @@ def design_matrix(candidates, config: FeatureConfig | None = None) -> sparse.csr
         indices.extend(fv.indices.tolist())
         data.extend(fv.values.tolist())
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, config.dim),
+    return CSRMatrix(
+        np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
+        np.array(indptr, dtype=np.int64), (len(indptr) - 1, config.dim),
     )
 
 
@@ -206,25 +244,26 @@ def loss_and_grad(w, b, X, p, l2):
 
 
 def train_noise_aware(
-    candidates,
+    X,
+    candidate_ids,
     labels,
     config: TrainConfig | None = None,
     feature_config: FeatureConfig | None = None,
 ) -> ClassifierModel:
     """Mini-batch SGD on the noise-aware objective, deterministic for a
-    fixed seed. ``labels`` is a sequence of ProbabilisticLabel covering
-    every candidate."""
+    fixed seed. Row i of the CSR ``X`` (from ``design_matrix`` with
+    ``feature_config``) is candidate ``candidate_ids[i]``; ``labels`` is a
+    sequence of ProbabilisticLabel covering every one of them."""
     config = config or TrainConfig()
     feature_config = feature_config or FeatureConfig()
-    candidates = list(candidates)
-    if not candidates:
+    candidate_ids = list(candidate_ids)
+    if not candidate_ids:
         raise FitError("empty training set")
     by_id = {lab.candidate_id: lab.p_true for lab in labels}
-    missing = [c.candidate_id for c in candidates if c.candidate_id not in by_id]
+    missing = [cid for cid in candidate_ids if cid not in by_id]
     if missing:
         raise FitError(f"candidates missing labels: {missing[:5]}")
-    p = np.array([by_id[c.candidate_id] for c in candidates])
-    X = design_matrix(candidates, feature_config)
+    p = np.array([by_id[cid] for cid in candidate_ids])
     w, b = train_on_matrix(X, p, config, feature_config.dim)
     return ClassifierModel(
         weights=w,
@@ -236,14 +275,15 @@ def train_noise_aware(
             "learning_rate": config.learning_rate,
             "l2": config.l2,
             "batch_size": config.batch_size,
-            "n_train": len(candidates),
+            "n_train": len(candidate_ids),
         },
     )
 
 
 def train_on_matrix(X, p, config: TrainConfig, dim: int):
     """Mini-batch SGD over the columns some row of the CSR ``X`` touches;
-    returns the dim-long weights and the bias.
+    returns the dim-long weights and the bias. ``X`` is anything with
+    ``data``, ``indices``, ``indptr`` and ``shape``.
 
     An untouched column starts at 0 and its gradient is 0 + 2·l2·(…)·0, so it
     stays exactly 0. The narrow matrix keeps each row's entries in the same
@@ -251,7 +291,7 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
     did and the weights are bit-identical to it."""
     n = X.shape[0]
     cols, remap = np.unique(X.indices, return_inverse=True)
-    X = sparse.csr_matrix((X.data, remap, X.indptr), shape=(n, len(cols)))
+    X = CSRMatrix(X.data, remap, X.indptr, (n, len(cols)))
     w = np.zeros(len(cols))
     b = 0.0
     rng = np.random.default_rng(config.seed)
@@ -260,10 +300,10 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
         rng.shuffle(order)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            Xb = X[batch]
-            z = Xb @ w + b
+            Xb = X.rows(batch)
+            z = matvec(Xb, w) + b
             resid = _sigmoid(z) - p[batch]
-            grad_w = np.asarray(Xb.T @ resid).ravel() + 2 * config.l2 * (len(batch) / n) * w
+            grad_w = rmatvec(Xb, resid) + 2 * config.l2 * (len(batch) / n) * w
             grad_b = float(np.sum(resid))
             scale = config.learning_rate / len(batch)
             w -= scale * grad_w
@@ -273,22 +313,26 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
     return full, b
 
 
+def score_matrix(model: ClassifierModel, X) -> np.ndarray:
+    """P(true) for each row of the CSR ``X``."""
+    return _sigmoid(matvec(X, model.weights) + model.bias)
+
+
 def predict_many(model: ClassifierModel, candidates) -> np.ndarray:
-    X = design_matrix(candidates, model.feature_config)
-    return _sigmoid(X @ model.weights + model.bias)
+    return score_matrix(model, design_matrix(candidates, model.feature_config))
 
 
 THRESHOLD_GRID = np.round(np.arange(0, 101) / 100.0, 2)
 
 
-def select_threshold(model: ClassifierModel, dev_candidates, dev_gold: dict[str, int]) -> float:
-    """Grid-search the decision threshold maximizing F1 on a dev set with
-    both classes present; ties break toward the lowest threshold."""
-    dev_candidates = list(dev_candidates)
-    gold = np.array([int(dev_gold[c.candidate_id]) for c in dev_candidates])
-    if gold.min() == gold.max():
+def select_threshold(scores, gold) -> float:
+    """Grid-search the decision threshold maximizing F1 of the dev
+    ``scores`` against their 0/1 ``gold`` labels, with both classes
+    present; ties break toward the lowest threshold."""
+    scores = np.asarray(scores)
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.size == 0 or gold.min() == gold.max():
         raise FitError("dev set must contain both classes")
-    scores = predict_many(model, dev_candidates)
     best_t, best_f1 = 0.0, -1.0
     for t in THRESHOLD_GRID:
         pred = scores >= t
@@ -301,4 +345,3 @@ def select_threshold(model: ClassifierModel, dev_candidates, dev_gold: dict[str,
         if f1 > best_f1 + 1e-12:
             best_t, best_f1 = float(t), f1
     return best_t
-

@@ -23,8 +23,9 @@ from datetime import datetime
 import click
 import numpy as np
 
-# classifier, survival and countreg pull in scipy: the commands that run
-# them import them, so every other command starts without it.
+# classifier, survival and countreg are imported by the commands that run
+# them (survival's p-values and countreg pull in scipy.special), so every
+# other command starts without them.
 from . import evaluation, lf_lib, outcomes, reconcile, synth, weaksup
 from .corpus import ingest_notes, preprocess
 from .defaults import default_dictionaries, default_trigger_lexicon, load_implant_catalog
@@ -56,10 +57,11 @@ _KNOWN_PATH_KEYS = {
     "implant_catalog", "lf_module",
 }
 _LIST_PATH_KEYS = {"dictionaries"}
+# Each param's type; a JSON integer is also accepted where a float is expected.
 _KNOWN_PARAM_KEYS = {
-    "seed", "relation_type", "merge_window_days", "date_tolerance_days",
-    "epochs", "learning_rate", "l2", "batch_size",
-    "class_prior", "lf_set", "outcome_class", "threshold",
+    "seed": int, "relation_type": str, "merge_window_days": int, "date_tolerance_days": int,
+    "epochs": int, "learning_rate": float, "l2": float, "batch_size": int,
+    "class_prior": float, "lf_set": str, "outcome_class": str, "threshold": float,
 }
 
 
@@ -108,9 +110,16 @@ def load_config(path: str) -> ProjectConfig:
     bad = set(paths) - _KNOWN_PATH_KEYS
     if bad:
         raise ConfigError(f"unknown config paths keys: {sorted(bad)}")
-    bad = set(params) - _KNOWN_PARAM_KEYS
+    bad = set(params) - set(_KNOWN_PARAM_KEYS)
     if bad:
         raise ConfigError(f"unknown config params keys: {sorted(bad)}")
+    for key, value in params.items():
+        want = _KNOWN_PARAM_KEYS[key]
+        if want is float and type(value) is int:
+            params[key] = value = float(value)
+        if type(value) is not want:  # a JSON true/false is no int
+            raise ConfigError(f"config params.{key} must be {want.__name__}, not {value!r}",
+                              context={"key": key})
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
     # Environment overrides apply to paths only, e.g. DEVICESURV_NOTES; a
@@ -361,7 +370,7 @@ def labelmodel_fit(config_path):
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
         matrix = _load_label_matrix(cfg)
-        model = weaksup.fit_label_model(matrix, float(cfg.param("class_prior", 0.5)))
+        model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
         model_path = cfg.artifact("label_model.json")
         with open(model_path, "w", encoding="utf-8") as fh:
             fh.write(model.to_json())
@@ -393,22 +402,29 @@ def train(config_path):
         # All-abstain rows carry no supervision signal; train on covered rows.
         covered = weaksup.covered_candidate_ids(_load_label_matrix(cfg))
         cands = _load_candidates(cfg)
-        train_cands = [c for c in cands if c.candidate_id in covered]
-        train_cfg = clf.TrainConfig(
-            seed=int(cfg.param("seed", 0)),
-            epochs=int(cfg.param("epochs", 20)),
-            learning_rate=float(cfg.param("learning_rate", 0.5)),
-            l2=float(cfg.param("l2", 1e-4)),
-            batch_size=int(cfg.param("batch_size", 32)),
-        )
-        model = clf.train_noise_aware(train_cands, labels, train_cfg)
         gold_path = cfg.paths.get("dev_gold")
+        dev_gold = evaluation.read_gold(gold_path) if gold_path else {}
+        # One design matrix for the rows that train and the rows that tune
+        # the threshold, in candidate-file order.
+        used = [c for c in cands if c.candidate_id in covered or c.candidate_id in dev_gold]
+        ids = [c.candidate_id for c in used]
+        X = clf.design_matrix(used)
+        train_rows = [i for i, cid in enumerate(ids) if cid in covered]
+        train_cfg = clf.TrainConfig(
+            seed=cfg.param("seed", 0),
+            epochs=cfg.param("epochs", 20),
+            learning_rate=cfg.param("learning_rate", 0.5),
+            l2=cfg.param("l2", 1e-4),
+            batch_size=cfg.param("batch_size", 32),
+        )
+        model = clf.train_noise_aware(
+            X.rows(train_rows), [ids[i] for i in train_rows], labels, train_cfg)
         if gold_path:
-            dev_gold = evaluation.read_gold(gold_path)
-            dev_cands = [c for c in cands if c.candidate_id in dev_gold]
-            model.threshold = clf.select_threshold(model, dev_cands, dev_gold)
+            dev_rows = [i for i, cid in enumerate(ids) if cid in dev_gold]
+            model.threshold = clf.select_threshold(
+                clf.score_matrix(model, X.rows(dev_rows)), [dev_gold[ids[i]] for i in dev_rows])
         elif cfg.param("threshold") is not None:
-            model.threshold = float(cfg.param("threshold"))
+            model.threshold = cfg.param("threshold")
         model_path = cfg.artifact("classifier.bin")
         model.save(model_path)
         _write_meta(cfg, "train", [model_path])
@@ -488,7 +504,7 @@ def reconcile_cmd(config_path):
 
         report = reconcile.reconcile_registry(
             load_canonical(extracted_path), load_canonical(cfg.path("registry")),
-            int(cfg.param("date_tolerance_days", 30)),
+            cfg.param("date_tolerance_days", 30),
         )
         out_path = cfg.artifact("reconciliation.csv")
         report.write_csv(out_path)
@@ -550,7 +566,7 @@ def events_merge(config_path):
         coded = outcomes.events_from_csv(coded_path)
         text = outcomes.events_from_csv(cfg.path("text_events"))
         merged = outcomes.merge_events(
-            coded, text, int(cfg.param("merge_window_days", 90))
+            coded, text, cfg.param("merge_window_days", 90)
         )
         out_path = cfg.artifact("merged_events.csv")
         outcomes.events_to_csv(merged, out_path)
@@ -792,7 +808,7 @@ def synth_gen(config_path):
     """Generate a synthetic corpus with gold labels into the output dir."""
     cfg = load_config(config_path)
     with _Lock(cfg.output_dir):
-        scfg = synth.SynthConfig(seed=int(cfg.param("seed", 0)))
+        scfg = synth.SynthConfig(seed=cfg.param("seed", 0))
         corpus = synth.gen_corpus(scfg)
         paths = synth.write_corpus(corpus, cfg.output_dir)
         _write_meta(cfg, "synth gen", list(paths.values()))
@@ -821,29 +837,28 @@ def report_forest(config_path):
             )
         with open(cox_path, encoding="utf-8") as fh, parsing(cox_path):
             fit = json.load(fh)
-        groups = fit.get("groups", {})
-        terms = {t["term"]: t for t in fit.get("terms", [])}
+            if not (isinstance(fit, dict) and isinstance(fit.get("groups", {}), dict)
+                    and isinstance(fit.get("terms", []), list)):
+                raise TypeError("expected an object with a groups object and a terms list")
+            terms = {t["term"]: t for t in fit.get("terms", [])}
+            rows = []
+            for system, g in sorted(fit.get("groups", {}).items()):
+                term = terms.get(f"implant_system={system}")
+                if term is None:
+                    stats = ["", "", "", ""]  # reference level
+                else:
+                    stats = [f"{term['HR']:.3f}", f"{term['CI_low']:.3f}",
+                             f"{term['CI_high']:.3f}", f"{term['p']:.4g}"]
+                rows.append([system, g["n_patients"], g["n_events"],
+                             f"{g['person_years']:.1f}", *stats])
         out_path = cfg.artifact("forest.csv")
-        n_rows = 0
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["system", "n_patients", "n_events", "person_years",
                         "HR", "CI_low", "CI_high", "p"])
-            for system in sorted(groups):
-                g = groups[system]
-                term = terms.get(f"implant_system={system}")
-                if term is None:
-                    hr = ci_lo = ci_hi = p = ""  # reference level
-                else:
-                    hr = f"{term['HR']:.3f}"
-                    ci_lo = f"{term['CI_low']:.3f}"
-                    ci_hi = f"{term['CI_high']:.3f}"
-                    p = f"{term['p']:.4g}"
-                w.writerow([system, g["n_patients"], g["n_events"],
-                            f"{g['person_years']:.1f}", hr, ci_lo, ci_hi, p])
-                n_rows += 1
+            w.writerows(rows)
         _write_meta(cfg, "report forest", [out_path])
-    click.echo(f"report forest: {n_rows} rows -> {out_path}")
+    click.echo(f"report forest: {len(rows)} rows -> {out_path}")
 
 
 if __name__ == "__main__":

@@ -190,6 +190,11 @@ def load_registry_csv(path) -> list[RegistryRecord]:
         for lineno, row in enumerate(reader, start=2):
             with parsing(path, lineno):
                 when = datetime.fromisoformat(row["surgery_date"]).date()
+                # RegistryRecord's own checks raise ConfigError, which names no line.
+                if row["component_role"] not in COMPONENT_ROLES:
+                    raise ValueError(f"unknown component_role {row['component_role']!r}")
+                if not row["manufacturer"] or not row["model"]:
+                    raise ValueError("manufacturer and model must be nonempty")
             out.append(
                 RegistryRecord(
                     patient_id=row["patient_id"],

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, FitError
 from .outcomes import SurvivalDataset
@@ -89,7 +88,10 @@ class LogRankResult:
 
 def _chi2_sf(x: float, df: int) -> float:
     """Upper chi-squared tail, the kernel scipy.stats.chi2.sf calls. A
-    round-off negative statistic gives p = 1, not chdtrc's nan."""
+    round-off negative statistic gives p = 1, not chdtrc's nan. scipy loads
+    here, so ``survival km``, which computes no p-value, starts without it."""
+    from scipy import special
+
     return float(special.chdtrc(df, max(x, 0.0)))
 
 
@@ -252,6 +254,8 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
     else:
         se = np.zeros(0)
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+    from scipy import special
+
     pvals = 2 * special.ndtr(-np.abs(z))
     with np.errstate(over="ignore"):  # degenerate fits get infinite CI bounds
         ci_low = np.exp(beta - 1.96 * se)

@@ -109,9 +109,11 @@ class TestWeakSupervisionBenefit:
         labels = weaksup.posterior_labels(model, matrix)
         covered = weaksup.covered_candidate_ids(matrix)
         covered_train = [c for c in train_c if c.candidate_id in covered]
-        net = clf.train_noise_aware(covered_train, labels, clf.TrainConfig(seed=seed))
-        dev_gold = {c.candidate_id: gold[c.candidate_id] for c in dev_c}
-        net.threshold = clf.select_threshold(net, dev_c, dev_gold)
+        net = clf.train_noise_aware(clf.design_matrix(covered_train),
+                                    [c.candidate_id for c in covered_train], labels,
+                                    clf.TrainConfig(seed=seed))
+        net.threshold = clf.select_threshold(clf.predict_many(net, dev_c),
+                                             [gold[c.candidate_id] for c in dev_c])
 
         # SMV baseline: strict-majority decision rule — a candidate is
         # extracted only when the non-abstaining votes lean TRUE, so ties

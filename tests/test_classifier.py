@@ -188,18 +188,23 @@ class TestObjective:
         assert np.array_equal(w1, w2) and b1 == b2
 
 
+def _train(cands, labels, config=None):
+    return clf.train_noise_aware(
+        clf.design_matrix(cands), [c.candidate_id for c in cands], labels, config)
+
+
 class TestTraining:
     def test_empty_training_set(self):
-        with pytest.raises(FitError):
-            clf.train_noise_aware([], [])
+        with pytest.raises(FitError, match="empty training set"):
+            _train([], [])
 
     def test_missing_label_error(self, pain_candidates):
         with pytest.raises(FitError, match="missing labels"):
-            clf.train_noise_aware(pain_candidates, [])
+            _train(pain_candidates, [])
 
     def test_all_half_labels_give_half_scores(self, pain_candidates):
         labels = [ProbabilisticLabel(c.candidate_id, 0.5) for c in pain_candidates]
-        model = clf.train_noise_aware(pain_candidates, labels, clf.TrainConfig(epochs=5))
+        model = _train(pain_candidates, labels, clf.TrainConfig(epochs=5))
         scores = clf.predict_many(model, pain_candidates)
         assert np.allclose(scores, 0.5, atol=1e-6)
 
@@ -210,33 +215,24 @@ class TestTraining:
             ProbabilisticLabel(pain_candidates[2].candidate_id, 0.0),
             ProbabilisticLabel(pain_candidates[3].candidate_id, 0.0),
         ]
-        model = clf.train_noise_aware(
-            pain_candidates, labels, clf.TrainConfig(epochs=200, learning_rate=0.5)
-        )
+        model = _train(pain_candidates, labels, clf.TrainConfig(epochs=200, learning_rate=0.5))
         scores = clf.predict_many(model, pain_candidates)
         assert scores[0] > 0.9
         assert max(scores[1:]) < 0.1
 
 
 class TestThreshold:
-    def _model_with_scores(self, pain_candidates, score_map):
-        # A model is only consulted through predict_many; patch in fixed scores.
-        fc = clf.FeatureConfig()
-        model = clf.ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc)
-        return model
-
-    def test_single_class_dev_rejected(self, pain_candidates):
-        model = self._model_with_scores(pain_candidates, None)
-        gold = {c.candidate_id: 1 for c in pain_candidates}
+    def test_single_class_dev_rejected(self):
         with pytest.raises(FitError):
-            clf.select_threshold(model, pain_candidates, gold)
+            clf.select_threshold(np.full(4, 0.5), [1, 1, 1, 1])
 
-    def test_constant_scores_pick_lowest_threshold(self, pain_candidates):
-        model = self._model_with_scores(pain_candidates, None)
-        gold = {c.candidate_id: (1 if i == 0 else 0) for i, c in enumerate(pain_candidates)}
-        # Zero weights give every candidate score 0.5: F1 is constant over all
-        # thresholds <= 0.5, so the tie-break picks 0.00.
-        assert clf.select_threshold(model, pain_candidates, gold) == 0.0
+    def test_empty_dev_rejected(self):
+        with pytest.raises(FitError):
+            clf.select_threshold(np.zeros(0), [])
+
+    def test_constant_scores_pick_lowest_threshold(self):
+        # F1 is constant over all thresholds <= 0.5, so the tie-break picks 0.00.
+        assert clf.select_threshold(np.full(4, 0.5), [1, 0, 0, 0]) == 0.0
 
     def test_separable_scores(self, pain_candidates):
         labels = [
@@ -245,12 +241,10 @@ class TestThreshold:
             ProbabilisticLabel(pain_candidates[2].candidate_id, 0.0),
             ProbabilisticLabel(pain_candidates[3].candidate_id, 0.0),
         ]
-        model = clf.train_noise_aware(
-            pain_candidates, labels, clf.TrainConfig(epochs=200, learning_rate=0.5)
-        )
-        gold = {lab.candidate_id: int(lab.p_true) for lab in labels}
-        t = clf.select_threshold(model, pain_candidates, gold)
+        model = _train(pain_candidates, labels, clf.TrainConfig(epochs=200, learning_rate=0.5))
+        gold = [int(lab.p_true) for lab in labels]
         scores = clf.predict_many(model, pain_candidates)
+        t = clf.select_threshold(scores, gold)
         pred = scores >= t
         assert pred.tolist() == [True, False, False, False]
 
@@ -338,3 +332,48 @@ class TestActiveColumnTraining:
             assert np.all(w_new[untouched] == 0.0)
             assert w_new[zero_col] == 0.0
             assert np.count_nonzero(w_new) == np.unique(X.indices).size - 1
+
+
+def _scipy_cases(synth_corpus):
+    """Hashed-problem matrices and a design matrix of synth candidates, as
+    scipy CSR matrices."""
+    for seed in range(3):
+        for dim in (1 << 20, 1 << 12):
+            yield _hashed_problem(seed, dim)[0]
+    X = clf.design_matrix(synth_corpus.candidates[:300])
+    yield sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
+def _numpy_csr(S):
+    return clf.CSRMatrix(S.data, S.indices.astype(np.int64), S.indptr.astype(np.int64), S.shape)
+
+
+class TestNumpyCsr:
+    # scipy.sparse is the oracle for the numpy CSR path the classifier runs on.
+    def test_row_gather_matches_scipy(self, synth_corpus):
+        rng = np.random.default_rng(0)
+        for S in _scipy_cases(synth_corpus):
+            X = _numpy_csr(S)
+            n = S.shape[0]
+            for rows in (rng.permutation(n), rng.integers(0, n, size=40), [n - 1], []):
+                got, want = X.rows(rows), S[np.asarray(rows, dtype=np.int64)]
+                assert got.shape == want.shape
+                assert got.data.tobytes() == want.data.tobytes()
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.indptr, want.indptr)
+
+    def test_products_match_scipy_bit_for_bit(self, synth_corpus):
+        rng = np.random.default_rng(1)
+        for S in _scipy_cases(synth_corpus):
+            X = _numpy_csr(S)
+            w = rng.normal(size=S.shape[1])
+            r = rng.normal(size=S.shape[0])
+            assert clf.matvec(X, w).tobytes() == (S @ w).tobytes()
+            assert clf.rmatvec(X, r).tobytes() == (S.T @ r).tobytes()
+
+    def test_design_matrix_is_numpy_csr(self, synth_corpus):
+        X = clf.design_matrix(synth_corpus.candidates[:20])
+        assert isinstance(X, clf.CSRMatrix)
+        assert X.shape == (20, clf.FeatureConfig().dim)
+        assert X.indices.dtype == X.indptr.dtype == np.int64
+        assert X.indptr[-1] == len(X.data) == len(X.indices)

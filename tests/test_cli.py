@@ -69,6 +69,27 @@ class TestConfigValidation:
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 2
 
+    # Each param is read by the command given; a float epoch count is refused,
+    # not truncated.
+    @pytest.mark.parametrize("key,value,command", [
+        ("seed", "abc", ["synth", "gen"]),
+        ("class_prior", "x", ["labelmodel", "fit"]),
+        ("epochs", 1.5, ["train"]),
+    ])
+    def test_param_of_wrong_type(self, runner, tmp_path, key, value, command):
+        cfg = _write_config(tmp_path, tmp_path / "out", params={key: value})
+        result = runner.invoke(main, command + ["--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert f"params.{key}" in err["message"]
+
+    def test_integer_accepted_for_float_param(self, tmp_path):
+        cfg = cli.load_config(
+            _write_config(tmp_path, tmp_path / "out", params={"class_prior": 1, "seed": 3}))
+        assert cfg.param("class_prior") == 1.0 and isinstance(cfg.param("class_prior"), float)
+        assert cfg.param("seed") == 3
+
     def test_missing_output_dir_key(self, runner, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"paths": {}}))
@@ -131,7 +152,7 @@ class TestConfigValidation:
         # A key that loses its last reader in cli.py must leave the known set.
         with open(cli.__file__, encoding="utf-8") as fh:
             src = fh.read()
-        assert set(re.findall(r'cfg\.param\("(\w+)"', src)) == cli._KNOWN_PARAM_KEYS
+        assert set(re.findall(r'cfg\.param\("(\w+)"', src)) == set(cli._KNOWN_PARAM_KEYS)
         assert set(re.findall(r'cfg\.(?:path|paths\.get)\("(\w+)"', src)) == cli._KNOWN_PATH_KEYS
 
 
@@ -306,6 +327,8 @@ _COHORT_CSV = ("patient_id,index_date,last_contact_date,age_band,sex,race,ethnic
                "p1,{index},2015-01-01,60-69,F,White,Unknown,none\n")
 _PATIENTS_CSV = ("patient_id,birth_date,sex,race,ethnicity,cci,last_contact_date,procedures\n"
                  "p1,{birth},M,White,Unknown,{cci},2015-01-01,CPT:27130:2010-01-01\n")
+_REGISTRY_CSV = ("patient_id,surgery_date,component_role,manufacturer,model\n"
+                 "p1,2010-05-04,{role},Zimmer Biomet,VerSys\n")
 
 # case: (files written to the output directory, which also holds the config;
 # config paths naming them; command, where "{out}" is that directory; the
@@ -338,6 +361,18 @@ _DAMAGED_INPUTS = {
                                 ["cohort"], "config.json", 2),
     "config_params_not_object": ({"config.json": '{"output_dir": ".", "params": "x"}'}, {},
                                  ["cohort"], "config.json", 2),
+    "registry_unknown_role": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
+                               "registry.csv": _REGISTRY_CSV.format(role="hip")},
+                              {"registry": "registry.csv"}, ["reconcile"], "registry.csv:2", 3),
+    "registry_empty_model": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
+                              "registry.csv": _REGISTRY_CSV.format(role="femoral")
+                                              .replace("VerSys", "")},
+                             {"registry": "registry.csv"}, ["reconcile"], "registry.csv:2", 3),
+    "cox_not_object": ({"cox.json": "[]"}, {}, ["report", "forest"], "cox.json", 3),
+    "cox_terms_not_list": ({"cox.json": '{"groups": {}, "terms": {"HR": 1}}'}, {},
+                           ["report", "forest"], "cox.json", 3),
+    "cox_group_no_counts": ({"cox.json": '{"groups": {"A": {"n_events": 1}}, "terms": []}'}, {},
+                            ["report", "forest"], "cox.json", 3),
 }
 
 
@@ -591,6 +626,34 @@ class TestStartup:
         assert "devicesurv.evaluation" in modules
         assert "devicesurv.classifier" not in modules
         assert "scipy" not in modules
+
+    def test_train_and_predict_load_no_scipy(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir,
+                            paths={"notes": paths["notes"], "dev_gold": paths["gold_relations"]},
+                            params={"lf_set": "benchmark", "seed": 0})
+        for cmd in (["candidates"], ["lf", "apply"], ["labelmodel", "fit"]):
+            assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
+        modules = _modules_after(
+            "from devicesurv.cli import main; "
+            f"main(['train', '--config', {cfg!r}], standalone_mode=False); "
+            f"main(['predict', '--config', {cfg!r}], standalone_mode=False)")
+        assert "devicesurv.classifier" in modules
+        assert "scipy" not in modules
+        assert (outdir / "scores.csv").exists()
+
+    def test_survival_km_loads_no_scipy(self, tmp_path):
+        (tmp_path / "cohort.csv").write_text(_COHORT_CSV.format(index="2010-01-01"))
+        (tmp_path / "merged_events.csv").write_text(
+            "patient_id,class,date,source,provenance\np1,revision,2012-02-01,coded,CPT:27134\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        modules = _modules_after(
+            f"from devicesurv.cli import main; main(['survival', 'km', '--config', {cfg!r}], "
+            "standalone_mode=False)")
+        assert "devicesurv.survival" in modules
+        assert "scipy" not in modules
+        assert (tmp_path / "km.csv").read_text().splitlines()[1:] == ["761,0.000000,1,1"]
 
     @pytest.mark.parametrize("command,doc", [
         (["train"], "Train the noise-aware classifier on the probabilistic labels."),

@@ -63,6 +63,14 @@ _KNOWN_PARAM_KEYS = {
     "epochs": int, "learning_rate": float, "l2": float, "batch_size": int,
     "class_prior": float, "lf_set": str, "outcome_class": str, "threshold": float,
 }
+# Params with a valid range: (test, the range as the error states it).
+_PARAM_RANGES = {
+    "epochs": (lambda v: v >= 1, "at least 1"),
+    "batch_size": (lambda v: v >= 1, "at least 1"),
+    "learning_rate": (lambda v: v > 0, "above 0"),
+    "l2": (lambda v: v >= 0, "at least 0"),
+    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
 
 
 @dataclass
@@ -119,6 +127,10 @@ def load_config(path: str) -> ProjectConfig:
             params[key] = value = float(value)
         if type(value) is not want:  # a JSON true/false is no int
             raise ConfigError(f"config params.{key} must be {want.__name__}, not {value!r}",
+                              context={"key": key})
+        in_range, bounds = _PARAM_RANGES.get(key, (None, None))
+        if in_range is not None and not in_range(value):
+            raise ConfigError(f"config params.{key} must be {bounds}, not {value!r}",
                               context={"key": key})
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
@@ -181,34 +193,30 @@ class _Lock:
         return False
 
 
-def _write_meta(cfg: ProjectConfig, command: str, outputs) -> None:
-    meta = {
-        "command": command,
-        "config_hash": cfg.config_hash(),
-        "written_at": datetime.now().isoformat(timespec="seconds"),
-        "outputs": list(outputs),
-    }
-    with open(cfg.artifact(f"{command.replace(' ', '_')}.meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+# Each artifact a command reads from the output directory: how errors name
+# it, and the command that writes it.
+_ARTIFACTS = {
+    "candidates.jsonl": ("candidates", "candidates"),
+    "label_matrix.bin": ("label matrix", "lf apply"),
+    "labels.csv": ("labels", "labelmodel fit"),
+    "classifier.bin": ("classifier", "train"),
+    "scores.csv": ("scores", "predict"),
+    "extracted_implants.csv": ("extracted implant records", "synth gen"),
+    "cohort.csv": ("cohort", "cohort"),
+    "coded_events.csv": ("coded events", "cohort"),
+    "merged_events.csv": ("merged events", "events merge"),
+    "cox.json": ("Cox fit", "survival cox"),
+}
 
 
-def command_wrapper(fn):
-    """Uniform error handling: library errors become error JSON + exit code."""
-
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except DeviceSurvError as exc:
-            click.echo(json.dumps(exc.to_json()), err=True)
-            sys.exit(EXIT_CODES.get(exc.code, 1))
-        except OSError as exc:
-            click.echo(
-                json.dumps({"code": "io", "message": str(exc), "context": {}}), err=True
-            )
-            sys.exit(1)
-
-    return wrapped
+def _require(cfg: ProjectConfig, artifact: str) -> str:
+    """The path of ``artifact`` in the output directory; a missing one stops
+    the command (exit 4) naming the command that writes it."""
+    path = cfg.artifact(artifact)
+    if not os.path.exists(path):
+        what, producer = _ARTIFACTS[artifact]
+        raise MissingArtifactError(f"{what} not found: {path} (run '{producer}' first)")
+    return path
 
 
 def _load_resources(cfg: ProjectConfig):
@@ -225,9 +233,7 @@ def _load_resources(cfg: ProjectConfig):
 def _load_candidates(cfg: ProjectConfig):
     """Read the candidate set written by 'candidates'. Candidates older than
     the configured notes, dictionaries or trigger lexicon are never used."""
-    path = cfg.artifact("candidates.jsonl")
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"candidates not found: {path} (run 'candidates' first)")
+    path = _require(cfg, "candidates.jsonl")
     made = os.path.getmtime(path)
     inputs = [cfg.paths.get("notes"), *(cfg.paths.get("dictionaries") or []),
               cfg.paths.get("trigger_lexicon")]
@@ -238,13 +244,6 @@ def _load_candidates(cfg: ProjectConfig):
                 context={"path": path, "input": inp},
             )
     return read_candidates(path)
-
-
-def _load_label_matrix(cfg: ProjectConfig):
-    path = cfg.artifact("label_matrix.bin")
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"label matrix not found: {path} (run 'lf apply' first)")
-    return weaksup.LabelMatrix.load(path)
 
 
 def _get_lfs(cfg: ProjectConfig):
@@ -270,30 +269,62 @@ def main():
     """Clinical-text device-event extraction and surveillance statistics."""
 
 
-_config_option = click.option(
-    "--config", "config_path", required=True, type=str, help="Project config JSON."
-)
+def _stage(group: click.Group, name: str):
+    """Register ``body(cfg, **options)`` as command ``name`` of ``group``.
+
+    The body returns the paths it wrote and a summary line. The command loads
+    the config and holds the output-directory lock around the body, then
+    writes ``<command>.meta.json`` naming those paths and prints the summary.
+    A library error becomes error JSON on stderr and its exit code."""
+    command = name if group is main else f"{group.name} {name}"
+
+    def register(body):
+        @functools.wraps(body)
+        def run(config_path, **options):
+            try:
+                cfg = load_config(config_path)
+                with _Lock(cfg.output_dir):
+                    outputs, summary = body(cfg, **options)
+                    meta = {
+                        "command": command,
+                        "config_hash": cfg.config_hash(),
+                        "written_at": datetime.now().isoformat(timespec="seconds"),
+                        "outputs": list(outputs),
+                    }
+                    meta_path = cfg.artifact(f"{command.replace(' ', '_')}.meta.json")
+                    with open(meta_path, "w", encoding="utf-8") as fh:
+                        json.dump(meta, fh, indent=2)
+                click.echo(summary)
+            except DeviceSurvError as exc:
+                click.echo(json.dumps(exc.to_json()), err=True)
+                sys.exit(EXIT_CODES.get(exc.code, 1))
+            except OSError as exc:
+                click.echo(
+                    json.dumps({"code": "io", "message": str(exc), "context": {}}), err=True
+                )
+                sys.exit(1)
+
+        run = click.option("--config", "config_path", required=True, type=str,
+                           help="Project config JSON.")(run)
+        return group.command(name)(run)
+
+    return register
 
 
-@main.command()
-@_config_option
-@command_wrapper
-def candidates(config_path):
+@_stage(main, "candidates")
+def candidates(cfg):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        dictionaries, lexicon = _load_resources(cfg)
-        rtype = cfg.param("relation_type", "pain-anatomy")
-        cands = [
-            c for note in ingest_notes(cfg.path("notes"))
-            for c in extract_candidates(
-                preprocess(note), dictionaries, lexicon, relation_types=(rtype,)
-            )
-        ]
-        out_path = cfg.artifact("candidates.jsonl")
-        write_candidates(cands, out_path)
-        _write_meta(cfg, "candidates", [out_path])
-    click.echo(f"candidates: {len(cands)} candidates -> {out_path}")
+    dictionaries, lexicon = _load_resources(cfg)
+    rtype = cfg.param("relation_type", "pain-anatomy")
+    cands = [
+        c for note in ingest_notes(cfg.path("notes"))
+        for c in extract_candidates(
+            preprocess(note), dictionaries, lexicon, relation_types=(rtype,)
+        )
+    ]
+    out_path = cfg.artifact("candidates.jsonl")
+    write_candidates(cands, out_path)
+    return [out_path], f"candidates: {len(cands)} candidates -> {out_path}"
 
 
 @main.group()
@@ -301,60 +332,50 @@ def lf():
     """Labeling-function commands."""
 
 
-@lf.command("apply")
-@_config_option
-@command_wrapper
-def lf_apply(config_path):
+@_stage(lf, "apply")
+def lf_apply(cfg):
     """Apply the configured LF set; write the label matrix."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        cands = _load_candidates(cfg)
-        matrix = weaksup.apply_lfs(cands, _get_lfs(cfg))
-        out_path = cfg.artifact("label_matrix.bin")
-        matrix.save(out_path)
-        matrix.write_csv(cfg.artifact("label_matrix.csv"))
-        _write_meta(cfg, "lf apply", [out_path])
-    click.echo(
+    cands = _load_candidates(cfg)
+    matrix = weaksup.apply_lfs(cands, _get_lfs(cfg))
+    out_path, csv_path = cfg.artifact("label_matrix.bin"), cfg.artifact("label_matrix.csv")
+    matrix.save(out_path)
+    matrix.write_csv(csv_path)
+    return [out_path, csv_path], (
         f"lf apply: {matrix.n} candidates x {matrix.m} LFs -> {out_path} "
         f"(errors: {sum(matrix.lf_errors.values())})"
     )
 
 
-@lf.command("stats")
-@_config_option
-@command_wrapper
-def lf_stats(config_path):
+@_stage(lf, "stats")
+def lf_stats(cfg):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        matrix = _load_label_matrix(cfg)
-        if matrix.n == 0:
-            raise ConfigError("label matrix has no candidates")
-        gold_path = cfg.paths.get("dev_gold")
-        gold = None
-        if gold_path:
-            ids = set(matrix.candidate_ids)
-            gold = {cid: lab for cid, lab in evaluation.read_gold(gold_path).items() if cid in ids}
-        stats = weaksup.lf_statistics(matrix, gold)
-        out_path = cfg.artifact("lf_stats.csv")
-        with_acc = gold is not None
-        header = ["lf_id", "coverage", "overlap", "conflict"] + (["accuracy"] if with_acc else [])
-        click.echo(",".join(header))
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for lf_id, st in stats.per_lf.items():
-                row = [lf_id, f"{st.coverage:.4f}", f"{st.overlap:.4f}", f"{st.conflict:.4f}"]
-                if with_acc:
-                    row.append("" if st.accuracy is None else f"{st.accuracy:.4f}")
-                w.writerow(row)
-                click.echo(",".join(row))
-        dist = Counter(round(lab.p_true, 2) for lab in weaksup.soft_majority_vote(matrix))
-        click.echo("soft-majority-vote label distribution:")
-        for p in sorted(dist):
-            click.echo(f"  p_true={p:.2f}: {dist[p]}")
-        _write_meta(cfg, "lf stats", [out_path])
-    click.echo(f"lf stats: {len(stats.per_lf)} LFs -> {out_path}")
+    matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
+    if matrix.n == 0:
+        raise ConfigError("label matrix has no candidates")
+    gold_path = cfg.paths.get("dev_gold")
+    gold = None
+    if gold_path:
+        ids = set(matrix.candidate_ids)
+        gold = {cid: lab for cid, lab in evaluation.read_gold(gold_path).items() if cid in ids}
+    stats = weaksup.lf_statistics(matrix, gold)
+    out_path = cfg.artifact("lf_stats.csv")
+    with_acc = gold is not None
+    header = ["lf_id", "coverage", "overlap", "conflict"] + (["accuracy"] if with_acc else [])
+    click.echo(",".join(header))
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for lf_id, st in stats.per_lf.items():
+            row = [lf_id, f"{st.coverage:.4f}", f"{st.overlap:.4f}", f"{st.conflict:.4f}"]
+            if with_acc:
+                row.append("" if st.accuracy is None else f"{st.accuracy:.4f}")
+            w.writerow(row)
+            click.echo(",".join(row))
+    dist = Counter(round(lab.p_true, 2) for lab in weaksup.soft_majority_vote(matrix))
+    click.echo("soft-majority-vote label distribution:")
+    for p in sorted(dist):
+        click.echo(f"  p_true={p:.2f}: {dist[p]}")
+    return [out_path], f"lf stats: {len(stats.per_lf)} LFs -> {out_path}"
 
 
 @main.group()
@@ -362,187 +383,137 @@ def labelmodel():
     """Generative label-model commands."""
 
 
-@labelmodel.command("fit")
-@_config_option
-@command_wrapper
-def labelmodel_fit(config_path):
+@_stage(labelmodel, "fit")
+def labelmodel_fit(cfg):
     """Fit the label model and write posterior probabilistic labels."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        matrix = _load_label_matrix(cfg)
-        model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
-        model_path = cfg.artifact("label_model.json")
-        with open(model_path, "w", encoding="utf-8") as fh:
-            fh.write(model.to_json())
-        labels = weaksup.posterior_labels(model, matrix)
-        labels_path = cfg.artifact("labels.csv")
-        weaksup.labels_to_csv(labels, labels_path)
-        _write_meta(cfg, "labelmodel fit", [model_path, labels_path])
-    click.echo(
+    matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
+    model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
+    model_path = cfg.artifact("label_model.json")
+    with open(model_path, "w", encoding="utf-8") as fh:
+        fh.write(model.to_json())
+    labels = weaksup.posterior_labels(model, matrix)
+    labels_path = cfg.artifact("labels.csv")
+    weaksup.labels_to_csv(labels, labels_path)
+    return [model_path, labels_path], (
         f"labelmodel fit: {model.n_iter} EM iterations, "
         f"log-likelihood {model.log_likelihood:.2f} -> {model_path}"
     )
 
 
-@main.command()
-@_config_option
-@command_wrapper
-def train(config_path):
+@_stage(main, "train")
+def train(cfg):
     """Train the noise-aware classifier on the probabilistic labels."""
     from . import classifier as clf
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        labels_path = cfg.artifact("labels.csv")
-        if not os.path.exists(labels_path):
-            raise MissingArtifactError(
-                f"labels not found: {labels_path} (run 'labelmodel fit' first)"
-            )
-        labels = weaksup.labels_from_csv(labels_path)
-        # All-abstain rows carry no supervision signal; train on covered rows.
-        covered = weaksup.covered_candidate_ids(_load_label_matrix(cfg))
-        cands = _load_candidates(cfg)
-        gold_path = cfg.paths.get("dev_gold")
-        dev_gold = evaluation.read_gold(gold_path) if gold_path else {}
-        # One design matrix for the rows that train and the rows that tune
-        # the threshold, in candidate-file order.
-        used = [c for c in cands if c.candidate_id in covered or c.candidate_id in dev_gold]
-        ids = [c.candidate_id for c in used]
-        X = clf.design_matrix(used)
-        train_rows = [i for i, cid in enumerate(ids) if cid in covered]
-        train_cfg = clf.TrainConfig(
-            seed=cfg.param("seed", 0),
-            epochs=cfg.param("epochs", 20),
-            learning_rate=cfg.param("learning_rate", 0.5),
-            l2=cfg.param("l2", 1e-4),
-            batch_size=cfg.param("batch_size", 32),
-        )
-        model = clf.train_noise_aware(
-            X.rows(train_rows), [ids[i] for i in train_rows], labels, train_cfg)
-        if gold_path:
-            dev_rows = [i for i, cid in enumerate(ids) if cid in dev_gold]
-            model.threshold = clf.select_threshold(
-                clf.score_matrix(model, X.rows(dev_rows)), [dev_gold[ids[i]] for i in dev_rows])
-        elif cfg.param("threshold") is not None:
-            model.threshold = cfg.param("threshold")
-        model_path = cfg.artifact("classifier.bin")
-        model.save(model_path)
-        _write_meta(cfg, "train", [model_path])
-    click.echo(
+    labels = weaksup.labels_from_csv(_require(cfg, "labels.csv"))
+    # All-abstain rows carry no supervision signal; train on covered rows.
+    covered = weaksup.covered_candidate_ids(
+        weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin")))
+    cands = _load_candidates(cfg)
+    gold_path = cfg.paths.get("dev_gold")
+    dev_gold = evaluation.read_gold(gold_path) if gold_path else {}
+    # One design matrix for the rows that train and the rows that tune
+    # the threshold, in candidate-file order.
+    used = [c for c in cands if c.candidate_id in covered or c.candidate_id in dev_gold]
+    ids = [c.candidate_id for c in used]
+    X = clf.design_matrix(used)
+    train_rows = [i for i, cid in enumerate(ids) if cid in covered]
+    train_cfg = clf.TrainConfig(
+        seed=cfg.param("seed", 0),
+        epochs=cfg.param("epochs", 20),
+        learning_rate=cfg.param("learning_rate", 0.5),
+        l2=cfg.param("l2", 1e-4),
+        batch_size=cfg.param("batch_size", 32),
+    )
+    model = clf.train_noise_aware(
+        X.rows(train_rows), [ids[i] for i in train_rows], labels, train_cfg)
+    if gold_path:
+        dev_rows = [i for i, cid in enumerate(ids) if cid in dev_gold]
+        model.threshold = clf.select_threshold(
+            clf.score_matrix(model, X.rows(dev_rows)), [dev_gold[ids[i]] for i in dev_rows])
+    elif cfg.param("threshold") is not None:
+        model.threshold = cfg.param("threshold")
+    model_path = cfg.artifact("classifier.bin")
+    model.save(model_path)
+    return [model_path, model_path + ".json"], (
         f"train: {len(cands)} candidates, threshold {model.threshold:.2f} -> {model_path}"
     )
 
 
-@main.command()
-@_config_option
-@command_wrapper
-def predict(config_path):
+@_stage(main, "predict")
+def predict(cfg):
     """Score candidates with the trained classifier; write scores.csv."""
     from . import classifier as clf
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        model_path = cfg.artifact("classifier.bin")
-        if not os.path.exists(model_path):
-            raise MissingArtifactError(
-                f"classifier not found: {model_path} (run 'train' first)"
-            )
-        model = clf.ClassifierModel.load(model_path)
-        cands = _load_candidates(cfg)
-        scores = clf.predict_many(model, cands)
-        out_path = cfg.artifact("scores.csv")
-        evaluation.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
-        _write_meta(cfg, "predict", [out_path])
-    click.echo(f"predict: {len(cands)} candidates -> {out_path}")
+    model = clf.ClassifierModel.load(_require(cfg, "classifier.bin"))
+    cands = _load_candidates(cfg)
+    scores = clf.predict_many(model, cands)
+    out_path = cfg.artifact("scores.csv")
+    evaluation.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
+    return [out_path], f"predict: {len(cands)} candidates -> {out_path}"
 
 
-@main.command("eval")
-@_config_option
-@command_wrapper
-def eval_cmd(config_path):
+@_stage(main, "eval")
+def eval_cmd(cfg):
     """Score predictions against gold labels; write metrics.csv."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        scores_path = cfg.artifact("scores.csv")
-        if not os.path.exists(scores_path):
-            raise MissingArtifactError(
-                f"scores not found: {scores_path} (run 'predict' first)"
-            )
-        gold = evaluation.read_gold(cfg.path("gold_relations"))
-        labels = evaluation.read_scores(scores_path)
-        restricted = {cid: y for cid, y in labels.items() if cid in gold}
-        metrics = evaluation.prf1(restricted, gold)
-        out_path = cfg.artifact("metrics.csv")
-        evaluation.metrics_to_csv(metrics, out_path)
-        _write_meta(cfg, "eval", [out_path])
+    scores_path = _require(cfg, "scores.csv")
+    gold = evaluation.read_gold(cfg.path("gold_relations"))
+    labels = evaluation.read_scores(scores_path)
+    restricted = {cid: y for cid, y in labels.items() if cid in gold}
+    metrics = evaluation.prf1(restricted, gold)
+    out_path = cfg.artifact("metrics.csv")
+    evaluation.metrics_to_csv(metrics, out_path)
     p, r, f = metrics.rounded()
-    click.echo(f"eval: P={p} R={r} F1={f} -> {out_path}")
+    return [out_path], f"eval: P={p} R={r} F1={f} -> {out_path}"
 
 
-@main.command("reconcile")
-@_config_option
-@command_wrapper
-def reconcile_cmd(config_path):
+@_stage(main, "reconcile")
+def reconcile_cmd(cfg):
     """Reconcile extracted implant records against the registry snapshot."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        extracted_path = cfg.artifact("extracted_implants.csv")
-        if not os.path.exists(extracted_path):
-            raise MissingArtifactError(
-                f"extracted implant records not found: {extracted_path}"
+    extracted_path = _require(cfg, "extracted_implants.csv")
+    catalog = load_implant_catalog(cfg.paths.get("implant_catalog"))
+
+    def load_canonical(path):
+        return [
+            reconcile.RegistryRecord(
+                r.patient_id, r.surgery_date, r.component_role,
+                reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
             )
-        catalog = load_implant_catalog(cfg.paths.get("implant_catalog"))
+            for r in reconcile.load_registry_csv(path)
+        ]
 
-        def load_canonical(path):
-            return [
-                reconcile.RegistryRecord(
-                    r.patient_id, r.surgery_date, r.component_role,
-                    reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
-                )
-                for r in reconcile.load_registry_csv(path)
-            ]
-
-        report = reconcile.reconcile_registry(
-            load_canonical(extracted_path), load_canonical(cfg.path("registry")),
-            cfg.param("date_tolerance_days", 30),
-        )
-        out_path = cfg.artifact("reconciliation.csv")
-        report.write_csv(out_path)
-        report.write_summary_json(cfg.artifact("reconciliation_summary.json"))
-        _write_meta(cfg, "reconcile", [out_path])
-    counts = report.counts()
-    click.echo(
-        "reconcile: "
-        + ", ".join(f"{k}={v}" for k, v in counts.items())
-        + f" -> {out_path}"
+    report = reconcile.reconcile_registry(
+        load_canonical(extracted_path), load_canonical(cfg.path("registry")),
+        cfg.param("date_tolerance_days", 30),
     )
+    out_path, summary_path = (cfg.artifact("reconciliation.csv"),
+                              cfg.artifact("reconciliation_summary.json"))
+    report.write_csv(out_path)
+    report.write_summary_json(summary_path)
+    counts = ", ".join(f"{k}={v}" for k, v in report.counts().items())
+    return [out_path, summary_path], f"reconcile: {counts} -> {out_path}"
 
 
-@main.command()
-@_config_option
-@command_wrapper
-def cohort(config_path):
+@_stage(main, "cohort")
+def cohort(cfg):
     """Select the surgical cohort from coded patient records."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        records = outcomes.patients_from_csv(cfg.path("patients"))
-        selected, coded_events = outcomes.select_cohort(records)
-        out_path = cfg.artifact("cohort.csv")
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["patient_id", "index_date", "last_contact_date",
-                        "age_band", "sex", "race", "ethnicity", "cci"])
-            for pid in sorted(selected):
-                pat = selected[pid]
-                w.writerow(
-                    [pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
-                    + [pat.covariates.get(k, "") for k in
-                       ("age_band", "sex", "race", "ethnicity", "cci")]
-                )
-        events_path = cfg.artifact("coded_events.csv")
-        outcomes.events_to_csv(coded_events, events_path)
-        _write_meta(cfg, "cohort", [out_path, events_path])
-    click.echo(
+    records = outcomes.patients_from_csv(cfg.path("patients"))
+    selected, coded_events = outcomes.select_cohort(records)
+    out_path = cfg.artifact("cohort.csv")
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["patient_id", "index_date", "last_contact_date",
+                    "age_band", "sex", "race", "ethnicity", "cci"])
+        for pid in sorted(selected):
+            pat = selected[pid]
+            w.writerow(
+                [pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
+                + [pat.covariates.get(k, "") for k in
+                   ("age_band", "sex", "race", "ethnicity", "cci")]
+            )
+    events_path = cfg.artifact("coded_events.csv")
+    outcomes.events_to_csv(coded_events, events_path)
+    return [out_path, events_path], (
         f"cohort: {len(selected)} patients, {len(coded_events)} coded revision "
         f"events -> {out_path}"
     )
@@ -553,25 +524,16 @@ def events():
     """Event-stream commands."""
 
 
-@events.command("merge")
-@_config_option
-@command_wrapper
-def events_merge(config_path):
+@_stage(events, "merge")
+def events_merge(cfg):
     """Merge coded and text-derived events into a unified stream."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        coded_path = cfg.paths.get("coded_events") or cfg.artifact("coded_events.csv")
-        if not os.path.exists(coded_path):
-            raise MissingArtifactError(f"coded events not found: {coded_path}")
-        coded = outcomes.events_from_csv(coded_path)
-        text = outcomes.events_from_csv(cfg.path("text_events"))
-        merged = outcomes.merge_events(
-            coded, text, cfg.param("merge_window_days", 90)
-        )
-        out_path = cfg.artifact("merged_events.csv")
-        outcomes.events_to_csv(merged, out_path)
-        _write_meta(cfg, "events merge", [out_path])
-    click.echo(
+    coded = outcomes.events_from_csv(
+        cfg.paths.get("coded_events") or _require(cfg, "coded_events.csv"))
+    text = outcomes.events_from_csv(cfg.path("text_events"))
+    merged = outcomes.merge_events(coded, text, cfg.param("merge_window_days", 90))
+    out_path = cfg.artifact("merged_events.csv")
+    outcomes.events_to_csv(merged, out_path)
+    return [out_path], (
         f"events merge: {len(coded)} coded + {len(text)} text -> "
         f"{len(merged)} unified events -> {out_path}"
     )
@@ -582,9 +544,7 @@ def _load_survival_dataset(
 ) -> outcomes.SurvivalDataset:
     """The cohort's survival dataset; with ``group_by``, each subject's group
     label is that cohort.csv column ("Unknown" if the column is absent)."""
-    cohort_path = cfg.artifact("cohort.csv")
-    if not os.path.exists(cohort_path):
-        raise MissingArtifactError(f"cohort not found: {cohort_path} (run 'cohort' first)")
+    cohort_path = _require(cfg, "cohort.csv")
     from datetime import date
 
     cohort: dict[str, outcomes.CohortPatient] = {}
@@ -603,12 +563,7 @@ def _load_survival_dataset(
                 )
             if group_by is not None:
                 labels[row["patient_id"]] = row.get(group_by, "Unknown")
-    events_path = cfg.artifact("merged_events.csv")
-    if not os.path.exists(events_path):
-        raise MissingArtifactError(
-            f"merged events not found: {events_path} (run 'events merge' first)"
-        )
-    evts = outcomes.events_from_csv(events_path)
+    evts = outcomes.events_from_csv(_require(cfg, "merged_events.csv"))
     spec = [
         outcomes.Covariate("age_band", reference="40-49"),
         outcomes.Covariate("sex", reference="F"),
@@ -627,75 +582,61 @@ def survival_group():
     """Survival-analysis commands."""
 
 
-@survival_group.command("km")
-@_config_option
-@command_wrapper
-def survival_km(config_path):
+@_stage(survival_group, "km")
+def survival_km(cfg):
+    """Kaplan-Meier survival curve of the cohort; write km.csv."""
     from . import survival
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        ds = _load_survival_dataset(cfg)
-        curve = survival.km_estimate(ds)
-        out_path = cfg.artifact("km.csv")
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "survival", "n_at_risk", "n_events"])
-            for t, s, nr, ne in zip(curve.times, curve.survival, curve.n_at_risk, curve.n_events):
-                w.writerow([f"{t:.0f}", f"{s:.6f}", nr, ne])
-        _write_meta(cfg, "survival km", [out_path])
-    click.echo(f"survival km: {len(curve.times)} event times -> {out_path}")
+    curve = survival.km_estimate(_load_survival_dataset(cfg))
+    out_path = cfg.artifact("km.csv")
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "survival", "n_at_risk", "n_events"])
+        for t, s, nr, ne in zip(curve.times, curve.survival, curve.n_at_risk, curve.n_events):
+            w.writerow([f"{t:.0f}", f"{s:.6f}", nr, ne])
+    return [out_path], f"survival km: {len(curve.times)} event times -> {out_path}"
 
 
-@survival_group.command("logrank")
-@_config_option
+@_stage(survival_group, "logrank")
 @click.option("--group-by", default="cci", show_default=True,
               help="Covariate grouping the comparison.")
-@command_wrapper
-def survival_logrank(config_path, group_by):
+def survival_logrank(cfg, group_by):
+    """Log-rank test across the groups of a cohort.csv column; write logrank.json."""
     from . import survival
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        ds = _load_survival_dataset(cfg, group_by)
-        result = survival.logrank_test(ds)
-        out_path = cfg.artifact("logrank.json")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"statistic": result.statistic, "df": result.df, "p_value": result.p_value},
-                fh, indent=2,
-            )
-        _write_meta(cfg, "survival logrank", [out_path])
-    click.echo(
+    result = survival.logrank_test(_load_survival_dataset(cfg, group_by))
+    out_path = cfg.artifact("logrank.json")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {"statistic": result.statistic, "df": result.df, "p_value": result.p_value},
+            fh, indent=2,
+        )
+    return [out_path], (
         f"survival logrank: chi2={result.statistic:.3f} df={result.df} "
         f"p={result.p_value:.4g} -> {out_path}"
     )
 
 
-@survival_group.command("cox")
-@_config_option
-@command_wrapper
-def survival_cox(config_path):
+@_stage(survival_group, "cox")
+def survival_cox(cfg):
+    """Cox proportional-hazards fit on the cohort covariates; write cox.json."""
     from . import survival
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        ds = _load_survival_dataset(cfg)
-        fit = survival.cox_fit(ds)
-        out_path = cfg.artifact("cox.json")
-        payload = {
-            "terms": list(fit.summary_rows()),
-            "loglik": fit.loglik,
-            "loglik_null": fit.loglik_null,
-            "score_statistic": fit.score_statistic,
-            "score_p_value": fit.score_p_value,
-            "n_iter": fit.n_iter,
-            "groups": _group_summaries(ds),
-        }
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        _write_meta(cfg, "survival cox", [out_path])
-    click.echo(
+    ds = _load_survival_dataset(cfg)
+    fit = survival.cox_fit(ds)
+    out_path = cfg.artifact("cox.json")
+    payload = {
+        "terms": list(fit.summary_rows()),
+        "loglik": fit.loglik,
+        "loglik_null": fit.loglik_null,
+        "score_statistic": fit.score_statistic,
+        "score_p_value": fit.score_p_value,
+        "n_iter": fit.n_iter,
+        "groups": _group_summaries(ds),
+    }
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+    return [out_path], (
         f"survival cox: {len(fit.columns)} terms, log-likelihood {fit.loglik:.2f} "
         f"-> {out_path}"
     )
@@ -718,79 +659,68 @@ def regression():
     """Count-regression commands."""
 
 
-@regression.command("nb")
-@_config_option
+@_stage(regression, "nb")
 @click.option("--counts-file", required=True, type=str,
               help="CSV with columns patient_id, count, and optional exposure.")
-@command_wrapper
-def regression_nb(config_path, counts_file):
+def regression_nb(cfg, counts_file):
+    """Negative-binomial regression of per-patient counts; write nb.json."""
     from . import countreg
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        if not os.path.exists(counts_file):
-            raise MissingArtifactError(f"counts file not found: {counts_file}")
-        counts, exposure = [], []
-        with open(counts_file, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "count" not in reader.fieldnames:
-                raise InputFormatError(f"{counts_file}: expected a count column")
-            has_exposure = "exposure" in reader.fieldnames
-            for row in reader:
-                with parsing(counts_file, reader.line_num):
-                    counts.append(int(row["count"]))
-                    if has_exposure:
-                        exposure.append(float(row["exposure"]))
-        fit = countreg.nb_fit(
-            counts, np.zeros((len(counts), 0)), columns=[],
-            exposure=exposure if exposure else None,
-        )
-        out_path = cfg.artifact("nb.json")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"terms": list(fit.summary_rows()), "theta": fit.theta,
-                 "loglik": fit.loglik, "aic": fit.aic}, fh, indent=2,
-            )
-        _write_meta(cfg, "regression nb", [out_path])
-    click.echo(
-        f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
+    if not os.path.exists(counts_file):
+        raise MissingArtifactError(f"counts file not found: {counts_file}")
+    counts, exposure = [], []
+    with open(counts_file, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "count" not in reader.fieldnames:
+            raise InputFormatError(f"{counts_file}: expected a count column")
+        has_exposure = "exposure" in reader.fieldnames
+        for row in reader:
+            with parsing(counts_file, reader.line_num):
+                counts.append(int(row["count"]))
+                if has_exposure:
+                    exposure.append(float(row["exposure"]))
+    fit = countreg.nb_fit(
+        counts, np.zeros((len(counts), 0)), columns=[],
+        exposure=exposure if exposure else None,
     )
+    out_path = cfg.artifact("nb.json")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {"terms": list(fit.summary_rows()), "theta": fit.theta,
+             "loglik": fit.loglik, "aic": fit.aic}, fh, indent=2,
+        )
+    return [out_path], f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
 
 
-@main.command()
-@_config_option
+@_stage(main, "ttest")
 @click.option("--a-file", required=True, type=str, help="CSV with a value column.")
 @click.option("--b-file", required=True, type=str, help="CSV with a value column.")
-@command_wrapper
-def ttest(config_path, a_file, b_file):
+def ttest(cfg, a_file, b_file):
     """Two-sided Welch t-test between two value files."""
     from . import countreg
 
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        def read_values(path):
-            if not os.path.exists(path):
-                raise MissingArtifactError(f"value file not found: {path}")
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None or "value" not in reader.fieldnames:
-                    raise InputFormatError(f"{path}: expected a value column")
-                values = []
-                for row in reader:
-                    with parsing(path, reader.line_num):
-                        values.append(float(row["value"]))
-                return values
+    def read_values(path):
+        if not os.path.exists(path):
+            raise MissingArtifactError(f"value file not found: {path}")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "value" not in reader.fieldnames:
+                raise InputFormatError(f"{path}: expected a value column")
+            values = []
+            for row in reader:
+                with parsing(path, reader.line_num):
+                    values.append(float(row["value"]))
+            return values
 
-        result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
-        out_path = cfg.artifact("ttest.json")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"statistic": result.statistic, "df": result.df,
-                 "p_value": result.p_value, "mean_a": result.mean_a,
-                 "mean_b": result.mean_b}, fh, indent=2,
-            )
-        _write_meta(cfg, "ttest", [out_path])
-    click.echo(
+    result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
+    out_path = cfg.artifact("ttest.json")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {"statistic": result.statistic, "df": result.df,
+             "p_value": result.p_value, "mean_a": result.mean_a,
+             "mean_b": result.mean_b}, fh, indent=2,
+        )
+    return [out_path], (
         f"ttest: t={result.statistic:.3f} df={result.df:.1f} "
         f"p={result.p_value:.4g} -> {out_path}"
     )
@@ -801,18 +731,12 @@ def synth_group():
     """Synthetic-data commands."""
 
 
-@synth_group.command("gen")
-@_config_option
-@command_wrapper
-def synth_gen(config_path):
+@_stage(synth_group, "gen")
+def synth_gen(cfg):
     """Generate a synthetic corpus with gold labels into the output dir."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        scfg = synth.SynthConfig(seed=cfg.param("seed", 0))
-        corpus = synth.gen_corpus(scfg)
-        paths = synth.write_corpus(corpus, cfg.output_dir)
-        _write_meta(cfg, "synth gen", list(paths.values()))
-    click.echo(
+    corpus = synth.gen_corpus(synth.SynthConfig(seed=cfg.param("seed", 0)))
+    paths = synth.write_corpus(corpus, cfg.output_dir)
+    return list(paths.values()), (
         f"synth gen: {len(corpus.notes)} notes, {len(corpus.gold_relations)} gold "
         f"candidates -> {cfg.output_dir}"
     )
@@ -823,42 +747,33 @@ def report():
     """Reporting commands."""
 
 
-@report.command("forest")
-@_config_option
-@command_wrapper
-def report_forest(config_path):
+@_stage(report, "forest")
+def report_forest(cfg):
     """Format a Cox fit artifact as a forest-table CSV."""
-    cfg = load_config(config_path)
-    with _Lock(cfg.output_dir):
-        cox_path = cfg.artifact("cox.json")
-        if not os.path.exists(cox_path):
-            raise MissingArtifactError(
-                f"Cox fit not found: {cox_path} (run 'survival cox' first)"
-            )
-        with open(cox_path, encoding="utf-8") as fh, parsing(cox_path):
-            fit = json.load(fh)
-            if not (isinstance(fit, dict) and isinstance(fit.get("groups", {}), dict)
-                    and isinstance(fit.get("terms", []), list)):
-                raise TypeError("expected an object with a groups object and a terms list")
-            terms = {t["term"]: t for t in fit.get("terms", [])}
-            rows = []
-            for system, g in sorted(fit.get("groups", {}).items()):
-                term = terms.get(f"implant_system={system}")
-                if term is None:
-                    stats = ["", "", "", ""]  # reference level
-                else:
-                    stats = [f"{term['HR']:.3f}", f"{term['CI_low']:.3f}",
-                             f"{term['CI_high']:.3f}", f"{term['p']:.4g}"]
-                rows.append([system, g["n_patients"], g["n_events"],
-                             f"{g['person_years']:.1f}", *stats])
-        out_path = cfg.artifact("forest.csv")
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["system", "n_patients", "n_events", "person_years",
-                        "HR", "CI_low", "CI_high", "p"])
-            w.writerows(rows)
-        _write_meta(cfg, "report forest", [out_path])
-    click.echo(f"report forest: {len(rows)} rows -> {out_path}")
+    cox_path = _require(cfg, "cox.json")
+    with open(cox_path, encoding="utf-8") as fh, parsing(cox_path):
+        fit = json.load(fh)
+        if not (isinstance(fit, dict) and isinstance(fit.get("groups", {}), dict)
+                and isinstance(fit.get("terms", []), list)):
+            raise TypeError("expected an object with a groups object and a terms list")
+        terms = {t["term"]: t for t in fit.get("terms", [])}
+        rows = []
+        for system, g in sorted(fit.get("groups", {}).items()):
+            term = terms.get(f"implant_system={system}")
+            if term is None:
+                stats = ["", "", "", ""]  # reference level
+            else:
+                stats = [f"{term['HR']:.3f}", f"{term['CI_low']:.3f}",
+                         f"{term['CI_high']:.3f}", f"{term['p']:.4g}"]
+            rows.append([system, g["n_patients"], g["n_events"],
+                         f"{g['person_years']:.1f}", *stats])
+    out_path = cfg.artifact("forest.csv")
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["system", "n_patients", "n_events", "person_years",
+                    "HR", "CI_low", "CI_high", "p"])
+        w.writerows(rows)
+    return [out_path], f"report forest: {len(rows)} rows -> {out_path}"
 
 
 if __name__ == "__main__":

@@ -324,19 +324,27 @@ _MENTION_FIELDS = ("char_start", "char_end", "entity_type", "canonical_id", "sub
 
 
 def write_candidates(cands, path) -> None:
-    """Write candidates as JSONL, one object per candidate. Tokens and
-    surfaces are not stored: ``read_candidates`` rebuilds them from the
-    sentence text exactly as ``preprocess`` and ``tag_entities`` do."""
+    """Write candidates as JSONL, one object per candidate. A sentence is
+    written once, as ``[text, char_start, char_end]`` in the first candidate
+    drawn from it; a later candidate gives its index among the file's
+    sentences. Tokens and surfaces are not stored: ``read_candidates``
+    rebuilds them from the sentence text exactly as ``preprocess`` and
+    ``tag_entities`` do."""
+    index: dict[tuple, int] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for c in cands:
             s = c.sentence
+            span = (s.text, s.char_start, s.char_end)
+            ref = index.get(span)
+            if ref is None:
+                index[span] = len(index)
             rec = {
                 "candidate_id": c.candidate_id,
                 "relation_type": c.relation_type,
                 "note_id": c.note_id,
                 "section": c.section_header,
                 "date_bins": list(c.date_bins),
-                "sentence": [s.text, s.char_start, s.char_end],
+                "sentence": list(span) if ref is None else ref,
             }
             for key, m in (("arg1", c.arg1), ("arg2", c.arg2)):
                 rec[key] = {f: getattr(m, f) for f in _MENTION_FIELDS}
@@ -356,14 +364,23 @@ def _read_mention(sentence: Sentence, rec: dict) -> EntityMention:
 
 def read_candidates(path) -> list[RelationCandidate]:
     """Read a file written by ``write_candidates``; a damaged line raises
-    ``InputFormatError`` naming it."""
+    ``InputFormatError`` naming it. Each sentence is tokenized once and
+    shared by its candidates."""
     out: list[RelationCandidate] = []
+    sentences: list[Sentence] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             with parsing(path, lineno):
                 rec = json.loads(line)
-                text, start, end = rec["sentence"]
-                sentence = Sentence(text, start, end, tokenize(text, offset=start))
+                ref = rec["sentence"]
+                if isinstance(ref, list):
+                    text, start, end = ref
+                    sentences.append(Sentence(text, start, end, tokenize(text, offset=start)))
+                    sentence = sentences[-1]
+                elif type(ref) is int and 0 <= ref < len(sentences):
+                    sentence = sentences[ref]
+                else:
+                    raise ValueError(f"no sentence {ref!r} before this line")
                 out.append(
                     RelationCandidate(
                         relation_type=rec["relation_type"],

@@ -50,6 +50,16 @@ def _stderr_json(result):
     return json.loads(result.stderr.strip().splitlines()[-1])
 
 
+def _command_tree(group, prefix=()):
+    out = set()
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            out |= _command_tree(cmd, prefix + (name,))
+        else:
+            out.add(prefix + (name,))
+    return out
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, runner, tmp_path):
         cfg = _write_config(tmp_path, tmp_path / "out", extra={"mystery": 1})
@@ -83,6 +93,25 @@ class TestConfigValidation:
         err = _stderr_json(result)
         assert err["code"] == "config"
         assert f"params.{key}" in err["message"]
+
+    # Each value would end training in a traceback or run it on a meaningless
+    # setting; the config is refused before any artifact is read.
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("epochs", 0), ("epochs", -3), ("learning_rate", 0),
+        ("learning_rate", -0.5), ("l2", -1e-4), ("threshold", -0.1), ("threshold", 1.5),
+    ])
+    def test_param_out_of_range(self, runner, tmp_path, key, value):
+        cfg = _write_config(tmp_path, tmp_path / "out", params={key: value})
+        result = runner.invoke(main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert f"params.{key}" in err["message"]
+
+    def test_param_range_includes_its_bounds(self, tmp_path):
+        for params in ({"epochs": 1, "batch_size": 1, "l2": 0, "threshold": 0},
+                       {"learning_rate": 1e-9, "threshold": 1}):
+            cli.load_config(_write_config(tmp_path, tmp_path / "out", params=params))
 
     def test_integer_accepted_for_float_param(self, tmp_path):
         cfg = cli.load_config(
@@ -255,6 +284,52 @@ class TestArtifacts:
         assert result.exit_code == 4
         assert "run 'candidates' first" in _stderr_json(result)["message"]
 
+    # Each command that reads an artifact of another, and that other command.
+    @pytest.mark.parametrize("command,producer", [
+        (["lf", "apply"], "candidates"), (["lf", "stats"], "lf apply"),
+        (["labelmodel", "fit"], "lf apply"), (["train"], "labelmodel fit"),
+        (["predict"], "train"), (["eval"], "predict"), (["reconcile"], "synth gen"),
+        (["events", "merge"], "cohort"), (["survival", "km"], "cohort"),
+        (["survival", "logrank"], "cohort"), (["survival", "cox"], "cohort"),
+        (["report", "forest"], "survival cox"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_missing_upstream_names_producer(self, runner, tmp_path, command, producer):
+        cfg = _write_config(tmp_path, tmp_path / "out")
+        result = runner.invoke(main, command + ["--config", cfg])
+        assert result.exit_code == 4, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "missing_artifact"
+        assert f"(run '{producer}' first)" in err["message"]
+
+    def test_meta_lists_every_file_written(self, runner, tmp_path, small_corpus_dir):
+        # Every command, run in order in one output directory: the files each
+        # one adds are the outputs its run record names.
+        _, paths, _ = small_corpus_dir
+        inputs = _surveillance_inputs(tmp_path / "in")
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, params={"lf_set": "benchmark", "seed": 0}, paths={
+            "notes": paths["notes"], "gold_relations": paths["gold_relations"],
+            "dev_gold": paths["gold_relations"], "registry": paths["registry"],
+            "patients": inputs["patients"], "text_events": inputs["text_events"]})
+        options = {("regression", "nb"): ["--counts-file", inputs["counts"]],
+                   ("ttest",): ["--a-file", inputs["a"], "--b-file", inputs["b"]]}
+        commands = [("synth", "gen"), ("candidates",), ("lf", "apply"), ("lf", "stats"),
+                    ("labelmodel", "fit"), ("train",), ("predict",), ("eval",), ("reconcile",),
+                    ("cohort",), ("events", "merge"), ("survival", "km"),
+                    ("survival", "logrank"), ("survival", "cox"), ("report", "forest"),
+                    ("regression", "nb"), ("ttest",)]
+        assert set(commands) == _command_tree(main)
+        for command in commands:
+            before = set(os.listdir(outdir)) if outdir.exists() else set()
+            argv = [*command, "--config", cfg, *options.get(command, [])]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, (command, result.output)
+            meta_name = "_".join(command) + ".meta.json"
+            meta = json.loads((outdir / meta_name).read_text())
+            assert meta["command"] == " ".join(command)
+            added = set(os.listdir(outdir)) - before - {meta_name}
+            assert added == {os.path.basename(p) for p in meta["outputs"]}, command
+
     def test_damaged_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
         outdir = tmp_path / "out"
@@ -315,6 +390,32 @@ def _chain(runner, tmp_path, paths, commands):
     for cmd in commands:
         assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
     return outdir, cfg
+
+
+def _surveillance_inputs(directory):
+    """Seeded patients, text events, NB counts and two t-test value files for
+    the surveillance commands; returns their paths."""
+    rng = np.random.default_rng(0)
+    directory.mkdir()
+    patients = ["patient_id,birth_date,sex,race,ethnicity,cci,last_contact_date,procedures"]
+    text = ["patient_id,class,date,source,provenance"]
+    for i in range(80):
+        procedures = f"CPT:27130:2010-01-{1 + i % 28:02d}"
+        if rng.random() < 0.4:
+            procedures += f";CPT:27134:{2011 + i % 3}-06-01"
+            text.append(f"p{i},revision,{2011 + i % 3}-06-10,text,note:{i}")
+        birth, sex, cci = 1940 + rng.integers(30), "FM"[rng.integers(2)], rng.integers(4)
+        patients.append(f"p{i},{birth}-03-01,{sex},White,Unknown,{cci},2015-01-01,{procedures}")
+    files = {
+        "patients": "\n".join(patients),
+        "text_events": "\n".join(text),
+        "counts": "patient_id,count\n" + "".join(f"p{i},{rng.poisson(2)}\n" for i in range(40)),
+        "a": "value\n1\n2\n3\n",
+        "b": "value\n2\n3\n5\n",
+    }
+    for name, content in files.items():
+        (directory / f"{name}.csv").write_text(content + "\n")
+    return {name: str(directory / f"{name}.csv") for name in files}
 
 
 def _truncate(path, size):
@@ -666,6 +767,18 @@ class TestStartup:
         assert result.exit_code == 0
         assert doc in result.output
 
+    @pytest.mark.parametrize("command", sorted(_command_tree(main)), ids=" ".join)
+    def test_every_command_has_help(self, runner, command):
+        # Its own --help shows a description, and so does its group's listing.
+        group = main
+        for name in command[:-1]:
+            group = group.commands[name]
+        doc = group.commands[command[-1]].help
+        assert doc and doc.strip()
+        assert doc.split()[0] in runner.invoke(main, [*command, "--help"]).output
+        listing = runner.invoke(main, [*command[:-1], "--help"]).output
+        assert re.search(rf"^  {command[-1]} +\S", listing, re.M), listing
+
 
 def _readme_commands():
     """Every `devicesurv <cmd> [<sub>]` in README's bash blocks, with
@@ -681,16 +794,6 @@ def _readme_commands():
         names = list(itertools.takewhile(lambda w: not w.startswith("-"), words[1:]))
         found.update(itertools.product(*(name.split("|") for name in names)))
     return found
-
-
-def _command_tree(group, prefix=()):
-    out = set()
-    for name, cmd in group.commands.items():
-        if isinstance(cmd, click.Group):
-            out |= _command_tree(cmd, prefix + (name,))
-        else:
-            out.add(prefix + (name,))
-    return out
 
 
 class TestDocs:

@@ -273,7 +273,19 @@ class TestCandidateFile:
             assert np.array_equal(read.votes, orig.votes)
             assert read.lf_errors == orig.lf_errors
 
-    @pytest.mark.parametrize("damage", ["missing_field", "bad_subcategory"])
+    def test_sentence_written_once(self, synth_corpus, tmp_path):
+        cands = synth_corpus.candidates
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(cands, path)
+        refs = [json.loads(line)["sentence"] for line in path.read_text().splitlines()]
+        written = [tuple(r) for r in refs if isinstance(r, list)]
+        distinct = {(c.sentence.text, c.sentence.char_start, c.sentence.char_end)
+                    for c in cands}
+        assert len(written) == len(distinct) < len(cands)
+        assert [written[r] if isinstance(r, int) else tuple(r) for r in refs] == [
+            (c.sentence.text, c.sentence.char_start, c.sentence.char_end) for c in cands]
+
+    @pytest.mark.parametrize("damage", ["missing_field", "bad_subcategory", "sentence_ahead"])
     def test_damaged_line_names_it(self, synth_corpus, tmp_path, damage):
         path = tmp_path / "candidates.jsonl"
         write_candidates(synth_corpus.candidates[:3], path)
@@ -281,8 +293,10 @@ class TestCandidateFile:
         rec = json.loads(lines[1])
         if damage == "missing_field":
             del rec["arg2"]["token_end"]
-        else:
+        elif damage == "bad_subcategory":
             rec["arg1"]["subcategory"] = "revision"
+        else:  # a sentence index no earlier line defines
+            rec["sentence"] = 2
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputFormatError, match="candidates.jsonl:2"):

@@ -230,17 +230,22 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _gradient(w, b, X, p, l2):
+    """P(true) of each row of the CSR ``X``, and the gradient in ``w`` and
+    ``b`` of the noise-aware loss with L2 term ``l2 * ||w||^2``."""
+    s = _sigmoid(matvec(X, w) + b)
+    resid = s - p
+    return s, rmatvec(X, resid) + 2 * l2 * w, float(np.sum(resid))
+
+
 def loss_and_grad(w, b, X, p, l2):
-    """Noise-aware cross-entropy with L2: summed over rows, lambda * ||w||^2."""
-    z = X @ w + b
-    s = _sigmoid(z)
+    """Noise-aware cross-entropy with L2 over the CSR ``X``: summed over
+    rows, lambda * ||w||^2."""
+    s, grad_w, grad_b = _gradient(w, b, X, p, l2)
     eps = 1e-12
     loss = -float(np.sum(p * np.log(s + eps) + (1 - p) * np.log(1 - s + eps)))
     loss += l2 * float(w @ w)
-    resid = s - p
-    grad_w = X.T @ resid + 2 * l2 * w
-    grad_b = float(np.sum(resid))
-    return loss, np.asarray(grad_w).ravel(), grad_b
+    return loss, grad_w, grad_b
 
 
 def train_noise_aware(
@@ -300,11 +305,9 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
         rng.shuffle(order)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            Xb = X.rows(batch)
-            z = matvec(Xb, w) + b
-            resid = _sigmoid(z) - p[batch]
-            grad_w = rmatvec(Xb, resid) + 2 * config.l2 * (len(batch) / n) * w
-            grad_b = float(np.sum(resid))
+            # The batch carries its share of the L2 term.
+            _, grad_w, grad_b = _gradient(
+                w, b, X.rows(batch), p[batch], config.l2 * (len(batch) / n))
             scale = config.learning_rate / len(batch)
             w -= scale * grad_w
             b -= scale * grad_b

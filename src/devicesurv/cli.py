@@ -35,6 +35,7 @@ from .errors import (
     InputFormatError,
     MissingArtifactError,
     parsing,
+    read_csv,
 )
 from .extraction import (
     extract_candidates,
@@ -500,17 +501,7 @@ def cohort(cfg):
     records = outcomes.patients_from_csv(cfg.path("patients"))
     selected, coded_events = outcomes.select_cohort(records)
     out_path = cfg.artifact("cohort.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["patient_id", "index_date", "last_contact_date",
-                    "age_band", "sex", "race", "ethnicity", "cci"])
-        for pid in sorted(selected):
-            pat = selected[pid]
-            w.writerow(
-                [pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
-                + [pat.covariates.get(k, "") for k in
-                   ("age_band", "sex", "race", "ethnicity", "cci")]
-            )
+    outcomes.cohort_to_csv(selected, out_path)
     events_path = cfg.artifact("coded_events.csv")
     outcomes.events_to_csv(coded_events, events_path)
     return [out_path, events_path], (
@@ -544,25 +535,7 @@ def _load_survival_dataset(
 ) -> outcomes.SurvivalDataset:
     """The cohort's survival dataset; with ``group_by``, each subject's group
     label is that cohort.csv column ("Unknown" if the column is absent)."""
-    cohort_path = _require(cfg, "cohort.csv")
-    from datetime import date
-
-    cohort: dict[str, outcomes.CohortPatient] = {}
-    labels: dict[str, str] = {}
-    with open(cohort_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            with parsing(cohort_path, reader.line_num):
-                cohort[row["patient_id"]] = outcomes.CohortPatient(
-                    patient_id=row["patient_id"],
-                    index_date=date.fromisoformat(row["index_date"]),
-                    last_contact_date=date.fromisoformat(row["last_contact_date"]),
-                    covariates={
-                        k: row[k] for k in ("age_band", "sex", "race", "ethnicity", "cci")
-                    },
-                )
-            if group_by is not None:
-                labels[row["patient_id"]] = row.get(group_by, "Unknown")
+    cohort = outcomes.cohort_from_csv(_require(cfg, "cohort.csv"))
     evts = outcomes.events_from_csv(_require(cfg, "merged_events.csv"))
     spec = [
         outcomes.Covariate("age_band", reference="40-49"),
@@ -573,7 +546,7 @@ def _load_survival_dataset(
         cohort, evts, cfg.param("outcome_class", "revision"), spec
     )
     if group_by is not None:
-        ds.groups = [labels[pid] for pid in ds.subject_ids]
+        ds.groups = [cohort[pid].covariates.get(group_by, "Unknown") for pid in ds.subject_ids]
     return ds
 
 
@@ -668,17 +641,10 @@ def regression_nb(cfg, counts_file):
 
     if not os.path.exists(counts_file):
         raise MissingArtifactError(f"counts file not found: {counts_file}")
-    counts, exposure = [], []
-    with open(counts_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "count" not in reader.fieldnames:
-            raise InputFormatError(f"{counts_file}: expected a count column")
-        has_exposure = "exposure" in reader.fieldnames
-        for row in reader:
-            with parsing(counts_file, reader.line_num):
-                counts.append(int(row["count"]))
-                if has_exposure:
-                    exposure.append(float(row["exposure"]))
+    rows = read_csv(counts_file, ("count",), lambda row: (
+        int(row["count"]), float(row["exposure"]) if "exposure" in row else None))
+    counts = [count for count, _ in rows]
+    exposure = [e for _, e in rows if e is not None]
     fit = countreg.nb_fit(
         counts, np.zeros((len(counts), 0)), columns=[],
         exposure=exposure if exposure else None,
@@ -702,15 +668,7 @@ def ttest(cfg, a_file, b_file):
     def read_values(path):
         if not os.path.exists(path):
             raise MissingArtifactError(f"value file not found: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "value" not in reader.fieldnames:
-                raise InputFormatError(f"{path}: expected a value column")
-            values = []
-            for row in reader:
-                with parsing(path, reader.line_num):
-                    values.append(float(row["value"]))
-            return values
+        return read_csv(path, ("value",), lambda row: float(row["value"]))
 
     result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
     out_path = cfg.artifact("ttest.json")

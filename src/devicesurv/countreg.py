@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError, FitError
+from .outcomes import Covariate, build_design
 
 log = logging.getLogger(__name__)
 
@@ -185,26 +186,15 @@ class CutoffContext:
     reference: str | None = None
 
 
-def _system_design(systems, system_counts, cutoff, reference):
-    collapsed = [
-        s if system_counts.get(s, 0) >= cutoff else OTHER_SYSTEM for s in systems
-    ]
-    levels = sorted(set(collapsed))
-    ref = reference if reference in levels else levels[0]
-    nonref = [lv for lv in levels if lv != ref]
-    X = np.zeros((len(collapsed), len(nonref)))
-    for j, lv in enumerate(nonref):
-        X[:, j] = [1.0 if s == lv else 0.0 for s in collapsed]
-    return X, [f"implant_system={lv}" for lv in nonref], collapsed
-
-
 def fit_with_cutoff(system_counts, cutoff, ctx: CutoffContext) -> NBFit:
-    Xs, names, _ = _system_design(ctx.systems, system_counts, cutoff, ctx.reference)
+    """Fit with systems seen fewer than ``cutoff`` times pooled as "Other
+    system", dummy-coded against ``ctx.reference``, then ``ctx.extra_X``."""
+    rows = [{"implant_system": s if system_counts.get(s, 0) >= cutoff else OTHER_SYSTEM}
+            for s in ctx.systems]
+    X, names = build_design(rows, [Covariate("implant_system", ctx.reference)])
     if ctx.extra_X is not None:
-        X = np.column_stack([Xs, ctx.extra_X]) if Xs.size else ctx.extra_X
-        names = names + list(ctx.extra_columns or [])
-    else:
-        X = Xs if Xs.size else np.zeros((len(ctx.systems), 0))
+        X = np.column_stack([X, ctx.extra_X])
+        names += list(ctx.extra_columns or [])
     return nb_fit(ctx.counts, X, columns=names, exposure=ctx.exposure)
 
 

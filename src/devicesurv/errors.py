@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the CSV table reader
+that reports a bad row as one."""
+
+import csv
 
 
 class DeviceSurvError(Exception):
@@ -59,3 +62,22 @@ class parsing:
             else:
                 where, context = f"{self.path}:{self.line}", {"line": self.line}
             raise InputFormatError(f"{where}: cannot parse ({exc!r})", context=context) from exc
+
+
+def read_csv(path, columns, parse_row) -> list:
+    """``parse_row(row)`` for each row of the CSV file ``path``, the row a
+    dict keyed by the header. A header without every name in ``columns``
+    stops the reader; so does a row ``parse_row`` cannot parse, naming the
+    line the row ends on (a quoted field may span lines). Both are
+    ``InputFormatError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InputFormatError(f"{path}: missing columns {missing}",
+                                   context={"path": str(path)})
+        out = []
+        for row in reader:
+            with parsing(path, reader.line_num):
+                out.append(parse_row(row))
+        return out

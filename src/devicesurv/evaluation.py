@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputFormatError, parsing
+from .errors import ConfigError, read_csv
 
 
 @dataclass(frozen=True)
@@ -120,19 +119,14 @@ def read_gold(path) -> dict[str, int]:
     """Gold labels from a CSV with a candidate_id column and a label (or
     gold) column; duplicate ids are an error."""
     out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "candidate_id" not in reader.fieldnames:
-            raise InputFormatError(f"{path}: expected a candidate_id column")
-        label_col = "label" if "label" in reader.fieldnames else "gold"
-        if label_col not in reader.fieldnames:
-            raise InputFormatError(f"{path}: expected a label column")
-        for row in reader:
-            cid = row["candidate_id"]
-            if cid in out:
-                raise InputFormatError(f"{path}: duplicate candidate_id {cid!r}")
-            with parsing(path, reader.line_num):
-                out[cid] = int(row[label_col])
+
+    def add(row):
+        cid = row["candidate_id"]
+        if cid in out:
+            raise ValueError(f"duplicate candidate_id {cid!r}")
+        out[cid] = int(row["label"] if "label" in row else row["gold"])
+
+    read_csv(path, ("candidate_id",), add)
     return out
 
 
@@ -147,23 +141,13 @@ def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
 
 def read_scores(path) -> dict[str, int]:
     """The predicted_label column of a scores.csv, keyed by candidate_id."""
-    out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not {"candidate_id", "predicted_label"} <= set(reader.fieldnames or ()):
-            raise InputFormatError(
-                f"{path}: expected candidate_id and predicted_label columns",
-                context={"path": str(path)},
-            )
-        for row in reader:
-            if row["predicted_label"] not in ("0", "1"):
-                raise InputFormatError(
-                    f"{path}: line {reader.line_num}: predicted_label must be 0 or 1, "
-                    f"found {row['predicted_label']!r}",
-                    context={"path": str(path)},
-                )
-            out[row["candidate_id"]] = int(row["predicted_label"])
-    return out
+
+    def label(row):
+        if row["predicted_label"] not in ("0", "1"):
+            raise ValueError(f"predicted_label must be 0 or 1, found {row['predicted_label']!r}")
+        return row["candidate_id"], int(row["predicted_label"])
+
+    return dict(read_csv(path, ("candidate_id", "predicted_label"), label))
 
 
 def metrics_to_csv(metrics: Metrics, path) -> None:

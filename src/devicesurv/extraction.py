@@ -324,12 +324,13 @@ _MENTION_FIELDS = ("char_start", "char_end", "entity_type", "canonical_id", "sub
 
 
 def write_candidates(cands, path) -> None:
-    """Write candidates as JSONL, one object per candidate. A sentence is
-    written once, as ``[text, char_start, char_end]`` in the first candidate
-    drawn from it; a later candidate gives its index among the file's
-    sentences. Tokens and surfaces are not stored: ``read_candidates``
-    rebuilds them from the sentence text exactly as ``preprocess`` and
-    ``tag_entities`` do."""
+    """Write candidates as JSONL, one object per candidate; each argument
+    mention is an array of its ``_MENTION_FIELDS`` then its sorted
+    attributes. A sentence is written once, as ``[text, char_start,
+    char_end]`` in the first candidate drawn from it; a later candidate
+    gives its index among the file's sentences. Tokens and surfaces are not
+    stored: ``read_candidates`` rebuilds them from the sentence text exactly
+    as ``preprocess`` and ``tag_entities`` do."""
     index: dict[tuple, int] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for c in cands:
@@ -347,18 +348,19 @@ def write_candidates(cands, path) -> None:
                 "sentence": list(span) if ref is None else ref,
             }
             for key, m in (("arg1", c.arg1), ("arg2", c.arg2)):
-                rec[key] = {f: getattr(m, f) for f in _MENTION_FIELDS}
-                rec[key]["attributes"] = sorted(m.attributes)
+                rec[key] = [getattr(m, f) for f in _MENTION_FIELDS] + [sorted(m.attributes)]
             fh.write(json.dumps(rec) + "\n")
 
 
-def _read_mention(sentence: Sentence, rec: dict) -> EntityMention:
-    cs, ce = rec["char_start"], rec["char_end"]
+def _read_mention(sentence: Sentence, rec: list) -> EntityMention:
+    *values, attributes = rec
+    fields = dict(zip(_MENTION_FIELDS, values, strict=True))
+    cs, ce = fields["char_start"], fields["char_end"]
     return EntityMention(
         sentence=sentence,
         surface=sentence.text[cs - sentence.char_start : ce - sentence.char_start],
-        attributes=set(rec["attributes"]),
-        **{f: rec[f] for f in _MENTION_FIELDS},
+        attributes=set(attributes),
+        **fields,
     )
 
 

@@ -15,7 +15,7 @@ from datetime import date, datetime
 
 import numpy as np
 
-from .errors import ConfigError, InputFormatError, parsing
+from .errors import ConfigError, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -161,6 +161,38 @@ def patient_covariates(rec: PatientRecord, index_date: date) -> dict[str, str]:
     }
 
 
+def match_by_date(left, right, key, when, window_days: int):
+    """Greedy one-to-one matching of ``left`` to ``right`` items with equal
+    ``key(item)`` whose dates ``when(item)`` lie at most ``window_days``
+    apart. For each key in sorted order, yields ``(key, pairs, unpaired
+    left, unpaired right)``. Pairs are taken in order of gap, then earlier
+    date, then input order; unpaired items keep their input order."""
+    groups: dict = {}
+    for side, items in enumerate((left, right)):
+        for item in items:
+            groups.setdefault(key(item), ([], []))[side].append(item)
+    for k in sorted(groups):
+        ls, rs = groups[k]
+        ldates, rdates = [when(a) for a in ls], [when(b) for b in rs]
+        candidates = []
+        for i, ld in enumerate(ldates):
+            for j, rd in enumerate(rdates):
+                gap = abs((ld - rd).days)
+                if gap <= window_days:
+                    candidates.append((gap, min(ld, rd), i, j))
+        candidates.sort()
+        used_l: set[int] = set()
+        used_r: set[int] = set()
+        pairs = []
+        for _gap, _first, i, j in candidates:
+            if i not in used_l and j not in used_r:
+                used_l.add(i)
+                used_r.add(j)
+                pairs.append((ls[i], rs[j]))
+        yield (k, pairs, [a for i, a in enumerate(ls) if i not in used_l],
+               [b for j, b in enumerate(rs) if j not in used_r])
+
+
 def merge_events(coded, text, window_days: int = 90) -> list[Event]:
     """Merge coded and text events of the same (patient, class) within the
     window into one event at the earlier timestamp with source "both".
@@ -172,43 +204,23 @@ def merge_events(coded, text, window_days: int = 90) -> list[Event]:
             seen.setdefault((e.patient_id, e.event_class, e.timestamp), e)
         return list(seen.values())
 
-    coded = dedupe(coded)
-    text = dedupe(text)
-    groups: dict[tuple[str, str], tuple[list, list]] = {}
-    for e in coded:
-        groups.setdefault((e.patient_id, e.event_class), ([], []))[0].append(e)
-    for e in text:
-        groups.setdefault((e.patient_id, e.event_class), ([], []))[1].append(e)
     merged: list[Event] = []
-    for (_pid, _cls), (cs, ts) in sorted(groups.items()):
-        cs.sort(key=lambda e: e.timestamp)
-        ts.sort(key=lambda e: e.timestamp)
-        pairs = []
-        for i, ce in enumerate(cs):
-            for j, te in enumerate(ts):
-                delta = abs((ce.timestamp - te.timestamp).days)
-                if delta <= window_days:
-                    pairs.append((delta, ce.timestamp, te.timestamp, i, j))
-        pairs.sort()
-        used_c: set[int] = set()
-        used_t: set[int] = set()
-        for _delta, _ct, _tt, i, j in pairs:
-            if i in used_c or j in used_t:
-                continue
-            used_c.add(i)
-            used_t.add(j)
-            ce, te = cs[i], ts[j]
-            merged.append(
-                Event(
-                    patient_id=ce.patient_id,
-                    event_class=ce.event_class,
-                    timestamp=min(ce.timestamp, te.timestamp),
-                    source="both",
-                    provenance=f"{ce.provenance}+{te.provenance}",
-                )
+    for _key, pairs, coded_only, text_only in match_by_date(
+        dedupe(coded), dedupe(text), lambda e: (e.patient_id, e.event_class),
+        lambda e: e.timestamp, window_days,
+    ):
+        merged.extend(
+            Event(
+                patient_id=ce.patient_id,
+                event_class=ce.event_class,
+                timestamp=min(ce.timestamp, te.timestamp),
+                source="both",
+                provenance=f"{ce.provenance}+{te.provenance}",
             )
-        merged.extend(cs[i] for i in range(len(cs)) if i not in used_c)
-        merged.extend(ts[j] for j in range(len(ts)) if j not in used_t)
+            for ce, te in pairs
+        )
+        merged.extend(coded_only)
+        merged.extend(text_only)
     merged.sort(key=lambda e: (e.patient_id, e.event_class, e.timestamp))
     return merged
 
@@ -314,61 +326,75 @@ def build_survival_dataset(
     )
 
 
+_EVENT_COLUMNS = ("patient_id", "class", "date", "source", "provenance")
+
+
 def events_to_csv(events, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["patient_id", "class", "date", "source", "provenance"])
+        w.writerow(_EVENT_COLUMNS)
         for e in events:
             w.writerow([e.patient_id, e.event_class, e.timestamp.isoformat(), e.source, e.provenance])
 
 
 def events_from_csv(path) -> list[Event]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "class", "date", "source", "provenance"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InputFormatError(f"{path}: expected columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            with parsing(path, lineno):
-                out.append(
-                    Event(
+    return read_csv(path, _EVENT_COLUMNS,
+                    lambda row: Event(
                         patient_id=row["patient_id"],
                         event_class=row["class"],
                         timestamp=datetime.fromisoformat(row["date"]).date(),
                         source=row["source"],
                         provenance=row["provenance"],
-                    )
-                )
-    return out
+                    ))
 
 
 def patients_from_csv(path) -> list[PatientRecord]:
     """Per-patient CSV: patient_id, birth_date, sex, race, ethnicity, cci,
     last_contact_date, procedures (semicolon-joined system:code:date)."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "birth_date", "sex", "race", "ethnicity", "cci",
-                    "last_contact_date", "procedures"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InputFormatError(f"{path}: expected columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            with parsing(path, lineno):
-                procedures = []
-                for item in filter(None, (row["procedures"] or "").split(";")):
-                    system, code, when = item.split(":")
-                    procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
-                out.append(
-                    PatientRecord(
-                        patient_id=row["patient_id"],
-                        birth_date=date.fromisoformat(row["birth_date"]),
-                        sex=row["sex"],
-                        race=row["race"],
-                        ethnicity=row["ethnicity"],
-                        procedures=procedures,
-                        cci=int(row["cci"]),
-                        last_contact_date=date.fromisoformat(row["last_contact_date"]),
-                    )
-                )
-    return out
+
+    def record(row):
+        procedures = []
+        for item in filter(None, (row["procedures"] or "").split(";")):
+            system, code, when = item.split(":")
+            procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
+        return PatientRecord(
+            patient_id=row["patient_id"],
+            birth_date=date.fromisoformat(row["birth_date"]),
+            sex=row["sex"],
+            race=row["race"],
+            ethnicity=row["ethnicity"],
+            procedures=procedures,
+            cci=int(row["cci"]),
+            last_contact_date=date.fromisoformat(row["last_contact_date"]),
+        )
+
+    return read_csv(path, ("patient_id", "birth_date", "sex", "race", "ethnicity", "cci",
+                           "last_contact_date", "procedures"), record)
+
+
+# cohort.csv: the id, the two dates, then the covariates patient_covariates makes.
+COHORT_COLUMNS = ("patient_id", "index_date", "last_contact_date",
+                  "age_band", "sex", "race", "ethnicity", "cci")
+
+
+def cohort_to_csv(cohort: dict[str, CohortPatient], path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(COHORT_COLUMNS)
+        for pid in sorted(cohort):
+            pat = cohort[pid]
+            w.writerow([pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
+                       + [pat.covariates.get(k, "") for k in COHORT_COLUMNS[3:]])
+
+
+def cohort_from_csv(path) -> dict[str, CohortPatient]:
+    """The cohort written by ``cohort_to_csv``; every column but the id and
+    the two dates is a covariate."""
+    fixed = COHORT_COLUMNS[:3]
+
+    def patient(row):
+        covariates = {k: v for k, v in row.items() if k not in fixed}
+        return CohortPatient(row["patient_id"], date.fromisoformat(row["index_date"]),
+                             date.fromisoformat(row["last_contact_date"]), covariates)
+
+    return {p.patient_id: p for p in read_csv(path, fixed, patient)}

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from datetime import date, datetime
 
-from .errors import ConfigError, InputFormatError, parsing
+from .errors import ConfigError, InputFormatError, read_csv
+from .outcomes import match_by_date
 
 COMPONENT_ROLES = ("acetabular", "femoral", "other")
 
@@ -122,46 +123,23 @@ class ReconciliationReport:
 def reconcile_registry(extracted, registry, date_tolerance_days: int = 30) -> ReconciliationReport:
     """Match per (patient_id, component_role) by nearest surgery date within
     tolerance, then score matched pairs on (manufacturer, model) equality."""
-    groups: dict[tuple[str, str], tuple[list, list]] = {}
-    for rec in extracted:
-        groups.setdefault((rec.patient_id, rec.component_role), ([], []))[0].append(rec)
-    for rec in registry:
-        groups.setdefault((rec.patient_id, rec.component_role), ([], []))[1].append(rec)
-
     entries: list[ReconciliationEntry] = []
-    for (pid, role), (ext_recs, reg_recs) in sorted(groups.items()):
-        pairs = []
-        for i, er in enumerate(ext_recs):
-            for j, rr in enumerate(reg_recs):
-                delta = abs((er.surgery_date - rr.surgery_date).days)
-                if delta <= date_tolerance_days:
-                    tie = (min(er.surgery_date, rr.surgery_date), max(er.surgery_date, rr.surgery_date))
-                    pairs.append((delta, tie, i, j))
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        used_e: set[int] = set()
-        used_r: set[int] = set()
-        for _delta, _tie, i, j in pairs:
-            if i in used_e or j in used_r:
-                continue
-            used_e.add(i)
-            used_r.add(j)
-            er, rr = ext_recs[i], reg_recs[j]
+    for (pid, role), pairs, ext_only, reg_only in match_by_date(
+        extracted, registry, lambda r: (r.patient_id, r.component_role),
+        lambda r: r.surgery_date, date_tolerance_days,
+    ):
+        for er, rr in pairs:
             status = (
                 STATUS_AGREEMENT
                 if (er.manufacturer, er.model) == (rr.manufacturer, rr.model)
                 else STATUS_CONFLICT
             )
             entries.append(ReconciliationEntry(pid, role, status, er, rr))
-        for i, er in enumerate(ext_recs):
-            if i not in used_e:
-                entries.append(
-                    ReconciliationEntry(pid, role, STATUS_MISSING_IN_REGISTRY, er, None)
-                )
-        for j, rr in enumerate(reg_recs):
-            if j not in used_r:
-                entries.append(
-                    ReconciliationEntry(pid, role, STATUS_MISSING_IN_EXTRACTION, None, rr)
-                )
+        entries.extend(
+            ReconciliationEntry(pid, role, STATUS_MISSING_IN_REGISTRY, er, None) for er in ext_only)
+        entries.extend(
+            ReconciliationEntry(pid, role, STATUS_MISSING_IN_EXTRACTION, None, rr)
+            for rr in reg_only)
     return ReconciliationReport(entries=entries)
 
 
@@ -181,27 +159,19 @@ def registry_to_csv(records, path) -> None:
 def load_registry_csv(path) -> list[RegistryRecord]:
     """CSV columns: patient_id, surgery_date (ISO-8601), component_role,
     manufacturer, model."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = set(_REGISTRY_COLUMNS)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InputFormatError(f"{path}: expected columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            with parsing(path, lineno):
-                when = datetime.fromisoformat(row["surgery_date"]).date()
-                # RegistryRecord's own checks raise ConfigError, which names no line.
-                if row["component_role"] not in COMPONENT_ROLES:
-                    raise ValueError(f"unknown component_role {row['component_role']!r}")
-                if not row["manufacturer"] or not row["model"]:
-                    raise ValueError("manufacturer and model must be nonempty")
-            out.append(
-                RegistryRecord(
-                    patient_id=row["patient_id"],
-                    surgery_date=when,
-                    component_role=row["component_role"],
-                    manufacturer=row["manufacturer"],
-                    model=row["model"],
-                )
-            )
-    return out
+
+    def record(row):
+        # RegistryRecord's own checks raise ConfigError, which names no line.
+        if row["component_role"] not in COMPONENT_ROLES:
+            raise ValueError(f"unknown component_role {row['component_role']!r}")
+        if not row["manufacturer"] or not row["model"]:
+            raise ValueError("manufacturer and model must be nonempty")
+        return RegistryRecord(
+            patient_id=row["patient_id"],
+            surgery_date=datetime.fromisoformat(row["surgery_date"]).date(),
+            component_role=row["component_role"],
+            manufacturer=row["manufacturer"],
+            model=row["model"],
+        )
+
+    return read_csv(path, _REGISTRY_COLUMNS, record)

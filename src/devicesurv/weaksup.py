@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, InputFormatError, parsing
+from .errors import ConfigError, FitError, InputFormatError, parsing, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -342,15 +342,5 @@ def labels_to_csv(labels, path) -> None:
 
 
 def labels_from_csv(path) -> list[ProbabilisticLabel]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("candidate_id"):
-            raise InputFormatError(f"{path}: expected candidate_id,p_true header")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            with parsing(path, lineno):
-                cid, p = line.rstrip("\n").split(",")
-                out.append(ProbabilisticLabel(cid, float(p)))
-    return out
+    return read_csv(path, ("candidate_id", "p_true"),
+                    lambda row: ProbabilisticLabel(row["candidate_id"], float(row["p_true"])))

@@ -137,7 +137,7 @@ class TestWeakSupervisionBenefit:
 class TestClassifierCorrectness:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(15, 4))
+        X = sparse.csr_matrix(rng.normal(size=(15, 4)))
         p = rng.uniform(size=15)
         w = rng.normal(scale=0.3, size=4)
         b = 0.1
@@ -159,7 +159,7 @@ class TestClassifierCorrectness:
 
     def test_hard_label_training_matches_convex_oracle(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(20, 5))
+        X = sparse.csr_matrix(rng.normal(size=(20, 5)))
         p = (rng.uniform(size=20) < 0.5).astype(float)  # hard, non-separable via L2
         l2 = 0.1
 
@@ -172,7 +172,7 @@ class TestClassifierCorrectness:
             options={"ftol": 1e-15, "gtol": 1e-12},
         )
         config = clf.TrainConfig(seed=0, epochs=20000, learning_rate=0.05, l2=l2, batch_size=20)
-        w, b = clf.train_on_matrix(sparse.csr_matrix(X), p, config, 5)
+        w, b = clf.train_on_matrix(X, p, config, 5)
         assert np.allclose(w, oracle.x[:-1], atol=1e-3)
         assert abs(b - oracle.x[-1]) < 1e-3
 

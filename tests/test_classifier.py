@@ -121,10 +121,11 @@ class TestSerialization:
 
 
 def _small_problem(seed=0, n=20, d=5):
+    """A dense problem stored as CSR, the input loss_and_grad takes."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     p = rng.uniform(size=n)
-    return X, p
+    return sparse.csr_matrix(X), p
 
 
 class TestObjective:
@@ -179,6 +180,30 @@ class TestObjective:
         loss, _, _ = clf.loss_and_grad(w, b, X, p, l2)
         assert loss <= opt.fun + 1e-3
         assert np.allclose(w, opt.x[:-1], atol=1e-2)
+
+    def test_accepts_design_matrix(self, pain_candidates):
+        X = clf.design_matrix(pain_candidates)
+        dense = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).toarray()
+        p = np.array([0.9, 0.1, 0.6, 0.3])
+        w = np.zeros(X.shape[1])
+        w[X.indices] = np.linspace(-0.5, 0.5, len(X.indices))
+        _, grad_w, grad_b = clf.loss_and_grad(w, 0.1, X, p, 0.05)
+        resid = 1.0 / (1.0 + np.exp(-(dense @ w + 0.1))) - p
+        assert np.allclose(grad_w, dense.T @ resid + 0.1 * w, rtol=1e-12, atol=1e-15)
+        assert grad_b == pytest.approx(resid.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_full_batch_step_is_the_gradient_step(self, pain_candidates, l2):
+        # train_on_matrix and loss_and_grad share one gradient: one epoch of
+        # one full batch from zero is exactly -learning_rate/n times it.
+        X = clf.design_matrix(pain_candidates)
+        p = np.array([0.9, 0.1, 0.6, 0.3])
+        config = clf.TrainConfig(seed=0, epochs=1, learning_rate=0.5, l2=l2, batch_size=4)
+        w, b = clf.train_on_matrix(X, p, config, X.shape[1])
+        _, grad_w, grad_b = clf.loss_and_grad(np.zeros(X.shape[1]), 0.0, X, p, l2)
+        scale = config.learning_rate / 4
+        assert np.array_equal(w, -(scale * grad_w))
+        assert b == -(scale * grad_b)
 
     def test_training_deterministic_per_seed(self):
         X, p = _small_problem(seed=4)

@@ -441,6 +441,8 @@ _DAMAGED_INPUTS = {
                        {"gold_relations": "gold.csv"}, ["eval"], "gold.csv", 3),
     "cohort_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-13-01")}, {},
                         ["survival", "km"], "cohort.csv", 3),
+    "cohort_no_last_contact": ({"cohort.csv": "patient_id,index_date,age_band\n"}, {},
+                               ["survival", "km"], "cohort.csv", 3),
     "events_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-01-01"),
                          "merged_events.csv": "patient_id,class,date,source,provenance\n"
                                               "p1,revision,2012-02-30,coded,CPT:27134\n"},
@@ -645,6 +647,39 @@ class TestStatsCommands:
         assert result.exit_code == 0
         payload = json.loads((outdir / "nb.json").read_text())
         assert payload["terms"][0]["term"] == "intercept"
+
+    def test_regression_nb_exposure_column(self, runner, tmp_path):
+        # Doubling every exposure lowers the intercept by log 2.
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir)
+        intercepts = []
+        for exposure in ("", ",1", ",2"):
+            counts_file = tmp_path / "counts.csv"
+            counts_file.write_text(
+                f"patient_id,count{',exposure' if exposure else ''}\n"
+                + "".join(f"p{i},{2 + i % 3}{exposure}\n" for i in range(40)))
+            result = runner.invoke(
+                main, ["regression", "nb", "--config", cfg, "--counts-file", str(counts_file)])
+            assert result.exit_code == 0, result.output
+            intercepts.append(json.loads((outdir / "nb.json").read_text())["terms"][0]["coef"])
+        assert intercepts[0] == intercepts[1]
+        assert intercepts[1] - intercepts[2] == pytest.approx(np.log(2), rel=1e-9)
+
+    def test_logrank_groups_by_further_cohort_column(self, runner, tmp_path):
+        # Any cohort.csv column after the id and dates is a covariate to group by.
+        rows = "".join(f"p{i},{'AB'[i % 2]},2010-01-01,2015-01-01,60-69,F,White,Unknown,none\n"
+                       for i in range(6))
+        (tmp_path / "cohort.csv").write_text(
+            "patient_id,implant_system,index_date,last_contact_date,age_band,sex,race,"
+            "ethnicity,cci\n" + rows)
+        (tmp_path / "merged_events.csv").write_text(
+            "patient_id,class,date,source,provenance\n"
+            "p1,revision,2012-02-01,coded,CPT:27134\np3,revision,2013-02-01,coded,CPT:27134\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        result = runner.invoke(
+            main, ["survival", "logrank", "--config", cfg, "--group-by", "implant_system"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "logrank.json").read_text())["df"] == 1
 
     def test_ttest(self, runner, tmp_path):
         a = tmp_path / "a.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from devicesurv import countreg
 from devicesurv.countreg import (
     OTHER_SYSTEM,
     THETA_CAP,
@@ -133,6 +134,19 @@ class TestCutoffSelection:
         system_counts, ctx = self._ctx()
         with pytest.raises(ConfigError):
             choose_other_cutoff(system_counts, [], ctx)
+
+    def test_design_pools_rare_systems_against_reference(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(countreg, "nb_fit",
+                            lambda counts, X, columns, exposure: seen.update(X=X, columns=columns))
+        ctx = CutoffContext(counts=np.ones(5), systems=["B", "A", "rare", "C", "A"],
+                            extra_X=np.arange(5.0).reshape(-1, 1), extra_columns=["age"],
+                            reference="B")
+        fit_with_cutoff({"A": 2, "B": 1, "C": 1, "rare": 0}, 1, ctx)
+        assert seen["columns"] == ["implant_system=A", "implant_system=C",
+                                   f"implant_system={OTHER_SYSTEM}", "age"]
+        assert np.array_equal(seen["X"], [[0, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 2],
+                                          [0, 1, 0, 3], [1, 0, 0, 4]])
 
     def test_extra_covariates_carried(self):
         system_counts, ctx = self._ctx()

@@ -10,6 +10,7 @@ from devicesurv import synth
 from devicesurv.corpus import RawNote, preprocess
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.extraction import (
+    _MENTION_FIELDS,
     RELATION_TYPES,
     apply_context,
     extract_candidates,
@@ -285,16 +286,29 @@ class TestCandidateFile:
         assert [written[r] if isinstance(r, int) else tuple(r) for r in refs] == [
             (c.sentence.text, c.sentence.char_start, c.sentence.char_end) for c in cands]
 
-    @pytest.mark.parametrize("damage", ["missing_field", "bad_subcategory", "sentence_ahead"])
+    def test_mention_written_as_array(self, synth_corpus, tmp_path):
+        cands = synth_corpus.candidates[:5]
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(cands, path)
+        for line, c in zip(path.read_text().splitlines(), cands):
+            rec = json.loads(line)
+            for key, m in (("arg1", c.arg1), ("arg2", c.arg2)):
+                assert rec[key] == [getattr(m, f) for f in _MENTION_FIELDS] + [
+                    sorted(m.attributes)]
+
+    @pytest.mark.parametrize("damage", ["missing_field", "extra_field", "bad_subcategory",
+                                        "sentence_ahead"])
     def test_damaged_line_names_it(self, synth_corpus, tmp_path, damage):
         path = tmp_path / "candidates.jsonl"
         write_candidates(synth_corpus.candidates[:3], path)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
         if damage == "missing_field":
-            del rec["arg2"]["token_end"]
+            del rec["arg2"][_MENTION_FIELDS.index("token_end")]
+        elif damage == "extra_field":
+            rec["arg2"].insert(0, 0)
         elif damage == "bad_subcategory":
-            rec["arg1"]["subcategory"] = "revision"
+            rec["arg1"][_MENTION_FIELDS.index("subcategory")] = "revision"
         else:  # a sentence index no earlier line defines
             rec["sentence"] = 2
         lines[1] = json.dumps(rec)

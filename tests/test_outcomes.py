@@ -20,8 +20,11 @@ from devicesurv.outcomes import (
     build_design,
     build_survival_dataset,
     categorize_cci,
+    cohort_from_csv,
+    cohort_to_csv,
     events_from_csv,
     events_to_csv,
+    match_by_date,
     merge_events,
     patients_from_csv,
     select_cohort,
@@ -189,9 +192,94 @@ class TestMergeEvents:
         n_both = sum(1 for e in merged if e.source == "both")
         assert len(merged) == n_coded + n_text - n_both
 
+    events = st.lists(
+        st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from(["pain", "infection"]),
+                  st.integers(min_value=0, max_value=30)),
+        max_size=8,
+    )
+
+    @given(events, events, st.integers(min_value=0, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_parent_merge(self, coded, text, window):
+        # Small date ranges give equal gaps, duplicate dates and window 0.
+        coded = [_event(p, c, d, "coded", f"c{i}") for i, (p, c, d) in enumerate(coded)]
+        text = [_event(p, c, d, "text", f"t{i}") for i, (p, c, d) in enumerate(text)]
+        assert merge_events(coded, text, window) == _parent_merge_events(coded, text, window)
+
     def test_empty_provenance_rejected(self):
         with pytest.raises(ConfigError):
             Event("p1", "pain", D0, "text", "")
+
+
+def _parent_merge_events(coded, text, window_days: int = 90) -> list[Event]:
+    """A verbatim copy of merge_events before it called match_by_date: the
+    oracle for the shared matcher."""
+
+    def dedupe(events):
+        seen = {}
+        for e in events:
+            seen.setdefault((e.patient_id, e.event_class, e.timestamp), e)
+        return list(seen.values())
+
+    coded = dedupe(coded)
+    text = dedupe(text)
+    groups: dict[tuple[str, str], tuple[list, list]] = {}
+    for e in coded:
+        groups.setdefault((e.patient_id, e.event_class), ([], []))[0].append(e)
+    for e in text:
+        groups.setdefault((e.patient_id, e.event_class), ([], []))[1].append(e)
+    merged: list[Event] = []
+    for (_pid, _cls), (cs, ts) in sorted(groups.items()):
+        cs.sort(key=lambda e: e.timestamp)
+        ts.sort(key=lambda e: e.timestamp)
+        pairs = []
+        for i, ce in enumerate(cs):
+            for j, te in enumerate(ts):
+                delta = abs((ce.timestamp - te.timestamp).days)
+                if delta <= window_days:
+                    pairs.append((delta, ce.timestamp, te.timestamp, i, j))
+        pairs.sort()
+        used_c: set[int] = set()
+        used_t: set[int] = set()
+        for _delta, _ct, _tt, i, j in pairs:
+            if i in used_c or j in used_t:
+                continue
+            used_c.add(i)
+            used_t.add(j)
+            ce, te = cs[i], ts[j]
+            merged.append(
+                Event(
+                    patient_id=ce.patient_id,
+                    event_class=ce.event_class,
+                    timestamp=min(ce.timestamp, te.timestamp),
+                    source="both",
+                    provenance=f"{ce.provenance}+{te.provenance}",
+                )
+            )
+        merged.extend(cs[i] for i in range(len(cs)) if i not in used_c)
+        merged.extend(ts[j] for j in range(len(ts)) if j not in used_t)
+    merged.sort(key=lambda e: (e.patient_id, e.event_class, e.timestamp))
+    return merged
+
+
+class TestMatchByDate:
+    def _match(self, left, right, window):
+        return list(match_by_date(left, right, lambda x: x[0], lambda x: D0 + timedelta(x[1]),
+                                  window))
+
+    def test_equal_gaps_take_the_earlier_date(self):
+        (group,) = self._match([("a", 10)], [("a", 15), ("a", 5)], 5)
+        assert group == ("a", [(("a", 10), ("a", 5))], [], [("a", 15)])
+
+    def test_equal_gap_and_date_take_input_order(self):
+        (group,) = self._match([("a", 10, "first"), ("a", 10, "second")], [("a", 10)], 0)
+        assert group == ("a", [(("a", 10, "first"), ("a", 10))], [("a", 10, "second")], [])
+
+    def test_keys_in_sorted_order_and_window_inclusive(self):
+        groups = self._match([("b", 0), ("a", 0)], [("a", 3), ("c", 0)], 3)
+        assert [g[0] for g in groups] == ["a", "b", "c"]
+        assert groups[0][1] == [(("a", 0), ("a", 3))]
+        assert groups[1][2] == [("b", 0)] and groups[2][3] == [("c", 0)]
 
 
 class TestBuildDesign:
@@ -305,6 +393,57 @@ class TestCsv:
             CodedProcedure("CPT", "27130", date(2010, 1, 1)),
             CodedProcedure("CPT", "27134", date(2012, 1, 1)),
         ]
+
+    def test_events_bad_row_after_multiline_field_names_its_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "patient_id,class,date,source,provenance\n"
+            'p1,pain,2012-01-01,text,"note\n7"\n'
+            "p1,pain,not-a-date,text,n8\n"
+        )
+        with pytest.raises(InputFormatError, match="events.csv:4") as exc:
+            events_from_csv(path)
+        assert exc.value.context == {"line": 4}
+
+    def test_patients_bad_row_after_multiline_field_names_its_line(self, tmp_path):
+        path = tmp_path / "patients.csv"
+        path.write_text(
+            "patient_id,birth_date,sex,race,ethnicity,cci,last_contact_date,procedures\n"
+            'p1,1950-06-01,M,"White\nEuropean",Unknown,0,2015-01-01,CPT:27130:2010-01-01\n'
+            "p2,not-a-date,M,White,Unknown,0,2015-01-01,CPT:27130:2010-01-01\n"
+        )
+        with pytest.raises(InputFormatError, match="patients.csv:4") as exc:
+            patients_from_csv(path)
+        assert exc.value.context == {"line": 4}
+
+    def test_cohort_round_trip(self, tmp_path):
+        cohort = {
+            pid: CohortPatient(pid, D0, D0 + timedelta(days=400),
+                               {"age_band": "60-69", "sex": "F", "race": "White",
+                                "ethnicity": "Unknown", "cci": cci})
+            for pid, cci in (("p2", "low"), ("p1", "none"))
+        }
+        path = tmp_path / "cohort.csv"
+        cohort_to_csv(cohort, path)
+        assert path.read_text().splitlines() == [
+            "patient_id,index_date,last_contact_date,age_band,sex,race,ethnicity,cci",
+            "p1,2010-01-01,2011-02-05,60-69,F,White,Unknown,none",
+            "p2,2010-01-01,2011-02-05,60-69,F,White,Unknown,low",
+        ]
+        assert cohort_from_csv(path) == cohort
+
+    def test_cohort_further_columns_are_covariates(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,implant_system,index_date,last_contact_date\n"
+                        "p1,VerSys,2010-01-01,2015-01-01\n")
+        assert cohort_from_csv(path) == {
+            "p1": CohortPatient("p1", D0, date(2015, 1, 1), {"implant_system": "VerSys"})}
+
+    def test_cohort_missing_column_names_file(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,index_date,age_band\np1,2010-01-01,60-69\n")
+        with pytest.raises(InputFormatError, match="cohort.csv.*last_contact_date"):
+            cohort_from_csv(path)
 
     def test_bad_procedure_entry(self, tmp_path):
         path = tmp_path / "patients.csv"

@@ -12,6 +12,8 @@ from devicesurv.reconcile import (
     STATUS_CONFLICT,
     STATUS_MISSING_IN_EXTRACTION,
     STATUS_MISSING_IN_REGISTRY,
+    ReconciliationEntry,
+    ReconciliationReport,
     RegistryRecord,
     canonicalize_implant,
     canonicalize_manufacturer,
@@ -191,6 +193,68 @@ class TestReconcile:
         assert sum(tight.values()) - matched_tight == len(ext) + len(reg) - 2 * matched_tight
 
 
+    records = st.lists(
+        st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from(["femoral", "acetabular"]),
+                  st.integers(min_value=0, max_value=12), st.sampled_from(["VerSys", "Pinnacle"])),
+        max_size=10,
+    )
+
+    @given(records, records, st.integers(min_value=0, max_value=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_parent_reconcile(self, left, right, tol):
+        # Small date ranges give equal gaps, duplicate dates and tolerance 0.
+        ext = [_rec(p, d, role, model=m) for p, role, d, m in left]
+        reg = [_rec(p, d, role, model=m) for p, role, d, m in right]
+        assert (reconcile_registry(ext, reg, tol).entries
+                == _parent_reconcile_registry(ext, reg, tol).entries)
+
+
+def _parent_reconcile_registry(extracted, registry, date_tolerance_days: int = 30):
+    """A verbatim copy of reconcile_registry before it called
+    outcomes.match_by_date: the oracle for the shared matcher."""
+    groups: dict[tuple[str, str], tuple[list, list]] = {}
+    for rec in extracted:
+        groups.setdefault((rec.patient_id, rec.component_role), ([], []))[0].append(rec)
+    for rec in registry:
+        groups.setdefault((rec.patient_id, rec.component_role), ([], []))[1].append(rec)
+
+    entries: list[ReconciliationEntry] = []
+    for (pid, role), (ext_recs, reg_recs) in sorted(groups.items()):
+        pairs = []
+        for i, er in enumerate(ext_recs):
+            for j, rr in enumerate(reg_recs):
+                delta = abs((er.surgery_date - rr.surgery_date).days)
+                if delta <= date_tolerance_days:
+                    tie = (min(er.surgery_date, rr.surgery_date), max(er.surgery_date, rr.surgery_date))
+                    pairs.append((delta, tie, i, j))
+        pairs.sort(key=lambda t: (t[0], t[1]))
+        used_e: set[int] = set()
+        used_r: set[int] = set()
+        for _delta, _tie, i, j in pairs:
+            if i in used_e or j in used_r:
+                continue
+            used_e.add(i)
+            used_r.add(j)
+            er, rr = ext_recs[i], reg_recs[j]
+            status = (
+                STATUS_AGREEMENT
+                if (er.manufacturer, er.model) == (rr.manufacturer, rr.model)
+                else STATUS_CONFLICT
+            )
+            entries.append(ReconciliationEntry(pid, role, status, er, rr))
+        for i, er in enumerate(ext_recs):
+            if i not in used_e:
+                entries.append(
+                    ReconciliationEntry(pid, role, STATUS_MISSING_IN_REGISTRY, er, None)
+                )
+        for j, rr in enumerate(reg_recs):
+            if j not in used_r:
+                entries.append(
+                    ReconciliationEntry(pid, role, STATUS_MISSING_IN_EXTRACTION, None, rr)
+                )
+    return ReconciliationReport(entries=entries)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "registry.csv"
@@ -216,6 +280,17 @@ class TestCsv:
         with pytest.raises(InputFormatError) as exc:
             load_registry_csv(path)
         assert exc.value.context == {"line": 2}
+
+    def test_bad_row_after_multiline_field_names_its_line(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text(
+            "patient_id,surgery_date,component_role,manufacturer,model\n"
+            'p1,2010-05-04,femoral,Zimmer Biomet,"Ver\nSys"\n'
+            "p2,not-a-date,femoral,Zimmer Biomet,VerSys\n"
+        )
+        with pytest.raises(InputFormatError, match="registry.csv:4") as exc:
+            load_registry_csv(path)
+        assert exc.value.context == {"line": 4}
 
     def test_report_csv_columns(self, tmp_path):
         report = reconcile_registry([_rec("p1", 0)], [_rec("p2", 0)])

@@ -23,10 +23,10 @@ from datetime import datetime
 import click
 import numpy as np
 
-# classifier, survival and countreg are imported by the commands that run
-# them (survival's p-values and countreg pull in scipy.special), so every
+# classifier, survival, countreg and synth are imported by the commands that
+# run them (survival's p-values and countreg pull in scipy.special), so every
 # other command starts without them.
-from . import evaluation, lf_lib, outcomes, reconcile, synth, weaksup
+from . import evaluation, lf_lib, outcomes, reconcile, weaksup
 from .corpus import ingest_notes, preprocess
 from .defaults import default_dictionaries, default_trigger_lexicon, load_implant_catalog
 from .errors import (
@@ -251,17 +251,27 @@ def _get_lfs(cfg: ProjectConfig):
     rtype = cfg.param("relation_type", "pain-anatomy")
     module_path = cfg.paths.get("lf_module")
     if module_path:
-        spec = importlib.util.spec_from_file_location("user_lfs", module_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        if not hasattr(module, "get_lfs"):
-            raise ConfigError(f"{module_path} must define get_lfs(relation_type)")
-        return list(module.get_lfs(rtype))
+        # The user's own code: a module that does not import or has no
+        # get_lfs, a get_lfs that raises, and anything but a list of
+        # LabelingFunction are config errors naming the file.
+        try:
+            spec = importlib.util.spec_from_file_location("user_lfs", module_path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            lfs = list(module.get_lfs(rtype))
+        except Exception as exc:
+            raise ConfigError(f"{module_path}: cannot get LFs from get_lfs(relation_type) "
+                              f"({exc!r})", context={"path": module_path}) from exc
+        for lf in lfs:
+            if not isinstance(lf, weaksup.LabelingFunction):
+                raise ConfigError(f"{module_path}: get_lfs returned {lf!r}, not a "
+                                  "LabelingFunction", context={"path": module_path})
+        return lfs
     lf_set = cfg.param("lf_set", "starter")
     if lf_set == "starter":
         return lf_lib.starter_lfs(rtype)
     if lf_set == "benchmark":
-        return synth.benchmark_lfs()
+        return lf_lib.benchmark_lfs()
     raise ConfigError(f"unknown lf_set {lf_set!r} (use 'starter' or 'benchmark')")
 
 
@@ -692,6 +702,8 @@ def synth_group():
 @_stage(synth_group, "gen")
 def synth_gen(cfg):
     """Generate a synthetic corpus with gold labels into the output dir."""
+    from . import synth
+
     corpus = synth.gen_corpus(synth.SynthConfig(seed=cfg.param("seed", 0)))
     paths = synth.write_corpus(corpus, cfg.output_dir)
     return list(paths.values()), (

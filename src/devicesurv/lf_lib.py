@@ -1,21 +1,13 @@
-"""Labeling-function primitives and the starter LF library.
+"""Labeling-function primitives and the starter and benchmark LF sets.
 
 Primitives read candidate markup (tokens between arguments, section header,
-ConText attributes, date bins) so heuristics stay one-liners. LFs are plain
-code: build them with the helpers here or write your own callables.
+ConText attributes) so heuristics stay one-liners. LFs are plain code: build
+them with the helpers here or write your own callables.
 """
 
 from __future__ import annotations
 
-import re
-
-from .extraction import (
-    ATTR_HISTORICAL,
-    ATTR_HYPOTHETICAL,
-    ATTR_NEGATED,
-    HISTORICAL_HEADERS,
-    RelationCandidate,
-)
+from .extraction import ATTR_HISTORICAL, HISTORICAL_HEADERS, RelationCandidate
 from .weaksup import ABSTAIN, FALSE, TRUE, LabelingFunction
 
 DEFAULT_REJECT_HEADERS = HISTORICAL_HEADERS
@@ -57,18 +49,6 @@ def has_attrib(c: RelationCandidate, attr: str) -> bool:
 
 def has_historical_attrib(c: RelationCandidate) -> bool:
     return has_attrib(c, ATTR_HISTORICAL)
-
-
-def has_negated_attrib(c: RelationCandidate) -> bool:
-    return has_attrib(c, ATTR_NEGATED)
-
-
-def has_hypothetical_attrib(c: RelationCandidate) -> bool:
-    return has_attrib(c, ATTR_HYPOTHETICAL)
-
-
-def past_date_bins(c: RelationCandidate) -> list[str]:
-    return [b for b in c.date_bins if b.startswith("-")]
 
 
 # --- builders -----------------------------------------------------------
@@ -139,26 +119,6 @@ def keyword_lf(
     return LabelingFunction(lf_id or f"lf_kw_{scope}_{'_'.join(sorted(kws))[:30]}", relation_type, fn)
 
 
-def regex_lf(relation_type: str, pattern: str, vote: int, lf_id: str | None = None) -> LabelingFunction:
-    """Vote when the regex matches the candidate's sentence text."""
-    rx = re.compile(pattern, re.IGNORECASE)
-
-    def fn(c):
-        return vote if rx.search(c.sentence.text) else ABSTAIN
-
-    return LabelingFunction(lf_id or f"lf_rx_{pattern[:20]}", relation_type, fn)
-
-
-def distance_lf(relation_type: str, max_distance: int, vote: int = FALSE,
-                lf_id: str | None = None) -> LabelingFunction:
-    """Vote when the arguments are further apart than max_distance tokens."""
-
-    def fn(c):
-        return vote if token_distance(c) > max_distance else ABSTAIN
-
-    return LabelingFunction(lf_id or f"lf_dist_gt_{max_distance}", relation_type, fn)
-
-
 def starter_lfs(relation_type: str) -> list[LabelingFunction]:
     """The three starter heuristics: contiguous entities TRUE, historical
     attribute FALSE, rejected section FALSE."""
@@ -166,4 +126,16 @@ def starter_lfs(relation_type: str) -> list[LabelingFunction]:
         contiguous_lf(relation_type),
         historical_lf(relation_type),
         reject_section_lf(relation_type),
+    ]
+
+
+def benchmark_lfs() -> list[LabelingFunction]:
+    """The synthetic benchmark's four pain-anatomy heuristics: a
+    partial-coverage TRUE keyword plus three rejections (negated, historical,
+    "monitor")."""
+    return [
+        keyword_lf("pain-anatomy", ["complains"], TRUE, scope="sentence", lf_id="lf_complains"),
+        attribute_lf("pain-anatomy", "negated", FALSE, lf_id="lf_negated"),
+        historical_lf("pain-anatomy"),
+        keyword_lf("pain-anatomy", ["monitor"], FALSE, scope="sentence", lf_id="lf_monitor"),
     ]

@@ -31,6 +31,8 @@ EVENT_CLASSES = (
 
 COMPLICATION_CLASSES = EVENT_CLASSES[:6]
 
+EVENT_SOURCES = ("coded", "text", "both")
+
 ANY_COMPLICATION = "any_complication"
 
 DEFAULT_PRIMARY_CODES = frozenset(
@@ -76,7 +78,7 @@ class Event:
     patient_id: str
     event_class: str
     timestamp: date
-    source: str  # "coded" | "text" | "both"
+    source: str  # one of EVENT_SOURCES
     provenance: str
 
     def __post_init__(self):
@@ -338,14 +340,23 @@ def events_to_csv(events, path) -> None:
 
 
 def events_from_csv(path) -> list[Event]:
-    return read_csv(path, _EVENT_COLUMNS,
-                    lambda row: Event(
-                        patient_id=row["patient_id"],
-                        event_class=row["class"],
-                        timestamp=datetime.fromisoformat(row["date"]).date(),
-                        source=row["source"],
-                        provenance=row["provenance"],
-                    ))
+    def record(row):
+        # Event's own check raises ConfigError, which names no line.
+        if row["class"] not in EVENT_CLASSES:
+            raise ValueError(f"unknown event class {row['class']!r}")
+        if row["source"] not in EVENT_SOURCES:
+            raise ValueError(f"unknown event source {row['source']!r}")
+        if not row["provenance"]:
+            raise ValueError("provenance must be nonempty")
+        return Event(
+            patient_id=row["patient_id"],
+            event_class=row["class"],
+            timestamp=datetime.fromisoformat(row["date"]).date(),
+            source=row["source"],
+            provenance=row["provenance"],
+        )
+
+    return read_csv(path, _EVENT_COLUMNS, record)
 
 
 def patients_from_csv(path) -> list[PatientRecord]:

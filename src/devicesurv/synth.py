@@ -1,28 +1,29 @@
 """Synthetic corpora, label matrices, and survival data with known truth.
 
 Everything here is template-driven and fully determined by a seed, so each
-pipeline stage has an oracle: generated notes round-trip through the real
-preprocessing/tagging code, gold labels are keyed by the resulting candidate
-ids, and survival/count data come from closed-form generators.
+pipeline stage has an oracle that does not come from the code under test.
+Gold relation labels are keyed by the character spans synth writes into each
+note, hashed with the documented candidate-id formula; the notes never pass
+through tagging here, so a term the extractor misses is a recall loss against
+gold. Survival and count data come from closed-form generators.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from .corpus import RawNote, preprocess
-from .defaults import default_dictionaries, default_trigger_lexicon
+from .corpus import RawNote
 from .errors import ConfigError
-from .extraction import extract_candidates
-from .lf_lib import attribute_lf, historical_lf, keyword_lf
 from .outcomes import CohortPatient, Event, SurvivalDataset, events_to_csv
 from .reconcile import RegistryRecord, registry_to_csv
-from .weaksup import ABSTAIN, FALSE, TRUE, LabelMatrix
+from .weaksup import ABSTAIN, LabelMatrix
 
 
 # --- label-matrix oracle -------------------------------------------------
@@ -99,81 +100,69 @@ DEFAULT_SYSTEMS = {
     "Depuy Pinnacle": {"manufacturer": "Depuy", "model": "Pinnacle", "hazard": 0.0004},
 }
 
+NOTES_PER_PATIENT = 4
+FOLLOWUP_DAYS = 1825
+BASE_DATE = date(2008, 1, 1)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
     n_patients: int = 120
-    notes_per_patient: int = 4
-    class_weights: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_WEIGHTS))
-    pain_slots: tuple = DEFAULT_PAIN_SLOTS
-    anatomy_slots: tuple = DEFAULT_ANATOMY_SLOTS
-    systems: dict = field(default_factory=lambda: {k: dict(v) for k, v in DEFAULT_SYSTEMS.items()})
-    followup_days: int = 1825
     registry_drop_rate: float = 0.0
     registry_variant_rate: float = 0.0
-    base_date: date = date(2008, 1, 1)
 
     def __post_init__(self):
-        for name, w in self.class_weights.items():
-            if name not in TEMPLATE_CLASSES:
-                raise ConfigError(f"unknown template class {name!r}")
-            if not 0.0 <= w <= 1.0:
-                raise ConfigError(f"class weight for {name!r} outside [0,1]")
         for rate in (self.registry_drop_rate, self.registry_variant_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError("corruption rates must lie in [0,1]")
 
 
-def _fill(template: str, slots: dict) -> str:
-    try:
-        return template.format(**slots)
-    except KeyError as exc:
-        raise ConfigError(f"template references unknown slot {exc}") from exc
+def _compose(template: str, terms: dict[str, str]):
+    """Fill each {slot} of ``template`` with ``terms[slot]``; return the text
+    and the character span of each slot's term in it."""
+    text, spans = "", {}
+    for literal, slot, _spec, _conv in string.Formatter().parse(template):
+        text += literal
+        if slot is not None:
+            spans[slot] = (len(text), len(text) + len(terms[slot]))
+            text += terms[slot]
+    return text, spans
+
+
+def _candidate_id(note_id: str, pain: tuple[int, int], anatomy: tuple[int, int]) -> str:
+    """The documented id of a pain-anatomy candidate: the first 16 hex digits
+    of the sha1 of ``note|relation|s:e|s:e`` over the two argument spans."""
+    raw = f"{note_id}|pain-anatomy|{pain[0]}:{pain[1]}|{anatomy[0]}:{anatomy[1]}"
+    return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
 class SynthCorpus:
     notes: list[RawNote]
     note_class: dict[str, str]  # note_id -> template class
-    gold_relations: dict[str, int]  # candidate_id -> gold label
+    gold_relations: dict[str, int]  # candidate_id -> gold label, in note order
     candidate_note: dict[str, str]  # candidate_id -> note_id
-    candidates: list
     events: list[Event]
     cohort: dict[str, CohortPatient]
     extracted_records: list[RegistryRecord]
     registry_records: list[RegistryRecord]
 
 
-def benchmark_lfs():
-    """The benchmark's three labeling functions: a partial-coverage TRUE
-    heuristic plus two attribute-based rejections."""
-    return [
-        keyword_lf("pain-anatomy", ["complains"], TRUE, scope="sentence", lf_id="lf_complains"),
-        attribute_lf("pain-anatomy", "negated", FALSE, lf_id="lf_negated"),
-        historical_lf("pain-anatomy"),
-        keyword_lf("pain-anatomy", ["monitor"], FALSE, scope="sentence", lf_id="lf_monitor"),
-    ]
-
-
 def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
-    """Generate notes, run the real extraction pipeline to key gold labels by
-    true candidate ids, and derive event timelines and registry records."""
+    """Generate notes with gold labels keyed by the spans written into them,
+    plus event timelines and registry records."""
     config = config or SynthConfig()
     rng = np.random.default_rng(config.seed)
-    classes = sorted(config.class_weights)
-    weights = np.array([config.class_weights[c] for c in classes], dtype=float)
-    if weights.sum() <= 0:
-        raise ConfigError("class weights must sum to a positive value")
+    classes = sorted(DEFAULT_CLASS_WEIGHTS)
+    weights = np.array([DEFAULT_CLASS_WEIGHTS[c] for c in classes], dtype=float)
     weights = weights / weights.sum()
-
-    dictionaries = default_dictionaries()
-    lexicon = default_trigger_lexicon()
 
     notes: list[RawNote] = []
     note_class: dict[str, str] = {}
-    system_names = sorted(config.systems)
-    patient_system: dict[str, str] = {}
+    gold: dict[str, int] = {}
+    candidate_note: dict[str, str] = {}
+    system_names = sorted(DEFAULT_SYSTEMS)
     cohort: dict[str, CohortPatient] = {}
     events: list[Event] = []
     extracted: list[RegistryRecord] = []
@@ -182,9 +171,8 @@ def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
     for p in range(config.n_patients):
         pid = f"P{p:05d}"
         system = system_names[int(rng.integers(len(system_names)))]
-        patient_system[pid] = system
-        index_date = config.base_date + timedelta(days=int(rng.integers(0, 365)))
-        last_contact = index_date + timedelta(days=config.followup_days)
+        index_date = BASE_DATE + timedelta(days=int(rng.integers(0, 365)))
+        last_contact = index_date + timedelta(days=FOLLOWUP_DAYS)
         cohort[pid] = CohortPatient(
             patient_id=pid,
             index_date=index_date,
@@ -192,9 +180,9 @@ def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
             covariates={"implant_system": system},
         )
         # Event timeline from the per-system exponential hazard.
-        hazard = float(config.systems[system]["hazard"])
-        t = rng.exponential(1.0 / hazard) if hazard > 0 else float("inf")
-        if t < config.followup_days:
+        info = DEFAULT_SYSTEMS[system]
+        t = rng.exponential(1.0 / info["hazard"])
+        if t < FOLLOWUP_DAYS:
             events.append(
                 Event(
                     patient_id=pid,
@@ -205,7 +193,6 @@ def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
                 )
             )
         # Registry truth plus configured corruption.
-        info = config.systems[system]
         truth = RegistryRecord(
             patient_id=pid,
             surgery_date=index_date,
@@ -229,15 +216,15 @@ def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
         else:
             registry.append(truth)
 
-        for v in range(config.notes_per_patient):
+        for v in range(NOTES_PER_PATIENT):
             note_id = f"{pid}-N{v}"
             cls = classes[int(rng.choice(len(classes), p=weights))]
-            template, _gold = TEMPLATE_CLASSES[cls]
-            slots = {
-                "pain": config.pain_slots[int(rng.integers(len(config.pain_slots)))],
-                "anatomy": config.anatomy_slots[int(rng.integers(len(config.anatomy_slots)))],
+            template, label = TEMPLATE_CLASSES[cls]
+            terms = {
+                "pain": DEFAULT_PAIN_SLOTS[int(rng.integers(len(DEFAULT_PAIN_SLOTS)))],
+                "anatomy": DEFAULT_ANATOMY_SLOTS[int(rng.integers(len(DEFAULT_ANATOMY_SLOTS)))],
             }
-            text = FILLER_SENTENCE + " " + _fill(template, slots)
+            text, spans = _compose(f"{FILLER_SENTENCE} {template}", terms)
             notes.append(
                 RawNote(
                     note_id=note_id,
@@ -250,24 +237,15 @@ def gen_corpus(config: SynthConfig | None = None) -> SynthCorpus:
                 )
             )
             note_class[note_id] = cls
-
-    gold: dict[str, int] = {}
-    candidate_note: dict[str, str] = {}
-    candidates = []
-    for note in notes:
-        doc = preprocess(note)
-        for cand in extract_candidates(doc, dictionaries, lexicon, relation_types=("pain-anatomy",)):
-            cls = note_class[note.note_id]
-            gold[cand.candidate_id] = TEMPLATE_CLASSES[cls][1]
-            candidate_note[cand.candidate_id] = note.note_id
-            candidates.append(cand)
+            cid = _candidate_id(note_id, spans["pain"], spans["anatomy"])
+            gold[cid] = label
+            candidate_note[cid] = note_id
 
     return SynthCorpus(
         notes=notes,
         note_class=note_class,
         gold_relations=gold,
         candidate_note=candidate_note,
-        candidates=candidates,
         events=events,
         cohort=cohort,
         extracted_records=extracted,

@@ -9,6 +9,7 @@ import pytest
 from devicesurv import synth
 from devicesurv.corpus import RawNote, preprocess
 from devicesurv.defaults import default_dictionaries, default_trigger_lexicon
+from devicesurv.extraction import extract_candidates
 
 # A worked reference note exercising sections, historical context, past
 # dates, and contiguous entity pairs.
@@ -51,3 +52,20 @@ def trigger_lexicon():
 @pytest.fixture(scope="session")
 def synth_corpus():
     return synth.gen_corpus(synth.SynthConfig(seed=0))
+
+
+@pytest.fixture(scope="session")
+def extract_notes(dictionaries, trigger_lexicon):
+    """The extractor's pain-anatomy candidates over some notes, as the
+    ``candidates`` command finds them."""
+
+    def extract(notes):
+        return [c for note in notes for c in extract_candidates(
+            preprocess(note), dictionaries, trigger_lexicon, relation_types=("pain-anatomy",))]
+
+    return extract
+
+
+@pytest.fixture(scope="session")
+def synth_candidates(synth_corpus, extract_notes):
+    return extract_notes(synth_corpus.notes)

@@ -88,20 +88,21 @@ class TestLabelModelRecovery:
 
 class TestWeakSupervisionBenefit:
     @pytest.mark.parametrize("seed", range(3))
-    def test_recall_gain_without_precision_loss(self, seed):
+    def test_recall_gain_without_precision_loss(self, seed, extract_notes):
         corpus = gen_corpus(SynthConfig(seed=seed))
+        candidates = extract_notes(corpus.notes)
         patients = sorted({n.patient_id for n in corpus.notes})
         train_p, dev_p, test_p = evaluation.split_documents(patients, seed=seed, sizes=(80, 20, 20))
 
         def subset(pids):
             return [
-                c for c in corpus.candidates
+                c for c in candidates
                 if corpus.candidate_note[c.candidate_id].split("-")[0] in pids
             ]
 
         train_c, dev_c, test_c = subset(train_p), subset(dev_p), subset(test_p)
         gold = corpus.gold_relations
-        lfs = synth.benchmark_lfs()
+        lfs = lf_lib.benchmark_lfs()
 
         # Weak labels on the training slice.
         matrix = weaksup.apply_lfs(train_c, lfs)

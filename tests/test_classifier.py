@@ -359,13 +359,13 @@ class TestActiveColumnTraining:
             assert np.count_nonzero(w_new) == np.unique(X.indices).size - 1
 
 
-def _scipy_cases(synth_corpus):
+def _scipy_cases(synth_candidates):
     """Hashed-problem matrices and a design matrix of synth candidates, as
     scipy CSR matrices."""
     for seed in range(3):
         for dim in (1 << 20, 1 << 12):
             yield _hashed_problem(seed, dim)[0]
-    X = clf.design_matrix(synth_corpus.candidates[:300])
+    X = clf.design_matrix(synth_candidates[:300])
     yield sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
@@ -375,9 +375,9 @@ def _numpy_csr(S):
 
 class TestNumpyCsr:
     # scipy.sparse is the oracle for the numpy CSR path the classifier runs on.
-    def test_row_gather_matches_scipy(self, synth_corpus):
+    def test_row_gather_matches_scipy(self, synth_candidates):
         rng = np.random.default_rng(0)
-        for S in _scipy_cases(synth_corpus):
+        for S in _scipy_cases(synth_candidates):
             X = _numpy_csr(S)
             n = S.shape[0]
             for rows in (rng.permutation(n), rng.integers(0, n, size=40), [n - 1], []):
@@ -387,17 +387,17 @@ class TestNumpyCsr:
                 assert np.array_equal(got.indices, want.indices)
                 assert np.array_equal(got.indptr, want.indptr)
 
-    def test_products_match_scipy_bit_for_bit(self, synth_corpus):
+    def test_products_match_scipy_bit_for_bit(self, synth_candidates):
         rng = np.random.default_rng(1)
-        for S in _scipy_cases(synth_corpus):
+        for S in _scipy_cases(synth_candidates):
             X = _numpy_csr(S)
             w = rng.normal(size=S.shape[1])
             r = rng.normal(size=S.shape[0])
             assert clf.matvec(X, w).tobytes() == (S @ w).tobytes()
             assert clf.rmatvec(X, r).tobytes() == (S.T @ r).tobytes()
 
-    def test_design_matrix_is_numpy_csr(self, synth_corpus):
-        X = clf.design_matrix(synth_corpus.candidates[:20])
+    def test_design_matrix_is_numpy_csr(self, synth_candidates):
+        X = clf.design_matrix(synth_candidates[:20])
         assert isinstance(X, clf.CSRMatrix)
         assert X.shape == (20, clf.FeatureConfig().dim)
         assert X.indices.dtype == X.indptr.dtype == np.int64

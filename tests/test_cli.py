@@ -156,9 +156,7 @@ class TestConfigValidation:
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
         records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
-        assert [r["candidate_id"] for r in records] == [
-            c.candidate_id for c in corpus.candidates
-        ]
+        assert [r["candidate_id"] for r in records] == list(corpus.gold_relations)
 
     @pytest.mark.parametrize("names", [["anatomy"], ["pain", "anatomy"]])
     def test_env_override_for_list_paths(self, runner, tmp_path, small_corpus_dir,
@@ -266,6 +264,43 @@ class TestArtifacts:
         assert result.exit_code == 2
         assert "class prior" in _stderr_json(result)["message"]
 
+    @pytest.mark.parametrize("source", [
+        "def get_lfs(relation_type:\n",  # a syntax error
+        "raise RuntimeError('boom')\n",  # fails on import
+        "X = 1\n",  # no get_lfs
+        "def get_lfs(relation_type):\n    raise KeyError(relation_type)\n",
+        "def get_lfs(relation_type):\n    return lambda c: 1\n",  # not a list
+        "def get_lfs(relation_type):\n    return [lambda c: 1]\n",  # not an LF
+    ], ids=["syntax", "import_raises", "no_get_lfs", "get_lfs_raises", "bare_function",
+            "list_of_functions"])
+    def test_broken_lf_module_exit_code(self, runner, tmp_path, small_corpus_dir, source):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"]])
+        module = tmp_path / "my_lfs.py"
+        module.write_text(source)
+        _write_config(tmp_path, outdir, paths={"notes": paths["notes"], "lf_module": module})
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert str(module) in err["message"]
+        assert not (outdir / "label_matrix.bin").exists()
+
+    def test_lf_module_supplies_the_lfs(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"]])
+        module = tmp_path / "my_lfs.py"
+        module.write_text("from devicesurv.lf_lib import starter_lfs\n\n"
+                          "def get_lfs(relation_type):\n"
+                          "    return starter_lfs(relation_type)[:2]\n")
+        _write_config(tmp_path, outdir, paths={"notes": paths["notes"], "lf_module": module})
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        from devicesurv.weaksup import LabelMatrix
+
+        matrix = LabelMatrix.load(outdir / "label_matrix.bin")
+        assert matrix.lf_ids == ["lf_contiguous_entities", "lf_historical"]
+
     def test_tag_and_candidates(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir
         outdir = tmp_path / "out"
@@ -273,9 +308,7 @@ class TestArtifacts:
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
         records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
-        assert [r["candidate_id"] for r in records] == [
-            c.candidate_id for c in corpus.candidates
-        ]
+        assert [r["candidate_id"] for r in records] == list(corpus.gold_relations)
 
     def test_missing_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
@@ -430,6 +463,8 @@ _PATIENTS_CSV = ("patient_id,birth_date,sex,race,ethnicity,cci,last_contact_date
                  "p1,{birth},M,White,Unknown,{cci},2015-01-01,CPT:27130:2010-01-01\n")
 _REGISTRY_CSV = ("patient_id,surgery_date,component_role,manufacturer,model\n"
                  "p1,2010-05-04,{role},Zimmer Biomet,VerSys\n")
+_EVENTS_CSV = "patient_id,class,date,source,provenance\n"
+_TEXT_EVENT = "p1,{cls},2012-02-03,{source},{provenance}\n"
 
 # case: (files written to the output directory, which also holds the config;
 # config paths naming them; command, where "{out}" is that directory; the
@@ -471,6 +506,21 @@ _DAMAGED_INPUTS = {
                               "registry.csv": _REGISTRY_CSV.format(role="femoral")
                                               .replace("VerSys", "")},
                              {"registry": "registry.csv"}, ["reconcile"], "registry.csv:2", 3),
+    "text_event_no_provenance": (
+        {"coded_events.csv": _EVENTS_CSV,
+         "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="text",
+                                                      provenance="")},
+        {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
+    "text_event_unknown_class": (
+        {"coded_events.csv": _EVENTS_CSV,
+         "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="bogus", source="text",
+                                                      provenance="note-1")},
+        {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
+    "text_event_unknown_source": (
+        {"coded_events.csv": _EVENTS_CSV,
+         "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="txt",
+                                                      provenance="note-1")},
+        {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
     "cox_not_object": ({"cox.json": "[]"}, {}, ["report", "forest"], "cox.json", 3),
     "cox_terms_not_list": ({"cox.json": '{"groups": {}, "terms": {"HR": 1}}'}, {},
                            ["report", "forest"], "cox.json", 3),
@@ -748,6 +798,15 @@ class TestStartup:
         modules = _modules_after("import devicesurv.cli")
         assert "devicesurv.cli" in modules
         assert "scipy" not in modules
+        assert "devicesurv.synth" not in modules
+
+    def test_synth_loads_no_extractor(self):
+        # synth only generates: it never tags its own notes, so its gold stays
+        # independent of the code that gold grades.
+        modules = _modules_after("import devicesurv.synth")
+        assert "devicesurv.synth" in modules
+        for name in ("extraction", "defaults", "lf_lib"):
+            assert f"devicesurv.{name}" not in modules
 
     def test_statistics_modules_load_no_scipy_stats(self):
         modules = _modules_after("import devicesurv.survival, devicesurv.countreg")

@@ -22,7 +22,7 @@ from devicesurv.extraction import (
     tag_entities,
     write_candidates,
 )
-from devicesurv.lf_lib import starter_lfs
+from devicesurv.lf_lib import benchmark_lfs, starter_lfs
 from devicesurv.weaksup import apply_lfs
 
 
@@ -94,8 +94,8 @@ class TestTagEntities:
         assert "Acetabular cup" in surfaces
         assert "polyethylene wear" in surfaces
 
-    def test_same_type_mentions_do_not_overlap(self, dictionaries, synth_corpus):
-        for cand in synth_corpus.candidates[:50]:
+    def test_same_type_mentions_do_not_overlap(self, dictionaries, synth_candidates):
+        for cand in synth_candidates[:50]:
             mentions = tag_entities(cand.sentence, dictionaries)
             by_type = {}
             for m in mentions:
@@ -237,10 +237,23 @@ class TestCandidates:
         assert a != b
 
 
+class TestRecallOracle:
+    # synth keys gold by the spans it wrote, never by what the extractor finds,
+    # so a slot term the dictionaries miss is a missing id here.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extraction_yields_exactly_the_gold_ids(self, extract_notes, seed):
+        corpus = synth.gen_corpus(synth.SynthConfig(seed=seed))
+        found = [c.candidate_id for c in extract_notes(corpus.notes)]
+        assert found == list(corpus.gold_relations)
+        written = " ".join(n.text for n in corpus.notes)
+        for term in synth.DEFAULT_PAIN_SLOTS + synth.DEFAULT_ANATOMY_SLOTS:
+            assert f" {term} " in written, term  # every slot term is exercised
+
+
 class TestCandidateFile:
-    def test_round_trip(self, synth_corpus, reference_doc, dictionaries, trigger_lexicon,
+    def test_round_trip(self, synth_candidates, reference_doc, dictionaries, trigger_lexicon,
                         tmp_path):
-        cands = synth_corpus.candidates + extract_candidates(
+        cands = synth_candidates + extract_candidates(
             reference_doc, dictionaries, trigger_lexicon, relation_types=RELATION_TYPES
         )
         path = tmp_path / "candidates.jsonl"
@@ -265,7 +278,7 @@ class TestCandidateFile:
 
         for rtype, lfs in (
             ("pain-anatomy", starter_lfs("pain-anatomy")),
-            ("pain-anatomy", synth.benchmark_lfs()),
+            ("pain-anatomy", benchmark_lfs()),
             ("implant-complication", starter_lfs("implant-complication")),
         ):
             orig = apply_lfs([c for c in cands if c.relation_type == rtype], lfs)
@@ -274,8 +287,8 @@ class TestCandidateFile:
             assert np.array_equal(read.votes, orig.votes)
             assert read.lf_errors == orig.lf_errors
 
-    def test_sentence_written_once(self, synth_corpus, tmp_path):
-        cands = synth_corpus.candidates
+    def test_sentence_written_once(self, synth_candidates, tmp_path):
+        cands = synth_candidates
         path = tmp_path / "candidates.jsonl"
         write_candidates(cands, path)
         refs = [json.loads(line)["sentence"] for line in path.read_text().splitlines()]
@@ -286,8 +299,8 @@ class TestCandidateFile:
         assert [written[r] if isinstance(r, int) else tuple(r) for r in refs] == [
             (c.sentence.text, c.sentence.char_start, c.sentence.char_end) for c in cands]
 
-    def test_mention_written_as_array(self, synth_corpus, tmp_path):
-        cands = synth_corpus.candidates[:5]
+    def test_mention_written_as_array(self, synth_candidates, tmp_path):
+        cands = synth_candidates[:5]
         path = tmp_path / "candidates.jsonl"
         write_candidates(cands, path)
         for line, c in zip(path.read_text().splitlines(), cands):
@@ -298,9 +311,9 @@ class TestCandidateFile:
 
     @pytest.mark.parametrize("damage", ["missing_field", "extra_field", "bad_subcategory",
                                         "sentence_ahead"])
-    def test_damaged_line_names_it(self, synth_corpus, tmp_path, damage):
+    def test_damaged_line_names_it(self, synth_candidates, tmp_path, damage):
         path = tmp_path / "candidates.jsonl"
-        write_candidates(synth_corpus.candidates[:3], path)
+        write_candidates(synth_candidates[:3], path)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
         if damage == "missing_field":

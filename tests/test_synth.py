@@ -5,6 +5,7 @@ import pytest
 
 from devicesurv import synth
 from devicesurv.errors import ConfigError
+from devicesurv.lf_lib import benchmark_lfs
 from devicesurv.reconcile import reconcile_registry
 from devicesurv.weaksup import ABSTAIN, apply_lfs
 
@@ -47,25 +48,30 @@ class TestLabelMatrixOracle:
 
 
 class TestCorpus:
-    def test_gold_keyed_by_real_candidate_ids(self, synth_corpus):
-        ids = {c.candidate_id for c in synth_corpus.candidates}
-        assert set(synth_corpus.gold_relations) == ids
-        assert set(synth_corpus.candidate_note) == ids
+    def test_gold_keyed_by_real_candidate_ids(self, synth_corpus, synth_candidates):
+        # Gold comes from the spans synth wrote, in note order; the extractor
+        # finds the same ids in the same order.
+        ids = [c.candidate_id for c in synth_candidates]
+        assert list(synth_corpus.gold_relations) == ids
+        assert list(synth_corpus.candidate_note) == ids
+        assert [synth_corpus.candidate_note[c] for c in ids] == [
+            c.note_id for c in synth_candidates]
 
-    def test_every_note_yields_one_candidate(self, synth_corpus):
+    def test_every_note_yields_one_candidate(self, synth_corpus, synth_candidates):
         # Each note holds exactly one template sentence with one pain-anatomy
         # pair, so candidates map one-to-one onto notes.
-        assert len(synth_corpus.candidates) == len(synth_corpus.notes)
+        assert len(synth_corpus.gold_relations) == len(synth_corpus.notes)
+        assert len(synth_candidates) == len(synth_corpus.notes)
 
     def test_gold_matches_template_class(self, synth_corpus):
         for cid, note_id in synth_corpus.candidate_note.items():
             cls = synth_corpus.note_class[note_id]
             assert synth_corpus.gold_relations[cid] == synth.TEMPLATE_CLASSES[cls][1]
 
-    def test_lf_votes_consistent_with_design(self, synth_corpus):
-        matrix = apply_lfs(synth_corpus.candidates, synth.benchmark_lfs())
+    def test_lf_votes_consistent_with_design(self, synth_corpus, synth_candidates):
+        matrix = apply_lfs(synth_candidates, benchmark_lfs())
         col = {lf_id: j for j, lf_id in enumerate(matrix.lf_ids)}
-        for i, cand in enumerate(synth_corpus.candidates):
+        for i, cand in enumerate(synth_candidates):
             cls = synth_corpus.note_class[synth_corpus.candidate_note[cand.candidate_id]]
             votes = matrix.votes[i]
             if cls == "pos_covered":
@@ -90,13 +96,17 @@ class TestCorpus:
         b = synth.gen_corpus(synth.SynthConfig(seed=6, n_patients=10))
         assert [n.text for n in a.notes] != [n.text for n in b.notes]
 
-    def test_unknown_template_class_rejected(self):
+    def test_corruption_rate_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            synth.SynthConfig(class_weights={"mystery": 1.0})
+            synth.SynthConfig(registry_drop_rate=1.5)
+        with pytest.raises(ConfigError):
+            synth.SynthConfig(registry_variant_rate=-0.1)
 
-    def test_unknown_slot_rejected(self):
-        with pytest.raises(ConfigError):
-            synth._fill("pain in the {elbow}", {"pain": "pain", "anatomy": "hip"})
+    def test_compose_spans_hold_the_terms(self):
+        text, spans = synth._compose("No {pain} in the {anatomy}.",
+                                     {"pain": "aching", "anatomy": "hip"})
+        assert text == "No aching in the hip."
+        assert spans == {"pain": (3, 9), "anatomy": (17, 20)}
 
     def test_no_corruption_registry_agrees(self, synth_corpus):
         report = reconcile_registry(

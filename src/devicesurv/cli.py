@@ -20,16 +20,27 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
-import click
-import numpy as np
+# One OpenBLAS thread unless the user chose a count, set before numpy is first
+# imported: the commands' matrix products are small, a second thread costs more
+# than it saves, and with one thread a fit's last digits do not depend on the
+# machine's core count.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import click  # noqa: E402
+import numpy as np  # noqa: E402
 
 # classifier, survival, countreg and synth are imported by the commands that
 # run them (survival's p-values and countreg pull in scipy.special), so every
 # other command starts without them.
-from . import evaluation, lf_lib, outcomes, reconcile, weaksup
-from .corpus import ingest_notes, preprocess
-from .defaults import default_dictionaries, default_trigger_lexicon, load_implant_catalog
-from .errors import (
+from . import evaluation, lf_lib, outcomes, reconcile, weaksup  # noqa: E402
+from .corpus import ingest_notes, preprocess  # noqa: E402
+from .defaults import (  # noqa: E402
+    default_dictionaries,
+    default_trigger_lexicon,
+    load_implant_catalog,
+)
+from .errors import (  # noqa: E402
     ConfigError,
     DeviceSurvError,
     InputFormatError,
@@ -37,7 +48,7 @@ from .errors import (
     parsing,
     read_csv,
 )
-from .extraction import (
+from .extraction import (  # noqa: E402
     extract_candidates,
     load_dictionary,
     load_trigger_lexicon,

@@ -4,6 +4,12 @@ Entities are tagged by longest-match dictionary lookup over tokens. Attributes
 (negated / historical / hypothetical) come from three sources that union:
 trigger scopes, section membership, and in-sentence past date mentions.
 Relation candidates are the typed Cartesian product of mentions in a sentence.
+
+Each ``Dictionary`` and ``TriggerLexicon`` is compiled once, when it is built,
+over lowercased token tuples: a dictionary into a token trie, a lexicon into
+an index of its triggers by first word with pre-normalised terminators. The
+per-sentence functions then read each sentence's tokens once and normalise no
+dictionary term or trigger phrase.
 """
 
 from __future__ import annotations
@@ -56,8 +62,12 @@ HISTORICAL_HEADERS = frozenset({"PAST MEDICAL HISTORY", "PAST SURGICAL HISTORY"}
 HISTORICAL_BIN_LEVEL = 3
 
 
+def _norm_words(term: str) -> tuple[str, ...]:
+    return tuple(t.text.lower() for t in tokenize(term))
+
+
 def _norm_term(term: str) -> str:
-    return " ".join(t.text.lower() for t in tokenize(term))
+    return " ".join(_norm_words(term))
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,21 @@ class DictEntry:
 
 @dataclass
 class Dictionary:
+    """Normalised term -> entry. ``trie`` is compiled from ``entries`` at
+    construction: nested ``{word: node}`` dicts, and the node a term ends at
+    holds its entry under the key ``None``. Build a new ``Dictionary`` rather
+    than edit ``entries``."""
+
     entries: dict[str, DictEntry]
+    trie: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.trie = {}
+        for key, entry in self.entries.items():
+            node = self.trie
+            for word in key.split(" "):
+                node = node.setdefault(word, {})
+            node[None] = entry
 
 
 def load_dictionary(path) -> Dictionary:
@@ -142,31 +166,32 @@ class EntityMention:
 
 def tag_entities(sentence: Sentence, dictionaries) -> list[EntityMention]:
     """Tag dictionary terms with longest-match-wins, left-to-right matching,
-    independently per entity type. Anatomy mentions absorb adjacent preceding
+    independently per entity type; on an equal term a later dictionary wins
+    within its type. Anatomy mentions absorb adjacent preceding
     laterality/position modifier tokens into their span."""
-    by_type: dict[str, dict[str, DictEntry]] = {}
-    for d in dictionaries:
-        for key, entry in d.entries.items():
-            by_type.setdefault(entry.entity_type, {})[key] = entry
     toks = sentence.tokens
     norm = [t.text.lower() for t in toks]
+    n = len(norm)
+    tries = [d.trie for d in dictionaries]
+    free: dict[str, int] = {}  # entity type -> first token after its last mention
     mentions: list[EntityMention] = []
-    for etype, table in by_type.items():
-        max_len = max((len(k.split()) for k in table), default=0)
-        i = 0
-        while i < len(toks):
-            matched = None
-            for length in range(min(max_len, len(toks) - i), 0, -1):
-                key = " ".join(norm[i : i + length])
-                entry = table.get(key)
+    for i in range(n):
+        longest: dict[str, tuple[int, DictEntry]] = {}  # type -> (token end, entry)
+        for trie in tries:
+            node, end = trie.get(norm[i]), i + 1
+            while node is not None:
+                entry = node.get(None)
                 if entry is not None:
-                    matched = (length, entry)
-                    break
-            if matched is None:
-                i += 1
+                    best = longest.get(entry.entity_type)
+                    if best is None or end >= best[0]:
+                        longest[entry.entity_type] = (end, entry)
+                node = node.get(norm[end]) if end < n else None
+                end += 1
+        for etype, (end_tok, entry) in longest.items():
+            if i < free.get(etype, 0):
                 continue
-            length, entry = matched
-            start_tok, end_tok = i, i + length
+            free[etype] = end_tok
+            start_tok = i
             if etype == "anatomy":
                 while start_tok > 0 and norm[start_tok - 1] in POSITION_MODIFIERS:
                     start_tok -= 1
@@ -184,7 +209,6 @@ def tag_entities(sentence: Sentence, dictionaries) -> list[EntityMention]:
                     token_end=end_tok,
                 )
             )
-            i = end_tok
     mentions.sort(key=lambda m: (m.char_start, m.char_end, m.entity_type))
     return mentions
 
@@ -202,7 +226,21 @@ TRIGGER_CATEGORIES = {"negation": ATTR_NEGATED, "historical": ATTR_HISTORICAL, "
 
 @dataclass
 class TriggerLexicon:
+    """``by_first_word`` is compiled from ``triggers`` at construction: the
+    first normalised word of a phrase -> (words, attribute, direction,
+    terminators as word tuples) of each trigger that starts with it. Build a
+    new ``TriggerLexicon`` rather than edit ``triggers``."""
+
     triggers: list[Trigger]
+    by_first_word: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_first_word = {}
+        for trig in self.triggers:
+            words = _norm_words(trig.phrase)
+            self.by_first_word.setdefault(words[0], []).append((
+                words, TRIGGER_CATEGORIES[trig.category], trig.direction,
+                tuple(_norm_words(t) for t in trig.terminators)))
 
 
 def load_trigger_lexicon(path) -> TriggerLexicon:
@@ -237,8 +275,7 @@ def load_trigger_lexicon(path) -> TriggerLexicon:
     return TriggerLexicon(triggers)
 
 
-def _find_phrase(norm_tokens, phrase: str) -> list[tuple[int, int]]:
-    words = _norm_term(phrase).split()
+def _find_phrase(norm_tokens: tuple, words: tuple) -> list[tuple[int, int]]:
     hits = []
     for i in range(len(norm_tokens) - len(words) + 1):
         if norm_tokens[i : i + len(words)] == words:
@@ -255,20 +292,22 @@ def apply_context(
 ) -> list[EntityMention]:
     """Union attributes onto mentions from trigger scopes, the section rule,
     and the past-date rule. Spans are never altered; attributes only grow."""
-    norm = [t.text.lower() for t in sentence.tokens]
+    norm = tuple(t.text.lower() for t in sentence.tokens)
 
-    for trig in lexicon.triggers:
-        attr = TRIGGER_CATEGORIES[trig.category]
-        for tstart, tend in _find_phrase(norm, trig.phrase):
-            if trig.direction in ("forward", "bidirectional"):
+    for tstart, word in enumerate(norm):
+        for words, attr, direction, terminators in lexicon.by_first_word.get(word, ()):
+            tend = tstart + len(words)
+            if norm[tstart:tend] != words:
+                continue
+            if direction in ("forward", "bidirectional"):
                 scope_end = min(len(norm), tend + CONTEXT_WINDOW)
-                scope_end = _truncate_forward(norm, tend, scope_end, trig.terminators)
+                scope_end = _truncate_forward(norm, tend, scope_end, terminators)
                 for m in mentions:
                     if tend <= m.token_start < scope_end:
                         m.attributes.add(attr)
-            if trig.direction in ("backward", "bidirectional"):
+            if direction in ("backward", "bidirectional"):
                 scope_start = max(0, tstart - CONTEXT_WINDOW)
-                scope_start = _truncate_backward(norm, scope_start, tstart, trig.terminators)
+                scope_start = _truncate_backward(norm, scope_start, tstart, terminators)
                 for m in mentions:
                     if scope_start <= m.token_end - 1 < tstart:
                         m.attributes.add(attr)
@@ -286,16 +325,18 @@ def apply_context(
 
 
 def _truncate_forward(norm, start, end, terminators) -> int:
-    for term in terminators:
-        for hs, _he in _find_phrase(norm[start:end], term):
+    for words in terminators:
+        for hs, _he in _find_phrase(norm[start:end], words):
             end = min(end, start + hs)
     return end
 
 
 def _truncate_backward(norm, start, end, terminators) -> int:
-    for term in terminators:
-        for _hs, he in _find_phrase(norm[start:end], term):
-            start = max(start, start + he)
+    # The scope starts after the last hit of each terminator in turn.
+    for words in terminators:
+        hits = _find_phrase(norm[start:end], words)
+        if hits:
+            start += hits[-1][1]
     return start
 
 

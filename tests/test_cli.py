@@ -781,16 +781,18 @@ class TestSynthCommand:
             assert (outdir / name).exists()
 
 
+def _fresh_stdout(code, env=os.environ):
+    """The stdout of ``code`` run by a fresh interpreter with ``env``."""
+    src = os.path.dirname(os.path.dirname(devicesurv.__file__))
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120).stdout
+
+
 def _modules_after(statement):
     """The sorted sys.modules keys of a fresh interpreter after ``statement``."""
-    src = os.path.dirname(os.path.dirname(devicesurv.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", f"{statement}; import sys; print(' '.join(sys.modules))"],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
-    )
-    return set(out.stdout.split())
+    return set(_fresh_stdout(f"{statement}; import sys; print(' '.join(sys.modules))").split())
 
 
 class TestStartup:
@@ -807,6 +809,21 @@ class TestStartup:
         assert "devicesurv.synth" in modules
         for name in ("extraction", "defaults", "lf_lib"):
             assert f"devicesurv.{name}" not in modules
+
+    @pytest.mark.parametrize("user_env,expected", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, "None"),
+    ], ids=["unset", "openblas_set", "omp_set"])
+    def test_one_blas_thread_unless_user_sets_one(self, user_env, expected):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars} | user_env
+        value, threads = _fresh_stdout(
+            "import os, devicesurv.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "len(os.listdir('/proc/self/task')))", env).split()
+        assert value == expected
+        if not user_env and (os.cpu_count() or 1) > 1:
+            assert threads == "1"  # numpy's OpenBLAS started no second thread
 
     def test_statistics_modules_load_no_scipy_stats(self):
         modules = _modules_after("import devicesurv.survival, devicesurv.countreg")

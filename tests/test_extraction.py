@@ -1,17 +1,31 @@
 """Unit tests for dictionary tagging, context attributes, and candidates."""
 
+import hashlib
 import json
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from devicesurv import synth
-from devicesurv.corpus import RawNote, preprocess
+from devicesurv import extraction, synth
+from devicesurv.corpus import RawNote, Sentence, preprocess, tokenize
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.extraction import (
     _MENTION_FIELDS,
+    ATTR_HISTORICAL,
+    CONTEXT_WINDOW,
+    HISTORICAL_BIN_LEVEL,
+    HISTORICAL_HEADERS,
+    POSITION_MODIFIERS,
     RELATION_TYPES,
+    TRIGGER_CATEGORIES,
+    Dictionary,
+    DictEntry,
+    EntityMention,
+    _norm_term,
+    _truncate_backward,
     apply_context,
     extract_candidates,
     generate_candidates,
@@ -342,3 +356,245 @@ class TestTriggerLexicon:
         path.write_text("no\tnegation\tforward\tbut,however\n")
         lex = load_trigger_lexicon(path)
         assert lex.triggers[0].terminators == ("but", "however")
+
+
+# --- the tagger before it was compiled, kept as the oracle ----------------------
+# A verbatim copy of the per-sentence tagger that re-normalised every dictionary
+# term and trigger phrase for every sentence. Only ``_oracle_truncate_backward``
+# differs: the scope starts after a terminator's last hit, where the old loop
+# added each hit's end to a start the previous hit had already advanced.
+
+
+def _oracle_tag_entities(sentence, dictionaries):
+    by_type: dict[str, dict[str, DictEntry]] = {}
+    for d in dictionaries:
+        for key, entry in d.entries.items():
+            by_type.setdefault(entry.entity_type, {})[key] = entry
+    toks = sentence.tokens
+    norm = [t.text.lower() for t in toks]
+    mentions: list[EntityMention] = []
+    for etype, table in by_type.items():
+        max_len = max((len(k.split()) for k in table), default=0)
+        i = 0
+        while i < len(toks):
+            matched = None
+            for length in range(min(max_len, len(toks) - i), 0, -1):
+                key = " ".join(norm[i : i + length])
+                entry = table.get(key)
+                if entry is not None:
+                    matched = (length, entry)
+                    break
+            if matched is None:
+                i += 1
+                continue
+            length, entry = matched
+            start_tok, end_tok = i, i + length
+            if etype == "anatomy":
+                while start_tok > 0 and norm[start_tok - 1] in POSITION_MODIFIERS:
+                    start_tok -= 1
+            cs, ce = toks[start_tok].start, toks[end_tok - 1].end
+            mentions.append(
+                EntityMention(
+                    sentence=sentence,
+                    char_start=cs,
+                    char_end=ce,
+                    surface=sentence.text[cs - sentence.char_start : ce - sentence.char_start],
+                    entity_type=etype,
+                    canonical_id=entry.canonical_id,
+                    subcategory=entry.subcategory,
+                    token_start=start_tok,
+                    token_end=end_tok,
+                )
+            )
+            i = end_tok
+    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.entity_type))
+    return mentions
+
+
+def _oracle_find_phrase(norm_tokens, phrase):
+    words = _norm_term(phrase).split()
+    hits = []
+    for i in range(len(norm_tokens) - len(words) + 1):
+        if norm_tokens[i : i + len(words)] == words:
+            hits.append((i, i + len(words)))
+    return hits
+
+
+def _oracle_apply_context(sentence, mentions, lexicon, section=None, dates=None):
+    norm = [t.text.lower() for t in sentence.tokens]
+
+    for trig in lexicon.triggers:
+        attr = TRIGGER_CATEGORIES[trig.category]
+        for tstart, tend in _oracle_find_phrase(norm, trig.phrase):
+            if trig.direction in ("forward", "bidirectional"):
+                scope_end = min(len(norm), tend + CONTEXT_WINDOW)
+                scope_end = _oracle_truncate_forward(norm, tend, scope_end, trig.terminators)
+                for m in mentions:
+                    if tend <= m.token_start < scope_end:
+                        m.attributes.add(attr)
+            if trig.direction in ("backward", "bidirectional"):
+                scope_start = max(0, tstart - CONTEXT_WINDOW)
+                scope_start = _oracle_truncate_backward(norm, scope_start, tstart,
+                                                        trig.terminators)
+                for m in mentions:
+                    if scope_start <= m.token_end - 1 < tstart:
+                        m.attributes.add(attr)
+
+    if section is not None and section.canonical_header in HISTORICAL_HEADERS:
+        for m in mentions:
+            m.attributes.add(ATTR_HISTORICAL)
+
+    for d in dates or []:
+        if d.delta_bin.older_than_or_at(HISTORICAL_BIN_LEVEL):
+            for m in mentions:
+                m.attributes.add(ATTR_HISTORICAL)
+            break
+    return mentions
+
+
+def _oracle_truncate_forward(norm, start, end, terminators):
+    for term in terminators:
+        for hs, _he in _oracle_find_phrase(norm[start:end], term):
+            end = min(end, start + hs)
+    return end
+
+
+def _oracle_truncate_backward(norm, start, end, terminators):
+    for term in terminators:
+        hits = _oracle_find_phrase(norm[start:end], term)
+        if hits:
+            start += hits[-1][1]
+    return start
+
+
+def _sentence(text):
+    return Sentence(text, 0, len(text), tokenize(text))
+
+
+def _fields(mentions):
+    return [(m.char_start, m.char_end, m.surface, m.entity_type, m.canonical_id, m.subcategory,
+             m.token_start, m.token_end, sorted(m.attributes)) for m in mentions]
+
+
+def _entry(cid, etype):
+    return DictEntry(cid, etype, "revision" if etype == "complication" else None, 1)
+
+
+# Re-maps default terms within and across types and adds longer overlapping
+# terms, so the later-dictionary and longest-match rules are exercised.
+_OVERLAY = Dictionary({
+    "hip": _entry("hip_overlay", "anatomy"),
+    "pain": _entry("pain_as_anatomy", "anatomy"),
+    "hip pain": _entry("hip_pain", "pain"),
+    "left hip joint": _entry("left_hip_joint", "anatomy"),
+    "knee pain but": _entry("knee_pain_but", "pain"),
+    "wear": _entry("wear", "complication"),
+    "cup": _entry("cup", "implant"),
+})
+
+_FILLER = ("the", "patient", "reports", "today", "and", "with", "of", "in", "then", "now",
+           ",", ".", ";", "(", ")", "-", "/")
+# Drawn as often as the whole vocabulary, so that scopes often hold several
+# terminators, triggers and mentions.
+_DENSE = ("but", "however", "resolved", "absent", "no", "ruled out", "left", "hip", "pain",
+          "knee", "wear", "cup")
+
+
+class TestCompiledTaggerMatchesOracle:
+    """The compiled tagger gives the oracle's mentions and attributes."""
+
+    @pytest.fixture(scope="class")
+    def vocabulary(self, dictionaries, trigger_lexicon):
+        terms = sorted({k for d in [*dictionaries, _OVERLAY] for k in d.entries})
+        triggers = sorted({t.phrase for t in trigger_lexicon.triggers})
+        return (terms + triggers + sorted(POSITION_MODIFIERS) + list(_FILLER)
+                + ["but", "however"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_sentences(self, vocabulary, dictionaries, trigger_lexicon, data):
+        word = st.one_of(st.sampled_from(vocabulary), st.sampled_from(_DENSE))
+        words = data.draw(st.lists(word, min_size=1, max_size=30))
+        cases = data.draw(st.lists(st.sampled_from([str.lower, str.upper, str.title,
+                                                    str.swapcase]),
+                                   min_size=len(words), max_size=len(words)))
+        sent = _sentence(" ".join(case(w) for case, w in zip(cases, words)))
+        for dicts in (dictionaries, [*dictionaries, _OVERLAY], [_OVERLAY, *dictionaries]):
+            compiled, oracle = tag_entities(sent, dicts), _oracle_tag_entities(sent, dicts)
+            assert _fields(compiled) == _fields(oracle)
+            apply_context(sent, compiled, trigger_lexicon)
+            _oracle_apply_context(sent, oracle, trigger_lexicon)
+            assert _fields(compiled) == _fields(oracle)
+
+    def _both(self, text, dicts):
+        sent = _sentence(text)
+        compiled = _fields(tag_entities(sent, dicts))
+        assert compiled == _fields(_oracle_tag_entities(sent, dicts))
+        return [(surface, etype, cid) for _, _, surface, etype, cid, *_ in compiled]
+
+    def test_later_dictionary_wins_within_a_type(self):
+        first = Dictionary({"hip": _entry("hip_a", "anatomy")})
+        second = Dictionary({"hip": _entry("hip_b", "anatomy")})
+        assert self._both("Hip", [first, second]) == [("Hip", "anatomy", "hip_b")]
+        assert self._both("Hip", [second, first]) == [("Hip", "anatomy", "hip_a")]
+
+    def test_one_term_in_two_types(self):
+        dicts = [Dictionary({"hip": _entry("hip", "anatomy")}),
+                 Dictionary({"hip": _entry("hip_implant", "implant")})]
+        assert self._both("left hip", dicts) == [("left hip", "anatomy", "hip"),
+                                                 ("hip", "implant", "hip_implant")]
+
+    def test_overlapping_terms_of_different_lengths(self):
+        dicts = [Dictionary({"hip joint": _entry("hip_joint", "anatomy"),
+                             "a b c": _entry("abc", "anatomy"),
+                             "joint pain": _entry("joint_pain", "pain")}),
+                 Dictionary({"hip": _entry("hip", "anatomy"),
+                             "a": _entry("a", "anatomy")})]
+        assert self._both("hip joint pain , a b d", dicts) == [
+            ("hip joint", "anatomy", "hip_joint"), ("joint pain", "pain", "joint_pain"),
+            ("a", "anatomy", "a")]
+
+
+class TestBackwardScope:
+    def test_scope_starts_after_last_terminator_hit(self):
+        norm = ("a", "but", "b", "but", "c", "resolved")
+        assert _truncate_backward(norm, 0, 5, (("but",),)) == 4
+        assert _oracle_truncate_backward(list(norm), 0, 5, ("but",)) == 4
+
+    def test_second_terminator_keeps_negation(self, dictionaries, trigger_lexicon):
+        _, _, mentions = _tagged("but fever but hip pain resolved.", dictionaries,
+                                 trigger_lexicon)
+        hip = next(m for m in mentions if m.surface == "hip")
+        assert "negated" in hip.attributes
+
+
+class TestCompiledOnce:
+    def test_no_lexicon_work_per_sentence(self, monkeypatch, synth_corpus, dictionaries,
+                                          trigger_lexicon):
+        docs = [preprocess(note) for note in synth_corpus.notes[:40]]
+        calls = []
+        for name in ("tokenize", "_norm_term", "_norm_words"):
+            fn = getattr(extraction, name)
+            monkeypatch.setattr(extraction, name,
+                                lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+        cands = [c for doc in docs for c in
+                 extract_candidates(doc, dictionaries, trigger_lexicon)]
+        assert cands and calls == []
+
+
+class TestPinnedOutput:
+    # sha1 of ``write_candidates`` over the synth corpus, recorded before the
+    # tagger was compiled; a speed-up of extraction must keep these bytes.
+    @pytest.mark.parametrize("seed,n,digest", [
+        (0, 480, "88a0f00cdbac094b1688b7d9b7df98b478614a17"),
+        (1, 480, "3e61c89e96aab25a05495540540c3b7d4bbbb0d2"),
+    ])
+    def test_candidate_file_digest(self, dictionaries, trigger_lexicon, tmp_path, seed, n,
+                                   digest):
+        corpus = synth.gen_corpus(synth.SynthConfig(seed=seed))
+        cands = [c for note in corpus.notes
+                 for c in extract_candidates(preprocess(note), dictionaries, trigger_lexicon)]
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(cands, path)
+        assert len(cands) == n
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == digest

@@ -19,27 +19,20 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import TYPE_CHECKING
 
-# One OpenBLAS thread unless the user chose a count, set before numpy is first
-# imported: the commands' matrix products are small, a second thread costs more
-# than it saves, and with one thread a fit's last digits do not depend on the
-# machine's core count.
+# One OpenBLAS thread unless the user chose a count, set before any command
+# imports numpy: the commands' matrix products are small, a second thread
+# costs more than it saves, and with one thread a fit's last digits do not
+# depend on the machine's core count.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import click  # noqa: E402
-import numpy as np  # noqa: E402
 
-# classifier, survival, countreg and synth are imported by the commands that
-# run them (survival's p-values and countreg pull in scipy.special), so every
-# other command starts without them.
-from . import evaluation, lf_lib, outcomes, reconcile, weaksup  # noqa: E402
-from .corpus import ingest_notes, preprocess  # noqa: E402
-from .defaults import (  # noqa: E402
-    default_dictionaries,
-    default_trigger_lexicon,
-    load_implant_catalog,
-)
+# Each command imports the modules it runs in its body, so a command that
+# does no array math starts without numpy, and only the statistics commands
+# load scipy. Keep module imports out of the top of this file.
 from .errors import (  # noqa: E402
     ConfigError,
     DeviceSurvError,
@@ -48,13 +41,9 @@ from .errors import (  # noqa: E402
     parsing,
     read_csv,
 )
-from .extraction import (  # noqa: E402
-    extract_candidates,
-    load_dictionary,
-    load_trigger_lexicon,
-    read_candidates,
-    write_candidates,
-)
+
+if TYPE_CHECKING:
+    from .outcomes import SurvivalDataset
 
 EXIT_CODES = {
     "config": 2,
@@ -232,6 +221,9 @@ def _require(cfg: ProjectConfig, artifact: str) -> str:
 
 
 def _load_resources(cfg: ProjectConfig):
+    from .defaults import default_dictionaries, default_trigger_lexicon
+    from .extraction import load_dictionary, load_trigger_lexicon
+
     dict_paths = cfg.paths.get("dictionaries")
     if dict_paths:
         dictionaries = [load_dictionary(p) for p in dict_paths]
@@ -245,6 +237,8 @@ def _load_resources(cfg: ProjectConfig):
 def _load_candidates(cfg: ProjectConfig):
     """Read the candidate set written by 'candidates'. Candidates older than
     the configured notes, dictionaries or trigger lexicon are never used."""
+    from .extraction import read_candidates
+
     path = _require(cfg, "candidates.jsonl")
     made = os.path.getmtime(path)
     inputs = [cfg.paths.get("notes"), *(cfg.paths.get("dictionaries") or []),
@@ -259,6 +253,8 @@ def _load_candidates(cfg: ProjectConfig):
 
 
 def _get_lfs(cfg: ProjectConfig):
+    from . import lf_lib, weaksup
+
     rtype = cfg.param("relation_type", "pain-anatomy")
     module_path = cfg.paths.get("lf_module")
     if module_path:
@@ -336,6 +332,9 @@ def _stage(group: click.Group, name: str):
 @_stage(main, "candidates")
 def candidates(cfg):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
+    from .corpus import ingest_notes, preprocess
+    from .extraction import extract_candidates, write_candidates
+
     dictionaries, lexicon = _load_resources(cfg)
     rtype = cfg.param("relation_type", "pain-anatomy")
     cands = [
@@ -357,6 +356,8 @@ def lf():
 @_stage(lf, "apply")
 def lf_apply(cfg):
     """Apply the configured LF set; write the label matrix."""
+    from . import weaksup
+
     cands = _load_candidates(cfg)
     matrix = weaksup.apply_lfs(cands, _get_lfs(cfg))
     out_path, csv_path = cfg.artifact("label_matrix.bin"), cfg.artifact("label_matrix.csv")
@@ -371,6 +372,8 @@ def lf_apply(cfg):
 @_stage(lf, "stats")
 def lf_stats(cfg):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
+    from . import evaluation, weaksup
+
     matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
     if matrix.n == 0:
         raise ConfigError("label matrix has no candidates")
@@ -408,6 +411,8 @@ def labelmodel():
 @_stage(labelmodel, "fit")
 def labelmodel_fit(cfg):
     """Fit the label model and write posterior probabilistic labels."""
+    from . import weaksup
+
     matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
     model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
     model_path = cfg.artifact("label_model.json")
@@ -426,6 +431,7 @@ def labelmodel_fit(cfg):
 def train(cfg):
     """Train the noise-aware classifier on the probabilistic labels."""
     from . import classifier as clf
+    from . import evaluation, weaksup
 
     labels = weaksup.labels_from_csv(_require(cfg, "labels.csv"))
     # All-abstain rows carry no supervision signal; train on covered rows.
@@ -466,6 +472,7 @@ def train(cfg):
 def predict(cfg):
     """Score candidates with the trained classifier; write scores.csv."""
     from . import classifier as clf
+    from . import evaluation
 
     model = clf.ClassifierModel.load(_require(cfg, "classifier.bin"))
     cands = _load_candidates(cfg)
@@ -478,6 +485,8 @@ def predict(cfg):
 @_stage(main, "eval")
 def eval_cmd(cfg):
     """Score predictions against gold labels; write metrics.csv."""
+    from . import evaluation
+
     scores_path = _require(cfg, "scores.csv")
     gold = evaluation.read_gold(cfg.path("gold_relations"))
     labels = evaluation.read_scores(scores_path)
@@ -492,6 +501,9 @@ def eval_cmd(cfg):
 @_stage(main, "reconcile")
 def reconcile_cmd(cfg):
     """Reconcile extracted implant records against the registry snapshot."""
+    from . import reconcile
+    from .defaults import load_implant_catalog
+
     extracted_path = _require(cfg, "extracted_implants.csv")
     catalog = load_implant_catalog(cfg.paths.get("implant_catalog"))
 
@@ -519,6 +531,8 @@ def reconcile_cmd(cfg):
 @_stage(main, "cohort")
 def cohort(cfg):
     """Select the surgical cohort from coded patient records."""
+    from . import outcomes
+
     records = outcomes.patients_from_csv(cfg.path("patients"))
     selected, coded_events = outcomes.select_cohort(records)
     out_path = cfg.artifact("cohort.csv")
@@ -539,6 +553,8 @@ def events():
 @_stage(events, "merge")
 def events_merge(cfg):
     """Merge coded and text-derived events into a unified stream."""
+    from . import outcomes
+
     coded = outcomes.events_from_csv(
         cfg.paths.get("coded_events") or _require(cfg, "coded_events.csv"))
     text = outcomes.events_from_csv(cfg.path("text_events"))
@@ -553,9 +569,11 @@ def events_merge(cfg):
 
 def _load_survival_dataset(
     cfg: ProjectConfig, group_by: str | None = None
-) -> outcomes.SurvivalDataset:
+) -> SurvivalDataset:
     """The cohort's survival dataset; with ``group_by``, each subject's group
     label is that cohort.csv column ("Unknown" if the column is absent)."""
+    from . import outcomes
+
     cohort = outcomes.cohort_from_csv(_require(cfg, "cohort.csv"))
     evts = outcomes.events_from_csv(_require(cfg, "merged_events.csv"))
     spec = [
@@ -636,8 +654,10 @@ def survival_cox(cfg):
     )
 
 
-def _group_summaries(ds: outcomes.SurvivalDataset):
+def _group_summaries(ds: SurvivalDataset):
     """Per-group patient/event/person-year summaries for the forest table."""
+    import numpy as np
+
     labels = ds.groups if ds.groups is not None else ["All"] * len(ds.subject_ids)
     labels, g = np.unique(np.asarray(labels), return_inverse=True)
     n, events, days = (np.bincount(g, weights=w) for w in (None, ds.events, ds.times))
@@ -658,6 +678,8 @@ def regression():
               help="CSV with columns patient_id, count, and optional exposure.")
 def regression_nb(cfg, counts_file):
     """Negative-binomial regression of per-patient counts; write nb.json."""
+    import numpy as np
+
     from . import countreg
 
     if not os.path.exists(counts_file):

@@ -103,6 +103,10 @@ def nb_fit(counts, X, columns=None, exposure=None) -> NBFit:
         raise ConfigError("empty count vector")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise ConfigError("counts must be nonnegative integers")
+    if exposure is not None:
+        exposure = np.asarray(exposure, dtype=float)
+        if not np.all(np.isfinite(exposure) & (exposure > 0)):
+            raise ConfigError("exposure must be positive and finite")
     if not np.any(y > 0):
         raise ConfigError("all counts are zero")
     X = np.asarray(X, dtype=float)
@@ -112,7 +116,7 @@ def nb_fit(counts, X, columns=None, exposure=None) -> NBFit:
     D = np.column_stack([np.ones(n), X])
     if np.linalg.matrix_rank(D) < D.shape[1]:
         raise ConfigError("design matrix is rank deficient")
-    offset = np.log(np.asarray(exposure, dtype=float)) if exposure is not None else np.zeros(n)
+    offset = np.log(exposure) if exposure is not None else np.zeros(n)
     names = ["intercept"] + (list(columns) if columns is not None else
                              [f"x{j}" for j in range(X.shape[1])])
 

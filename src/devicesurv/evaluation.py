@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, read_csv
 
 
@@ -68,6 +66,8 @@ class PRCurve:
 def pr_curve(scores: dict[str, float], gold: dict[str, int]) -> PRCurve:
     """Step-wise (non-interpolated) PR curve sweeping distinct scores
     descending; AP = sum over steps of (R_k - R_{k-1}) * P_k."""
+    import numpy as np
+
     ids = sorted(gold)
     y = np.array([int(gold[i]) for i in ids])
     if y.min() == y.max():

@@ -12,10 +12,14 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, read_csv
+
+# numpy is imported by the two functions that build arrays, so the cohort and
+# event commands start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -249,6 +253,8 @@ class SurvivalDataset:
 def build_design(rows: list[dict[str, str]], spec: list[Covariate]):
     """Dummy-code categoricals against their reference level; missing values
     become an explicit "Unknown" level."""
+    import numpy as np
+
     columns: list[str] = []
     encoders = []
     for cov in spec:
@@ -278,6 +284,8 @@ def build_survival_dataset(
     """Time from index to first matching event (event=1) or to last contact
     (censored). ``outcome_class`` may be a single class or "any_complication".
     Subjects with nonpositive time are excluded with a warning count."""
+    import numpy as np
+
     if outcome_class == ANY_COMPLICATION:
         classes = set(COMPLICATION_CLASSES)
     elif outcome_class in EVENT_CLASSES:

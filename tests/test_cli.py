@@ -506,6 +506,16 @@ _DAMAGED_INPUTS = {
                               "registry.csv": _REGISTRY_CSV.format(role="femoral")
                                               .replace("VerSys", "")},
                              {"registry": "registry.csv"}, ["reconcile"], "registry.csv:2", 3),
+    "catalog_truncated": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
+                           "registry.csv": _REGISTRY_CSV.format(role="femoral"),
+                           "catalog.json": '{"bad json'},
+                          {"registry": "registry.csv", "implant_catalog": "catalog.json"},
+                          ["reconcile"], "catalog.json", 3),
+    "catalog_not_object": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
+                            "registry.csv": _REGISTRY_CSV.format(role="femoral"),
+                            "catalog.json": "[1,2]"},
+                           {"registry": "registry.csv", "implant_catalog": "catalog.json"},
+                           ["reconcile"], "catalog.json", 3),
     "text_event_no_provenance": (
         {"coded_events.csv": _EVENTS_CSV,
          "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="text",
@@ -715,6 +725,20 @@ class TestStatsCommands:
         assert intercepts[0] == intercepts[1]
         assert intercepts[1] - intercepts[2] == pytest.approx(np.log(2), rel=1e-9)
 
+    @pytest.mark.parametrize("exposure", ["0", "nan"])
+    def test_regression_nb_refuses_bad_exposure(self, runner, tmp_path, exposure):
+        counts_file = tmp_path / "counts.csv"
+        counts_file.write_text("patient_id,count,exposure\n"
+                               + "".join(f"p{i},{2 + i % 3},1\n" for i in range(9))
+                               + f"p9,2,{exposure}\n")
+        cfg = _write_config(tmp_path, tmp_path / "out")
+        result = runner.invoke(
+            main, ["regression", "nb", "--config", cfg, "--counts-file", str(counts_file)])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert err["message"] == "exposure must be positive and finite"
+
     def test_logrank_groups_by_further_cohort_column(self, runner, tmp_path):
         # Any cohort.csv column after the id and dates is a covariate to group by.
         rows = "".join(f"p{i},{'AB'[i % 2]},2010-01-01,2015-01-01,60-69,F,White,Unknown,none\n"
@@ -795,12 +819,73 @@ def _modules_after(statement):
     return set(_fresh_stdout(f"{statement}; import sys; print(' '.join(sys.modules))").split())
 
 
+# Each benchmark command and `report forest`: the devicesurv modules it loads
+# besides cli and errors, and which of numpy and scipy it loads.
+_COMMAND_IMPORTS = {
+    ("candidates",): ("corpus defaults extraction", ""),
+    ("lf", "apply"): ("corpus extraction lf_lib weaksup", "numpy"),
+    ("lf", "stats"): ("evaluation weaksup", "numpy"),
+    ("labelmodel", "fit"): ("weaksup", "numpy"),
+    ("train",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
+    ("predict",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
+    ("eval",): ("evaluation", ""),
+    ("cohort",): ("outcomes", ""),
+    ("events", "merge"): ("outcomes", ""),
+    ("survival", "km"): ("outcomes survival", "numpy"),
+    ("survival", "logrank"): ("outcomes survival", "numpy scipy"),
+    ("survival", "cox"): ("outcomes survival", "numpy scipy"),
+    ("regression", "nb"): ("countreg outcomes", "numpy scipy"),
+    ("reconcile",): ("defaults outcomes reconcile", ""),
+    ("report", "forest"): ("", ""),
+}
+
+
+@pytest.fixture(scope="module")
+def every_input(tmp_path_factory, small_corpus_dir):
+    """A config, and each command's options, whose output directory holds
+    every artifact a command reads: the commands have run once, in order."""
+    _, paths, _ = small_corpus_dir
+    tmp = tmp_path_factory.mktemp("every_input")
+    inputs = _surveillance_inputs(tmp / "in")
+    outdir = tmp / "out"
+    outdir.mkdir()
+    shutil.copy(paths["extracted_implants"], outdir / "extracted_implants.csv")
+    cfg = _write_config(tmp, outdir, params={"lf_set": "benchmark", "seed": 0}, paths={
+        "notes": paths["notes"], "gold_relations": paths["gold_relations"],
+        "dev_gold": paths["gold_relations"], "registry": paths["registry"],
+        "patients": inputs["patients"], "text_events": inputs["text_events"]})
+    options = {("regression", "nb"): ["--counts-file", inputs["counts"]]}
+    runner = CliRunner()
+    for command in _COMMAND_IMPORTS:
+        result = runner.invoke(main, [*command, "--config", cfg, *options.get(command, [])])
+        assert result.exit_code == 0, (command, result.output)
+    return cfg, options
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         modules = _modules_after("import devicesurv.cli")
         assert "devicesurv.cli" in modules
         assert "scipy" not in modules
         assert "devicesurv.synth" not in modules
+
+    def test_cli_import_loads_no_numpy(self):
+        modules = _modules_after("import devicesurv.cli")
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("devicesurv.")} == {
+            "devicesurv.cli", "devicesurv.errors"}
+
+    @pytest.mark.parametrize("command", list(_COMMAND_IMPORTS), ids=" ".join)
+    def test_command_loads_only_what_it_runs(self, every_input, command):
+        # A fresh interpreter runs the command as the console script would.
+        cfg, options = every_input
+        argv = [*command, "--config", cfg, *options.get(command, [])]
+        modules = _modules_after(
+            f"from devicesurv.cli import main; main({argv!r}, standalone_mode=False)")
+        own, libraries = _COMMAND_IMPORTS[command]
+        assert {m.split(".")[1] for m in modules if m.startswith("devicesurv.")} == {
+            "cli", "errors", *own.split()}
+        assert {lib for lib in ("numpy", "scipy") if lib in modules} == set(libraries.split())
 
     def test_synth_loads_no_extractor(self):
         # synth only generates: it never tags its own notes, so its gold stays
@@ -818,8 +903,10 @@ class TestStartup:
     def test_one_blas_thread_unless_user_sets_one(self, user_env, expected):
         blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas_vars} | user_env
+        # The CLI loads no numpy itself; the first command that does starts
+        # OpenBLAS under the value the CLI set.
         value, threads = _fresh_stdout(
-            "import os, devicesurv.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "import os, devicesurv.cli, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
             "len(os.listdir('/proc/self/task')))", env).split()
         assert value == expected
         if not user_env and (os.cpu_count() or 1) > 1:

@@ -87,6 +87,13 @@ class TestNBFit:
         with pytest.raises(ConfigError, match=message):
             nb_fit(counts, np.zeros((len(counts), 0)))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_exposure_rejected(self, bad):
+        # log(exposure) is the offset: a zero, negative or non-finite
+        # exposure would send a non-finite offset into the fit.
+        with pytest.raises(ConfigError, match="exposure must be positive and finite"):
+            nb_fit([1, 2, 3], np.zeros((3, 0)), exposure=[1.0, bad, 2.0])
+
     def test_rank_deficient_design(self):
         counts = [1, 2, 3, 4]
         X = np.ones((4, 1))  # collinear with the implicit intercept

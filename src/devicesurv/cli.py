@@ -52,11 +52,6 @@ EXIT_CODES = {
     "fit": 5,
 }
 
-_KNOWN_PATH_KEYS = {
-    "notes", "dictionaries", "trigger_lexicon", "registry", "patients",
-    "coded_events", "text_events", "gold_relations", "dev_gold",
-    "implant_catalog", "lf_module",
-}
 _LIST_PATH_KEYS = {"dictionaries"}
 # Each param's type; a JSON integer is also accepted where a float is expected.
 _KNOWN_PARAM_KEYS = {
@@ -91,6 +86,11 @@ class ProjectConfig:
             raise ConfigError(f"config paths.{key} is required for this command")
         return value
 
+    def files(self, key: str) -> list:
+        """Every file configured under ``paths.<key>``; none when unset."""
+        value = self.paths.get(key)
+        return [] if value is None else value if key in _LIST_PATH_KEYS else [value]
+
     def param(self, key: str, default=None):
         return self.params.get(key, default)
 
@@ -104,8 +104,8 @@ def load_config(path: str) -> ProjectConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for key in ("paths", "params"):
@@ -135,21 +135,28 @@ def load_config(path: str) -> ProjectConfig:
                               context={"key": key})
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError(f"config output_dir must be a string, not {raw['output_dir']!r}",
+                          context={"key": "output_dir"})
     # Environment overrides apply to paths only, e.g. DEVICESURV_NOTES; a
     # list-valued key takes several paths joined by os.pathsep.
     for key in _KNOWN_PATH_KEYS:
         env = os.environ.get(f"DEVICESURV_{key.upper()}")
         if env:
             paths[key] = env.split(os.pathsep) if key in _LIST_PATH_KEYS else env
+    cfg = ProjectConfig(output_dir=raw["output_dir"], paths=paths, params=params, raw=raw)
     for key, value in paths.items():
-        targets = value if isinstance(value, list) else [value]
-        for target in targets:
+        listed = key in _LIST_PATH_KEYS
+        if isinstance(value, list) != listed or not all(isinstance(v, str) for v in cfg.files(key)):
+            want = "a list of strings" if listed else "a string"
+            raise ConfigError(f"config paths.{key} must be {want}, not {value!r}",
+                              context={"key": key})
+        for target in cfg.files(key):
             if not os.path.exists(target):
                 raise MissingArtifactError(
                     f"configured path {key} does not exist: {target}",
                     context={"key": key, "path": target},
                 )
-    cfg = ProjectConfig(output_dir=raw["output_dir"], paths=paths, params=params, raw=raw)
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg
 
@@ -194,29 +201,36 @@ class _Lock:
         return False
 
 
-# Each artifact a command reads from the output directory: how errors name
-# it, and the command that writes it.
+# How errors name each artifact a command reads from the output directory.
 _ARTIFACTS = {
-    "candidates.jsonl": ("candidates", "candidates"),
-    "label_matrix.bin": ("label matrix", "lf apply"),
-    "labels.csv": ("labels", "labelmodel fit"),
-    "classifier.bin": ("classifier", "train"),
-    "scores.csv": ("scores", "predict"),
-    "extracted_implants.csv": ("extracted implant records", "synth gen"),
-    "cohort.csv": ("cohort", "cohort"),
-    "coded_events.csv": ("coded events", "cohort"),
-    "merged_events.csv": ("merged events", "events merge"),
-    "cox.json": ("Cox fit", "survival cox"),
+    "candidates.jsonl": "candidates", "label_matrix.bin": "label matrix", "labels.csv": "labels",
+    "classifier.bin": "classifier", "scores.csv": "scores", "cohort.csv": "cohort",
+    "extracted_implants.csv": "extracted implant records", "coded_events.csv": "coded events",
+    "merged_events.csv": "merged events", "cox.json": "Cox fit",
 }
+# Filled as ``_stage`` registers each command: its declared config paths and
+# written artifacts, each artifact's producer, and every path key a command reads.
+_STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+_PRODUCERS: dict[str, str] = {}
+_KNOWN_PATH_KEYS: set[str] = set()
 
 
 def _require(cfg: ProjectConfig, artifact: str) -> str:
-    """The path of ``artifact`` in the output directory; a missing one stops
-    the command (exit 4) naming the command that writes it."""
-    path = cfg.artifact(artifact)
+    """The path of ``artifact`` in the output directory. A missing one, or one
+    older than a file configured under its producer's ``paths``, stops the
+    command (exit 4) naming the command that writes it."""
+    path, producer = cfg.artifact(artifact), _PRODUCERS[artifact]
     if not os.path.exists(path):
-        what, producer = _ARTIFACTS[artifact]
-        raise MissingArtifactError(f"{what} not found: {path} (run '{producer}' first)")
+        raise MissingArtifactError(
+            f"{_ARTIFACTS[artifact]} not found: {path} (run '{producer}' first)")
+    made = os.path.getmtime(path)
+    for key in _STAGES[producer][0]:
+        for inp in cfg.files(key):
+            if os.path.getmtime(inp) > made:
+                raise MissingArtifactError(
+                    f"{path} is older than input {inp} (rerun '{producer}')",
+                    context={"path": path, "input": inp},
+                )
     return path
 
 
@@ -224,32 +238,17 @@ def _load_resources(cfg: ProjectConfig):
     from .defaults import default_dictionaries, default_trigger_lexicon
     from .extraction import load_dictionary, load_trigger_lexicon
 
-    dict_paths = cfg.paths.get("dictionaries")
-    if dict_paths:
-        dictionaries = [load_dictionary(p) for p in dict_paths]
-    else:
-        dictionaries = default_dictionaries()
+    dictionaries = ([load_dictionary(p) for p in cfg.paths.get("dictionaries") or ()]
+                    or default_dictionaries())
     trig = cfg.paths.get("trigger_lexicon")
     lexicon = load_trigger_lexicon(trig) if trig else default_trigger_lexicon()
     return dictionaries, lexicon
 
 
 def _load_candidates(cfg: ProjectConfig):
-    """Read the candidate set written by 'candidates'. Candidates older than
-    the configured notes, dictionaries or trigger lexicon are never used."""
     from .extraction import read_candidates
 
-    path = _require(cfg, "candidates.jsonl")
-    made = os.path.getmtime(path)
-    inputs = [cfg.paths.get("notes"), *(cfg.paths.get("dictionaries") or []),
-              cfg.paths.get("trigger_lexicon")]
-    for inp in inputs:
-        if inp and os.path.getmtime(inp) > made:
-            raise MissingArtifactError(
-                f"{path} is older than input {inp} (rerun 'candidates')",
-                context={"path": path, "input": inp},
-            )
-    return read_candidates(path)
+    return read_candidates(_require(cfg, "candidates.jsonl"))
 
 
 def _get_lfs(cfg: ProjectConfig):
@@ -287,14 +286,19 @@ def main():
     """Clinical-text device-event extraction and surveillance statistics."""
 
 
-def _stage(group: click.Group, name: str):
-    """Register ``body(cfg, **options)`` as command ``name`` of ``group``.
+def _stage(group: click.Group, name: str, paths=(), writes=()):
+    """Register ``body(cfg, **options)`` as command ``name`` of ``group``,
+    declaring the config ``paths`` it reads and the artifacts it ``writes``
+    to the output directory.
 
-    The body returns the paths it wrote and a summary line. The command loads
-    the config and holds the output-directory lock around the body, then
-    writes ``<command>.meta.json`` naming those paths and prints the summary.
-    A library error becomes error JSON on stderr and its exit code."""
+    The body returns its summary line. The command loads the config and
+    holds the output-directory lock around the body, then writes
+    ``<command>.meta.json`` naming the declared outputs and prints the
+    summary. A library error becomes error JSON on stderr and its exit code."""
     command = name if group is main else f"{group.name} {name}"
+    _STAGES[command] = (paths, writes)
+    _PRODUCERS.update(dict.fromkeys(writes, command))
+    _KNOWN_PATH_KEYS.update(paths)
 
     def register(body):
         @functools.wraps(body)
@@ -302,12 +306,12 @@ def _stage(group: click.Group, name: str):
             try:
                 cfg = load_config(config_path)
                 with _Lock(cfg.output_dir):
-                    outputs, summary = body(cfg, **options)
+                    summary = body(cfg, **options)
                     meta = {
                         "command": command,
                         "config_hash": cfg.config_hash(),
                         "written_at": datetime.now().isoformat(timespec="seconds"),
-                        "outputs": list(outputs),
+                        "outputs": [cfg.artifact(a) for a in writes],
                     }
                     meta_path = cfg.artifact(f"{command.replace(' ', '_')}.meta.json")
                     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -329,7 +333,8 @@ def _stage(group: click.Group, name: str):
     return register
 
 
-@_stage(main, "candidates")
+@_stage(main, "candidates", paths=("notes", "dictionaries", "trigger_lexicon"),
+        writes=("candidates.jsonl",))
 def candidates(cfg):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
     from .corpus import ingest_notes, preprocess
@@ -345,7 +350,7 @@ def candidates(cfg):
     ]
     out_path = cfg.artifact("candidates.jsonl")
     write_candidates(cands, out_path)
-    return [out_path], f"candidates: {len(cands)} candidates -> {out_path}"
+    return f"candidates: {len(cands)} candidates -> {out_path}"
 
 
 @main.group()
@@ -353,7 +358,7 @@ def lf():
     """Labeling-function commands."""
 
 
-@_stage(lf, "apply")
+@_stage(lf, "apply", paths=("lf_module",), writes=("label_matrix.bin", "label_matrix.csv"))
 def lf_apply(cfg):
     """Apply the configured LF set; write the label matrix."""
     from . import weaksup
@@ -363,13 +368,13 @@ def lf_apply(cfg):
     out_path, csv_path = cfg.artifact("label_matrix.bin"), cfg.artifact("label_matrix.csv")
     matrix.save(out_path)
     matrix.write_csv(csv_path)
-    return [out_path, csv_path], (
+    return (
         f"lf apply: {matrix.n} candidates x {matrix.m} LFs -> {out_path} "
         f"(errors: {sum(matrix.lf_errors.values())})"
     )
 
 
-@_stage(lf, "stats")
+@_stage(lf, "stats", paths=("dev_gold",), writes=("lf_stats.csv",))
 def lf_stats(cfg):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
     from . import evaluation, weaksup
@@ -400,7 +405,7 @@ def lf_stats(cfg):
     click.echo("soft-majority-vote label distribution:")
     for p in sorted(dist):
         click.echo(f"  p_true={p:.2f}: {dist[p]}")
-    return [out_path], f"lf stats: {len(stats.per_lf)} LFs -> {out_path}"
+    return f"lf stats: {len(stats.per_lf)} LFs -> {out_path}"
 
 
 @main.group()
@@ -408,7 +413,7 @@ def labelmodel():
     """Generative label-model commands."""
 
 
-@_stage(labelmodel, "fit")
+@_stage(labelmodel, "fit", writes=("label_model.json", "labels.csv"))
 def labelmodel_fit(cfg):
     """Fit the label model and write posterior probabilistic labels."""
     from . import weaksup
@@ -418,16 +423,14 @@ def labelmodel_fit(cfg):
     model_path = cfg.artifact("label_model.json")
     with open(model_path, "w", encoding="utf-8") as fh:
         fh.write(model.to_json())
-    labels = weaksup.posterior_labels(model, matrix)
-    labels_path = cfg.artifact("labels.csv")
-    weaksup.labels_to_csv(labels, labels_path)
-    return [model_path, labels_path], (
+    weaksup.labels_to_csv(weaksup.posterior_labels(model, matrix), cfg.artifact("labels.csv"))
+    return (
         f"labelmodel fit: {model.n_iter} EM iterations, "
         f"log-likelihood {model.log_likelihood:.2f} -> {model_path}"
     )
 
 
-@_stage(main, "train")
+@_stage(main, "train", paths=("dev_gold",), writes=("classifier.bin", "classifier.bin.json"))
 def train(cfg):
     """Train the noise-aware classifier on the probabilistic labels."""
     from . import classifier as clf
@@ -463,12 +466,10 @@ def train(cfg):
         model.threshold = cfg.param("threshold")
     model_path = cfg.artifact("classifier.bin")
     model.save(model_path)
-    return [model_path, model_path + ".json"], (
-        f"train: {len(cands)} candidates, threshold {model.threshold:.2f} -> {model_path}"
-    )
+    return f"train: {len(cands)} candidates, threshold {model.threshold:.2f} -> {model_path}"
 
 
-@_stage(main, "predict")
+@_stage(main, "predict", writes=("scores.csv",))
 def predict(cfg):
     """Score candidates with the trained classifier; write scores.csv."""
     from . import classifier as clf
@@ -479,10 +480,10 @@ def predict(cfg):
     scores = clf.predict_many(model, cands)
     out_path = cfg.artifact("scores.csv")
     evaluation.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
-    return [out_path], f"predict: {len(cands)} candidates -> {out_path}"
+    return f"predict: {len(cands)} candidates -> {out_path}"
 
 
-@_stage(main, "eval")
+@_stage(main, "eval", paths=("gold_relations",), writes=("metrics.csv",))
 def eval_cmd(cfg):
     """Score predictions against gold labels; write metrics.csv."""
     from . import evaluation
@@ -495,10 +496,11 @@ def eval_cmd(cfg):
     out_path = cfg.artifact("metrics.csv")
     evaluation.metrics_to_csv(metrics, out_path)
     p, r, f = metrics.rounded()
-    return [out_path], f"eval: P={p} R={r} F1={f} -> {out_path}"
+    return f"eval: P={p} R={r} F1={f} -> {out_path}"
 
 
-@_stage(main, "reconcile")
+@_stage(main, "reconcile", paths=("registry", "implant_catalog"),
+        writes=("reconciliation.csv", "reconciliation_summary.json"))
 def reconcile_cmd(cfg):
     """Reconcile extracted implant records against the registry snapshot."""
     from . import reconcile
@@ -520,15 +522,14 @@ def reconcile_cmd(cfg):
         load_canonical(extracted_path), load_canonical(cfg.path("registry")),
         cfg.param("date_tolerance_days", 30),
     )
-    out_path, summary_path = (cfg.artifact("reconciliation.csv"),
-                              cfg.artifact("reconciliation_summary.json"))
+    out_path = cfg.artifact("reconciliation.csv")
     report.write_csv(out_path)
-    report.write_summary_json(summary_path)
+    report.write_summary_json(cfg.artifact("reconciliation_summary.json"))
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items())
-    return [out_path, summary_path], f"reconcile: {counts} -> {out_path}"
+    return f"reconcile: {counts} -> {out_path}"
 
 
-@_stage(main, "cohort")
+@_stage(main, "cohort", paths=("patients",), writes=("cohort.csv", "coded_events.csv"))
 def cohort(cfg):
     """Select the surgical cohort from coded patient records."""
     from . import outcomes
@@ -537,9 +538,8 @@ def cohort(cfg):
     selected, coded_events = outcomes.select_cohort(records)
     out_path = cfg.artifact("cohort.csv")
     outcomes.cohort_to_csv(selected, out_path)
-    events_path = cfg.artifact("coded_events.csv")
-    outcomes.events_to_csv(coded_events, events_path)
-    return [out_path, events_path], (
+    outcomes.events_to_csv(coded_events, cfg.artifact("coded_events.csv"))
+    return (
         f"cohort: {len(selected)} patients, {len(coded_events)} coded revision "
         f"events -> {out_path}"
     )
@@ -550,18 +550,17 @@ def events():
     """Event-stream commands."""
 
 
-@_stage(events, "merge")
+@_stage(events, "merge", paths=("text_events",), writes=("merged_events.csv",))
 def events_merge(cfg):
     """Merge coded and text-derived events into a unified stream."""
     from . import outcomes
 
-    coded = outcomes.events_from_csv(
-        cfg.paths.get("coded_events") or _require(cfg, "coded_events.csv"))
+    coded = outcomes.events_from_csv(_require(cfg, "coded_events.csv"))
     text = outcomes.events_from_csv(cfg.path("text_events"))
     merged = outcomes.merge_events(coded, text, cfg.param("merge_window_days", 90))
     out_path = cfg.artifact("merged_events.csv")
     outcomes.events_to_csv(merged, out_path)
-    return [out_path], (
+    return (
         f"events merge: {len(coded)} coded + {len(text)} text -> "
         f"{len(merged)} unified events -> {out_path}"
     )
@@ -594,7 +593,7 @@ def survival_group():
     """Survival-analysis commands."""
 
 
-@_stage(survival_group, "km")
+@_stage(survival_group, "km", writes=("km.csv",))
 def survival_km(cfg):
     """Kaplan-Meier survival curve of the cohort; write km.csv."""
     from . import survival
@@ -606,10 +605,10 @@ def survival_km(cfg):
         w.writerow(["time", "survival", "n_at_risk", "n_events"])
         for t, s, nr, ne in zip(curve.times, curve.survival, curve.n_at_risk, curve.n_events):
             w.writerow([f"{t:.0f}", f"{s:.6f}", nr, ne])
-    return [out_path], f"survival km: {len(curve.times)} event times -> {out_path}"
+    return f"survival km: {len(curve.times)} event times -> {out_path}"
 
 
-@_stage(survival_group, "logrank")
+@_stage(survival_group, "logrank", writes=("logrank.json",))
 @click.option("--group-by", default="cci", show_default=True,
               help="Covariate grouping the comparison.")
 def survival_logrank(cfg, group_by):
@@ -623,13 +622,13 @@ def survival_logrank(cfg, group_by):
             {"statistic": result.statistic, "df": result.df, "p_value": result.p_value},
             fh, indent=2,
         )
-    return [out_path], (
+    return (
         f"survival logrank: chi2={result.statistic:.3f} df={result.df} "
         f"p={result.p_value:.4g} -> {out_path}"
     )
 
 
-@_stage(survival_group, "cox")
+@_stage(survival_group, "cox", writes=("cox.json",))
 def survival_cox(cfg):
     """Cox proportional-hazards fit on the cohort covariates; write cox.json."""
     from . import survival
@@ -648,7 +647,7 @@ def survival_cox(cfg):
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
-    return [out_path], (
+    return (
         f"survival cox: {len(fit.columns)} terms, log-likelihood {fit.loglik:.2f} "
         f"-> {out_path}"
     )
@@ -673,7 +672,7 @@ def regression():
     """Count-regression commands."""
 
 
-@_stage(regression, "nb")
+@_stage(regression, "nb", writes=("nb.json",))
 @click.option("--counts-file", required=True, type=str,
               help="CSV with columns patient_id, count, and optional exposure.")
 def regression_nb(cfg, counts_file):
@@ -698,10 +697,10 @@ def regression_nb(cfg, counts_file):
             {"terms": list(fit.summary_rows()), "theta": fit.theta,
              "loglik": fit.loglik, "aic": fit.aic}, fh, indent=2,
         )
-    return [out_path], f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
+    return f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
 
 
-@_stage(main, "ttest")
+@_stage(main, "ttest", writes=("ttest.json",))
 @click.option("--a-file", required=True, type=str, help="CSV with a value column.")
 @click.option("--b-file", required=True, type=str, help="CSV with a value column.")
 def ttest(cfg, a_file, b_file):
@@ -721,7 +720,7 @@ def ttest(cfg, a_file, b_file):
              "p_value": result.p_value, "mean_a": result.mean_a,
              "mean_b": result.mean_b}, fh, indent=2,
         )
-    return [out_path], (
+    return (
         f"ttest: t={result.statistic:.3f} df={result.df:.1f} "
         f"p={result.p_value:.4g} -> {out_path}"
     )
@@ -732,14 +731,15 @@ def synth_group():
     """Synthetic-data commands."""
 
 
-@_stage(synth_group, "gen")
+@_stage(synth_group, "gen", writes=("notes.jsonl", "gold_relations.csv", "gold_events.csv",
+                                    "registry.csv", "extracted_implants.csv"))
 def synth_gen(cfg):
     """Generate a synthetic corpus with gold labels into the output dir."""
     from . import synth
 
     corpus = synth.gen_corpus(synth.SynthConfig(seed=cfg.param("seed", 0)))
-    paths = synth.write_corpus(corpus, cfg.output_dir)
-    return list(paths.values()), (
+    synth.write_corpus(corpus, cfg.output_dir)
+    return (
         f"synth gen: {len(corpus.notes)} notes, {len(corpus.gold_relations)} gold "
         f"candidates -> {cfg.output_dir}"
     )
@@ -750,7 +750,7 @@ def report():
     """Reporting commands."""
 
 
-@_stage(report, "forest")
+@_stage(report, "forest", writes=("forest.csv",))
 def report_forest(cfg):
     """Format a Cox fit artifact as a forest-table CSV."""
     cox_path = _require(cfg, "cox.json")
@@ -776,7 +776,7 @@ def report_forest(cfg):
         w.writerow(["system", "n_patients", "n_events", "person_years",
                     "HR", "CI_low", "CI_high", "p"])
         w.writerows(rows)
-    return [out_path], f"report forest: {len(rows)} rows -> {out_path}"
+    return f"report forest: {len(rows)} rows -> {out_path}"
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError, InputFormatError, decoded_lines
 
 log = logging.getLogger(__name__)
 
@@ -161,7 +161,7 @@ def ingest_notes(path):
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:

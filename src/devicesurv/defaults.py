@@ -42,12 +42,12 @@ def load_implant_catalog(path=None) -> dict:
     ``InputFormatError`` naming it."""
     if path is None:
         path = resource_path("implant_catalog.json")
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     with parsing(path):
-        catalog = json.loads(raw)
+        catalog = json.loads(raw.decode("utf-8"))
         if not (isinstance(catalog, dict) and isinstance(catalog.get("catalog", {}), dict)
                 and isinstance(catalog.get("manufacturer_aliases", {}), dict)):
             raise TypeError("expected an object whose catalog and manufacturer_aliases "

@@ -64,6 +64,13 @@ class parsing:
             raise InputFormatError(f"{where}: cannot parse ({exc!r})", context=context) from exc
 
 
+def decoded_lines(fh, path):
+    """The lines of ``fh``, a text file opened from ``path``. A byte that
+    does not decode is an ``InputFormatError`` naming the file."""
+    with parsing(path):
+        yield from fh
+
+
 def read_csv(path, columns, parse_row) -> list:
     """``parse_row(row)`` for each row of the CSV file ``path``, the row a
     dict keyed by the header. A header without every name in ``columns``
@@ -71,7 +78,7 @@ def read_csv(path, columns, parse_row) -> list:
     line the row ends on (a quoted field may span lines). Both are
     ``InputFormatError``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(decoded_lines(fh, path))
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise InputFormatError(f"{path}: missing columns {missing}",

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
-from .errors import ConfigError, InputFormatError, parsing
+from .errors import ConfigError, InputFormatError, decoded_lines, parsing
 
 ENTITY_TYPES = ("implant", "complication", "pain", "anatomy")
 
@@ -103,7 +103,7 @@ def load_dictionary(path) -> Dictionary:
     """
     entries: dict[str, DictEntry] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -248,7 +248,7 @@ def load_trigger_lexicon(path) -> TriggerLexicon:
     terminators (comma-joined, may be empty)."""
     triggers: list[Trigger] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -412,7 +412,7 @@ def read_candidates(path) -> list[RelationCandidate]:
     out: list[RelationCandidate] = []
     sentences: list[Sentence] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             with parsing(path, lineno):
                 rec = json.loads(line)
                 ref = rec["sentence"]

@@ -81,7 +81,10 @@ class LabelMatrix:
             header = json.loads(line.decode("utf-8"))
             n, m = int(header["n"]), int(header["m"])
             candidate_ids, lf_ids = header["candidate_ids"], header["lf_ids"]
-        if min(n, m) < 0 or len(raw) != n * m:
+            if len(candidate_ids) != n or len(lf_ids) != m or len(set(candidate_ids)) != n:
+                raise ValueError(f"header id lists do not name {n} unique candidates "
+                                 f"and {m} LFs")
+        if len(raw) != n * m:
             raise InputFormatError(
                 f"{path}: expected {n * m} vote bytes for {n} x {m} votes, found {len(raw)}",
                 context={"path": str(path)},

@@ -415,6 +415,51 @@ class TestArtifacts:
         assert "rerun 'candidates'" in err["message"]
         assert err["context"]["input"] == str(touched)
 
+    # Each config path read by a command whose output a later command reads:
+    # the commands run first, the command that finds their output stale, and
+    # the command it names.
+    @pytest.mark.parametrize("key,before,command,producer", [
+        ("lf_module", [["candidates"], ["lf", "apply"]], ["labelmodel", "fit"], "lf apply"),
+        ("dev_gold", [["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"]],
+         ["predict"], "train"),
+        ("patients", [["cohort"]], ["events", "merge"], "cohort"),
+        ("text_events", [["cohort"], ["events", "merge"]], ["survival", "km"], "events merge"),
+    ], ids=["lf_module", "dev_gold", "patients", "text_events"])
+    def test_output_older_than_producer_input(self, runner, tmp_path, small_corpus_dir, key,
+                                              before, command, producer):
+        _, paths, _ = small_corpus_dir
+        inputs = _surveillance_inputs(tmp_path / "in")
+        module = tmp_path / "my_lfs.py"
+        module.write_text("from devicesurv.lf_lib import benchmark_lfs\n\n"
+                          "def get_lfs(relation_type):\n    return benchmark_lfs()\n")
+        dev_gold = tmp_path / "dev_gold.csv"
+        shutil.copy(paths["gold_relations"], dev_gold)
+        configured = {"notes": paths["notes"], "lf_module": module, "dev_gold": dev_gold,
+                      "patients": inputs["patients"], "text_events": inputs["text_events"]}
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths=configured, params={"seed": 0})
+        for cmd in before:
+            assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0, cmd
+        newest = max(os.path.getmtime(outdir / name) for name in os.listdir(outdir))
+        os.utime(configured[key], (newest + 10, newest + 10))
+        result = runner.invoke(main, command + ["--config", cfg])
+        assert result.exit_code == 4, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "missing_artifact"
+        assert f"(rerun '{producer}')" in err["message"]
+        assert err["context"]["input"] == str(configured[key])
+
+    def test_each_artifact_has_one_producer(self):
+        # Every command declares what it writes; no artifact has two writers,
+        # and every artifact a command requires has one.
+        assert set(cli._STAGES) == {" ".join(c) for c in _command_tree(main)}
+        writes = [a for _, declared in cli._STAGES.values() for a in declared]
+        assert len(writes) == len(set(writes)) == len(cli._PRODUCERS)
+        with open(cli.__file__, encoding="utf-8") as fh:
+            required = set(re.findall(r'_require\(cfg, "([^"]+)"\)', fh.read()))
+        assert required == set(cli._ARTIFACTS)
+        assert required <= set(cli._PRODUCERS)
+
 
 def _chain(runner, tmp_path, paths, commands):
     outdir = tmp_path / "out"
@@ -454,6 +499,16 @@ def _surveillance_inputs(directory):
 def _truncate(path, size):
     data = path.read_bytes()
     path.write_bytes(data[:size if size >= 0 else len(data) + size])
+
+
+def _damage_header(path, damage):
+    """Rewrite a label matrix's header so it lists one candidate too few, or
+    the first candidate twice."""
+    line, votes = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    ids = header["candidate_ids"]
+    header["candidate_ids"] = ids[:-1] if damage == "ids_short" else [ids[0]] + ids[1:-1] + [ids[0]]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + votes)
 
 
 _SCORES_CSV = "candidate_id,score,predicted_label\na,0.900000,1\nb,0.500000,0\nc,0.100000,0\n"
@@ -499,6 +554,15 @@ _DAMAGED_INPUTS = {
                                 ["cohort"], "config.json", 2),
     "config_params_not_object": ({"config.json": '{"output_dir": ".", "params": "x"}'}, {},
                                  ["cohort"], "config.json", 2),
+    "config_output_dir_not_string": ({"config.json": '{"output_dir": 5}'}, {}, ["cohort"],
+                                     "output_dir", 2),
+    "config_path_null": ({"config.json": '{"output_dir": ".", "paths": {"notes": null}}'}, {},
+                         ["candidates"], "paths.notes", 2),
+    "config_path_list": ({"config.json": '{"output_dir": ".", "paths": {"notes": ["a"]}}'}, {},
+                         ["candidates"], "paths.notes", 2),
+    "config_list_path_string": (
+        {"config.json": '{"output_dir": ".", "paths": {"dictionaries": "p.tsv"}}'}, {},
+        ["candidates"], "paths.dictionaries", 2),
     "registry_unknown_role": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
                                "registry.csv": _REGISTRY_CSV.format(role="hip")},
                               {"registry": "registry.csv"}, ["reconcile"], "registry.csv:2", 3),
@@ -538,14 +602,42 @@ _DAMAGED_INPUTS = {
                             ["report", "forest"], "cox.json", 3),
 }
 
+# case: (files holding a 0xff byte, which is not UTF-8, written as for
+# _DAMAGED_INPUTS; config paths; command; the file the error must name).
+_NOT_UTF8_INPUTS = {
+    "patients": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci=0).encode()
+                  .replace(b"White", b"Wh\xffte")},
+                 {"patients": "patients.csv"}, ["cohort"], "patients.csv"),
+    "candidates": ({"candidates.jsonl": b'{"candidate_id": "c\xff"}\n'}, {}, ["lf", "apply"],
+                   "candidates.jsonl"),
+    "notes": ({"notes.jsonl": b'{"note_id": "n\xff"}\n'}, {"notes": "notes.jsonl"},
+              ["candidates"], "notes.jsonl"),
+    "dictionary": ({"notes.jsonl": b"", "pain.tsv": b"hip p\xffin\tpain\tpain\n"},
+                   {"notes": "notes.jsonl", "dictionaries": ["pain.tsv"]}, ["candidates"],
+                   "pain.tsv"),
+    "trigger_lexicon": ({"notes.jsonl": b"", "triggers.tsv": b"n\xffo\tnegation\tforward\n"},
+                        {"notes": "notes.jsonl", "trigger_lexicon": "triggers.tsv"},
+                        ["candidates"], "triggers.tsv"),
+    "catalog": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral").encode(),
+                 "registry.csv": _REGISTRY_CSV.format(role="femoral").encode(),
+                 "catalog.json": b'{"\xff": {}}'},
+                {"registry": "registry.csv", "implant_catalog": "catalog.json"}, ["reconcile"],
+                "catalog.json"),
+    "config": ({"config.json": b'{"output_dir": "\xff"}'}, {}, ["cohort"], "config.json"),
+}
+
 
 class TestDamagedArtifacts:
-    # Sizes cut the header line, then the vote bytes.
-    @pytest.mark.parametrize("size", [10, -3])
+    # Sizes cut the header line, then the vote bytes; the named cases leave
+    # the header's id lists at odds with its shape.
+    @pytest.mark.parametrize("size", [10, -3, "ids_short", "ids_repeated"])
     def test_damaged_label_matrix_exit_code(self, runner, tmp_path, small_corpus_dir, size):
         _, paths, _ = small_corpus_dir
         outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
-        _truncate(outdir / "label_matrix.bin", size)
+        if isinstance(size, int):
+            _truncate(outdir / "label_matrix.bin", size)
+        else:
+            _damage_header(outdir / "label_matrix.bin", size)
         result = runner.invoke(main, ["labelmodel", "fit", "--config", cfg])
         assert result.exit_code == 3
         err = _stderr_json(result)
@@ -578,6 +670,20 @@ class TestDamagedArtifacts:
         assert result.exit_code == code, result.output
         err = _stderr_json(result)
         assert err["code"] == {2: "config", 3: "input_format"}[code]
+        assert damaged in err["message"]
+
+    @pytest.mark.parametrize("case", list(_NOT_UTF8_INPUTS))
+    def test_not_utf8_input_exit_code(self, runner, tmp_path, case):
+        files, paths, command, damaged = _NOT_UTF8_INPUTS[case]
+        cfg = _write_config(tmp_path, tmp_path, paths={
+            k: [tmp_path / x for x in v] if isinstance(v, list) else tmp_path / v
+            for k, v in paths.items()})
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        result = runner.invoke(main, command + ["--config", cfg])
+        assert result.exit_code == 3, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
         assert damaged in err["message"]
 
 

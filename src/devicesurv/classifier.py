@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, InputFormatError, parsing
+from .errors import ConfigError, FitError, InputFormatError, parsing, write_json, writing
 from .extraction import RelationCandidate
 from .lf_lib import between_tokens, left_window, right_window, token_distance
 
@@ -176,7 +176,7 @@ class ClassifierModel:
         indices and float64 weights of the nonzero entries. A JSON sidecar
         (path + ".json") carries the metadata."""
         nz = np.nonzero(self.weights)[0]
-        with open(path, "wb") as fh:
+        with writing(path, binary=True) as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<Bdd", self.feature_config.n_bits, self.bias, self.threshold))
             fh.write(struct.pack("<Q", len(nz)))
@@ -191,8 +191,7 @@ class ClassifierModel:
             "feature_digest": self.feature_config.digest(),
             "metadata": self.metadata,
         }
-        with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
+        write_json(f"{path}.json", sidecar)
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":

@@ -9,7 +9,6 @@ code: 2 config, 3 input format, 4 missing artifact, 5 fit failure, 1 other.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import importlib.util
@@ -40,6 +39,8 @@ from .errors import (  # noqa: E402
     MissingArtifactError,
     parsing,
     read_csv,
+    write_csv,
+    write_json,
 )
 
 if TYPE_CHECKING:
@@ -313,9 +314,7 @@ def _stage(group: click.Group, name: str, paths=(), writes=()):
                         "written_at": datetime.now().isoformat(timespec="seconds"),
                         "outputs": [cfg.artifact(a) for a in writes],
                     }
-                    meta_path = cfg.artifact(f"{command.replace(' ', '_')}.meta.json")
-                    with open(meta_path, "w", encoding="utf-8") as fh:
-                        json.dump(meta, fh, indent=2)
+                    write_json(cfg.artifact(f"{command.replace(' ', '_')}.meta.json"), meta)
                 click.echo(summary)
             except DeviceSurvError as exc:
                 click.echo(json.dumps(exc.to_json()), err=True)
@@ -391,16 +390,12 @@ def lf_stats(cfg):
     out_path = cfg.artifact("lf_stats.csv")
     with_acc = gold is not None
     header = ["lf_id", "coverage", "overlap", "conflict"] + (["accuracy"] if with_acc else [])
-    click.echo(",".join(header))
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for lf_id, st in stats.per_lf.items():
-            row = [lf_id, f"{st.coverage:.4f}", f"{st.overlap:.4f}", f"{st.conflict:.4f}"]
-            if with_acc:
-                row.append("" if st.accuracy is None else f"{st.accuracy:.4f}")
-            w.writerow(row)
-            click.echo(",".join(row))
+    rows = [[lf_id, f"{st.coverage:.4f}", f"{st.overlap:.4f}", f"{st.conflict:.4f}"]
+            + (["" if st.accuracy is None else f"{st.accuracy:.4f}"] if with_acc else [])
+            for lf_id, st in stats.per_lf.items()]
+    write_csv(out_path, header, rows)
+    for row in [header, *rows]:
+        click.echo(",".join(row))
     dist = Counter(round(lab.p_true, 2) for lab in weaksup.soft_majority_vote(matrix))
     click.echo("soft-majority-vote label distribution:")
     for p in sorted(dist):
@@ -421,8 +416,7 @@ def labelmodel_fit(cfg):
     matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
     model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
     model_path = cfg.artifact("label_model.json")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        fh.write(model.to_json())
+    write_json(model_path, model.to_dict())
     weaksup.labels_to_csv(weaksup.posterior_labels(model, matrix), cfg.artifact("labels.csv"))
     return (
         f"labelmodel fit: {model.n_iter} EM iterations, "
@@ -600,11 +594,9 @@ def survival_km(cfg):
 
     curve = survival.km_estimate(_load_survival_dataset(cfg))
     out_path = cfg.artifact("km.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "survival", "n_at_risk", "n_events"])
-        for t, s, nr, ne in zip(curve.times, curve.survival, curve.n_at_risk, curve.n_events):
-            w.writerow([f"{t:.0f}", f"{s:.6f}", nr, ne])
+    write_csv(out_path, ["time", "survival", "n_at_risk", "n_events"],
+              ([f"{t:.0f}", f"{s:.6f}", nr, ne] for t, s, nr, ne in
+               zip(curve.times, curve.survival, curve.n_at_risk, curve.n_events)))
     return f"survival km: {len(curve.times)} event times -> {out_path}"
 
 
@@ -617,11 +609,8 @@ def survival_logrank(cfg, group_by):
 
     result = survival.logrank_test(_load_survival_dataset(cfg, group_by))
     out_path = cfg.artifact("logrank.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"statistic": result.statistic, "df": result.df, "p_value": result.p_value},
-            fh, indent=2,
-        )
+    write_json(out_path,
+               {"statistic": result.statistic, "df": result.df, "p_value": result.p_value})
     return (
         f"survival logrank: chi2={result.statistic:.3f} df={result.df} "
         f"p={result.p_value:.4g} -> {out_path}"
@@ -645,8 +634,7 @@ def survival_cox(cfg):
         "n_iter": fit.n_iter,
         "groups": _group_summaries(ds),
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json(out_path, payload)
     return (
         f"survival cox: {len(fit.columns)} terms, log-likelihood {fit.loglik:.2f} "
         f"-> {out_path}"
@@ -692,11 +680,8 @@ def regression_nb(cfg, counts_file):
         exposure=exposure if exposure else None,
     )
     out_path = cfg.artifact("nb.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"terms": list(fit.summary_rows()), "theta": fit.theta,
-             "loglik": fit.loglik, "aic": fit.aic}, fh, indent=2,
-        )
+    write_json(out_path, {"terms": list(fit.summary_rows()), "theta": fit.theta,
+                          "loglik": fit.loglik, "aic": fit.aic})
     return f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
 
 
@@ -714,12 +699,9 @@ def ttest(cfg, a_file, b_file):
 
     result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
     out_path = cfg.artifact("ttest.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"statistic": result.statistic, "df": result.df,
-             "p_value": result.p_value, "mean_a": result.mean_a,
-             "mean_b": result.mean_b}, fh, indent=2,
-        )
+    write_json(out_path, {"statistic": result.statistic, "df": result.df,
+                          "p_value": result.p_value, "mean_a": result.mean_a,
+                          "mean_b": result.mean_b})
     return (
         f"ttest: t={result.statistic:.3f} df={result.df:.1f} "
         f"p={result.p_value:.4g} -> {out_path}"
@@ -771,11 +753,8 @@ def report_forest(cfg):
             rows.append([system, g["n_patients"], g["n_events"],
                          f"{g['person_years']:.1f}", *stats])
     out_path = cfg.artifact("forest.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["system", "n_patients", "n_events", "person_years",
-                    "HR", "CI_low", "CI_high", "p"])
-        w.writerows(rows)
+    write_csv(out_path, ["system", "n_patients", "n_events", "person_years",
+                         "HR", "CI_low", "CI_high", "p"], rows)
     return f"report forest: {len(rows)} rows -> {out_path}"
 
 

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the pipeline, and the CSV table reader
-that reports a bad row as one."""
+"""Exception hierarchy shared across the pipeline, the CSV table reader that
+reports a bad row as one, and the artifact writers."""
 
+import contextlib
 import csv
+import json
+import os
 
 
 class DeviceSurvError(Exception):
@@ -88,3 +91,36 @@ def read_csv(path, columns, parse_row) -> list:
             with parsing(path, reader.line_num):
                 out.append(parse_row(row))
         return out
+
+
+@contextlib.contextmanager
+def writing(path, binary=False):
+    """The handle of a new copy of the file ``path``: bytes when ``binary``,
+    else UTF-8 text with ``newline=""``: a line feed is written as is, and a
+    ``csv.writer`` ends its rows with CRLF. The copy is written as
+    ``<path>.tmp`` and replaces ``path`` only when the block exits cleanly;
+    on an exception the copy is removed and ``path`` is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the CSV file ``path``: the ``header`` row, then each of
+    ``rows`` as ``csv.writer`` quotes it."""
+    with writing(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2."""
+    with writing(path) as fh:
+        json.dump(obj, fh, indent=2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, read_csv
+from .errors import ConfigError, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,9 @@ def read_gold(path) -> dict[str, int]:
 def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
     """Write scores.csv: candidate_id, score to 6 places, and the 0/1
     predicted_label taken from the full-precision score."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("candidate_id,score,predicted_label\n")
-        for cid, s in zip(candidate_ids, scores):
-            fh.write(f"{cid},{float(s):.6f},{int(s >= threshold)}\n")
+    write_csv(path, ("candidate_id", "score", "predicted_label"),
+              ((cid, f"{float(s):.6f}", int(s >= threshold))
+               for cid, s in zip(candidate_ids, scores)))
 
 
 def read_scores(path) -> dict[str, int]:
@@ -152,6 +151,5 @@ def read_scores(path) -> dict[str, int]:
 
 def metrics_to_csv(metrics: Metrics, path) -> None:
     p, r, f = metrics.rounded()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("precision,recall,f1,tp,fp,fn\n")
-        fh.write(f"{p},{r},{f},{metrics.tp},{metrics.fp},{metrics.fn}\n")
+    write_csv(path, ("precision", "recall", "f1", "tp", "fp", "fn"),
+              [(p, r, f, metrics.tp, metrics.fp, metrics.fn)])

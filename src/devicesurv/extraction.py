@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
-from .errors import ConfigError, InputFormatError, decoded_lines, parsing
+from .errors import ConfigError, InputFormatError, decoded_lines, parsing, writing
 
 ENTITY_TYPES = ("implant", "complication", "pain", "anatomy")
 
@@ -373,7 +373,7 @@ def write_candidates(cands, path) -> None:
     stored: ``read_candidates`` rebuilds them from the sentence text exactly
     as ``preprocess`` and ``tag_entities`` do."""
     index: dict[tuple, int] = {}
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         for c in cands:
             s = c.sentence
             span = (s.text, s.char_start, s.char_end)

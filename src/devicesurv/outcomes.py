@@ -8,13 +8,12 @@ window, keeping the earlier timestamp.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, read_csv
+from .errors import ConfigError, read_csv, write_csv
 
 # numpy is imported by the two functions that build arrays, so the cohort and
 # event commands start without it.
@@ -340,11 +339,9 @@ _EVENT_COLUMNS = ("patient_id", "class", "date", "source", "provenance")
 
 
 def events_to_csv(events, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(_EVENT_COLUMNS)
-        for e in events:
-            w.writerow([e.patient_id, e.event_class, e.timestamp.isoformat(), e.source, e.provenance])
+    write_csv(path, _EVENT_COLUMNS,
+              ([e.patient_id, e.event_class, e.timestamp.isoformat(), e.source, e.provenance]
+               for e in events))
 
 
 def events_from_csv(path) -> list[Event]:
@@ -397,13 +394,10 @@ COHORT_COLUMNS = ("patient_id", "index_date", "last_contact_date",
 
 
 def cohort_to_csv(cohort: dict[str, CohortPatient], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(COHORT_COLUMNS)
-        for pid in sorted(cohort):
-            pat = cohort[pid]
-            w.writerow([pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
-                       + [pat.covariates.get(k, "") for k in COHORT_COLUMNS[3:]])
+    write_csv(path, COHORT_COLUMNS, (
+        [pid, pat.index_date.isoformat(), pat.last_contact_date.isoformat()]
+        + [pat.covariates.get(k, "") for k in COHORT_COLUMNS[3:]]
+        for pid, pat in sorted(cohort.items())))
 
 
 def cohort_from_csv(path) -> dict[str, CohortPatient]:

@@ -8,12 +8,10 @@ pairs as conflict, and unmatched records as missing on one side.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from datetime import date, datetime
 
-from .errors import ConfigError, InputFormatError, read_csv
+from .errors import ConfigError, InputFormatError, read_csv, write_csv, write_json
 from .outcomes import match_by_date
 
 COMPONENT_ROLES = ("acetabular", "femoral", "other")
@@ -91,33 +89,18 @@ class ReconciliationReport:
         return {k: v / total for k, v in counts.items()}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "patient_id", "component_role", "status",
-                    "extracted_date", "extracted_manufacturer", "extracted_model",
-                    "registry_date", "registry_manufacturer", "registry_model",
-                ]
-            )
-            for e in self.entries:
-                ext = e.extracted
-                reg = e.registry
-                w.writerow(
-                    [
-                        e.patient_id, e.component_role, e.status,
-                        ext.surgery_date.isoformat() if ext else "",
-                        ext.manufacturer if ext else "",
-                        ext.model if ext else "",
-                        reg.surgery_date.isoformat() if reg else "",
-                        reg.manufacturer if reg else "",
-                        reg.model if reg else "",
-                    ]
-                )
+        def side(r):
+            return [r.surgery_date.isoformat(), r.manufacturer, r.model] if r else ["", "", ""]
+
+        write_csv(path, [
+            "patient_id", "component_role", "status",
+            "extracted_date", "extracted_manufacturer", "extracted_model",
+            "registry_date", "registry_manufacturer", "registry_model",
+        ], ([e.patient_id, e.component_role, e.status, *side(e.extracted), *side(e.registry)]
+            for e in self.entries))
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"counts": self.counts(), "fractions": self.fractions()}, fh, indent=2)
+        write_json(path, {"counts": self.counts(), "fractions": self.fractions()})
 
 
 def reconcile_registry(extracted, registry, date_tolerance_days: int = 30) -> ReconciliationReport:
@@ -148,12 +131,9 @@ _REGISTRY_COLUMNS = ("patient_id", "surgery_date", "component_role", "manufactur
 
 def registry_to_csv(records, path) -> None:
     """Write records in the format ``load_registry_csv`` reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(_REGISTRY_COLUMNS)
-        for r in records:
-            w.writerow([r.patient_id, r.surgery_date.isoformat(), r.component_role,
-                        r.manufacturer, r.model])
+    write_csv(path, _REGISTRY_COLUMNS,
+              ([r.patient_id, r.surgery_date.isoformat(), r.component_role, r.manufacturer,
+                r.model] for r in records))
 
 
 def load_registry_csv(path) -> list[RegistryRecord]:

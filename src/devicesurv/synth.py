@@ -10,7 +10,6 @@ gold. Survival and count data come from closed-form generators.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import string
@@ -20,7 +19,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 
 from .corpus import RawNote
-from .errors import ConfigError
+from .errors import ConfigError, write_csv, writing
 from .outcomes import CohortPatient, Event, SurvivalDataset, events_to_csv
 from .reconcile import RegistryRecord, registry_to_csv
 from .weaksup import ABSTAIN, LabelMatrix
@@ -265,25 +264,15 @@ def write_corpus(corpus: SynthCorpus, outdir) -> dict[str, str]:
         "registry": os.path.join(outdir, "registry.csv"),
         "extracted_implants": os.path.join(outdir, "extracted_implants.csv"),
     }
-    with open(paths["notes"], "w", encoding="utf-8") as fh:
-        for note in corpus.notes:
-            fh.write(
-                json.dumps(
-                    {
-                        "note_id": note.note_id,
-                        "patient_id": note.patient_id,
+    with writing(paths["notes"]) as fh:
+        fh.writelines(
+            json.dumps({"note_id": note.note_id, "patient_id": note.patient_id,
                         "note_datetime": note.note_datetime.isoformat(),
-                        "note_type": note.note_type,
-                        "text": note.text,
-                    }
-                )
-                + "\n"
-            )
-    with open(paths["gold_relations"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["candidate_id", "label", "note_id"])
-        for cid in sorted(corpus.gold_relations):
-            w.writerow([cid, corpus.gold_relations[cid], corpus.candidate_note[cid]])
+                        "note_type": note.note_type, "text": note.text}) + "\n"
+            for note in corpus.notes)
+    write_csv(paths["gold_relations"], ["candidate_id", "label", "note_id"],
+              ([cid, label, corpus.candidate_note[cid]]
+               for cid, label in sorted(corpus.gold_relations.items())))
     events_to_csv(corpus.events, paths["gold_events"])
     registry_to_csv(corpus.registry_records, paths["registry"])
     registry_to_csv(corpus.extracted_records, paths["extracted_implants"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, InputFormatError, parsing, read_csv
+from .errors import ConfigError, FitError, InputFormatError, parsing, read_csv, write_csv, writing
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ class LabelMatrix:
             "lf_ids": self.lf_ids,
             "candidate_ids": self.candidate_ids,
         }
-        with open(path, "wb") as fh:
+        with writing(path, binary=True) as fh:
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
             fh.write(self.votes.astype(np.int8).tobytes())
@@ -93,11 +93,10 @@ class LabelMatrix:
         return cls(candidate_ids, lf_ids, votes)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("candidate_id,lf_id,vote\n")
-            for i, cid in enumerate(self.candidate_ids):
-                for j, lf_id in enumerate(self.lf_ids):
-                    fh.write(f"{cid},{lf_id},{VOTE_NAMES[int(self.votes[i, j])]}\n")
+        write_csv(path, ("candidate_id", "lf_id", "vote"),
+                  ((cid, lf_id, VOTE_NAMES[v])
+                   for cid, row in zip(self.candidate_ids, self.votes.tolist())
+                   for lf_id, v in zip(self.lf_ids, row)))
 
 
 def apply_lfs(candidates, lfs) -> LabelMatrix:
@@ -224,18 +223,15 @@ class LabelModel:
     log_likelihood: float = float("nan")
     ll_history: list[float] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lf_ids": self.lf_ids,
-                "class_prior": self.class_prior,
-                "alpha": list(map(float, self.alpha)),
-                "beta": list(map(float, self.beta)),
-                "n_iter": self.n_iter,
-                "log_likelihood": self.log_likelihood,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "lf_ids": self.lf_ids,
+            "class_prior": self.class_prior,
+            "alpha": list(map(float, self.alpha)),
+            "beta": list(map(float, self.beta)),
+            "n_iter": self.n_iter,
+            "log_likelihood": self.log_likelihood,
+        }
 
 
 def _log_class_scores(V, alpha, beta, eps=1e-12):
@@ -338,10 +334,8 @@ def posterior_labels(model: LabelModel, matrix: LabelMatrix) -> list[Probabilist
 
 
 def labels_to_csv(labels, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("candidate_id,p_true\n")
-        for lab in labels:
-            fh.write(f"{lab.candidate_id},{lab.p_true:.6f}\n")
+    write_csv(path, ("candidate_id", "p_true"),
+              ((lab.candidate_id, f"{lab.p_true:.6f}") for lab in labels))
 
 
 def labels_from_csv(path) -> list[ProbabilisticLabel]:

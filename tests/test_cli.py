@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface."""
 
+import csv
 import itertools
 import json
 import os
@@ -300,6 +301,23 @@ class TestArtifacts:
 
         matrix = LabelMatrix.load(outdir / "label_matrix.bin")
         assert matrix.lf_ids == ["lf_contiguous_entities", "lf_historical"]
+
+    def test_label_matrix_csv_quotes_lf_ids(self, runner, tmp_path, small_corpus_dir):
+        # A user LF id holding a comma and a quote reads back as one field.
+        _, paths, corpus = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"]])
+        module = tmp_path / "my_lfs.py"
+        module.write_text("from devicesurv.weaksup import LabelingFunction\n\n"
+                          "def get_lfs(relation_type):\n"
+                          "    return [LabelingFunction('kw,\"x\"', relation_type, lambda c: 1)]\n")
+        _write_config(tmp_path, outdir, paths={"notes": paths["notes"], "lf_module": module})
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        with open(outdir / "label_matrix.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [list(r.items()) for r in rows] == [
+            [("candidate_id", cid), ("lf_id", 'kw,"x"'), ("vote", "TRUE")]
+            for cid in corpus.gold_relations]
 
     def test_tag_and_candidates(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir

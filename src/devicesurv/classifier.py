@@ -90,11 +90,21 @@ def _hash_feature(feat: str, n_bits: int) -> tuple[int, float]:
     return idx, sign
 
 
-def featurize(c: RelationCandidate, config: FeatureConfig | None = None) -> FeatureVector:
+def featurize(
+    c: RelationCandidate, config: FeatureConfig | None = None, hashes: dict | None = None
+) -> FeatureVector:
+    """The candidate's hashed features, summed per index, by ascending index.
+    ``hashes`` maps each feature string already hashed under ``config`` to
+    its (index, sign); callers featurizing many candidates share one, so
+    each distinct string is hashed once."""
     config = config or FeatureConfig()
+    hashes = {} if hashes is None else hashes
     acc: dict[int, float] = {}
     for feat in raw_features(c, config):
-        idx, sign = _hash_feature(feat, config.n_bits)
+        hashed = hashes.get(feat)
+        if hashed is None:
+            hashed = hashes[feat] = _hash_feature(feat, config.n_bits)
+        idx, sign = hashed
         acc[idx] = acc.get(idx, 0.0) + sign
     items = sorted(acc.items())
     return FeatureVector(
@@ -140,11 +150,12 @@ def rmatvec(X, r) -> np.ndarray:
 
 def design_matrix(candidates, config: FeatureConfig | None = None) -> CSRMatrix:
     config = config or FeatureConfig()
+    hashes: dict = {}
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     for c in candidates:
-        fv = featurize(c, config)
+        fv = featurize(c, config, hashes)
         indices.extend(fv.indices.tolist())
         data.extend(fv.values.tolist())
         indptr.append(len(indices))
@@ -165,6 +176,11 @@ class TrainConfig:
 
 @dataclass
 class ClassifierModel:
+    """A trained model as its active columns: the sorted int64 ``columns``
+    of the hashed feature space and their ``weights``. A column not listed
+    weighs 0.0, so no ``feature_config.dim``-long vector is ever built."""
+
+    columns: np.ndarray
     weights: np.ndarray
     bias: float
     feature_config: FeatureConfig
@@ -175,12 +191,12 @@ class ClassifierModel:
         """Binary layout: magic, n_bits, bias, threshold, nnz, then int64
         indices and float64 weights of the nonzero entries. A JSON sidecar
         (path + ".json") carries the metadata."""
-        nz = np.nonzero(self.weights)[0]
+        nz = self.weights != 0
         with writing(path, binary=True) as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<Bdd", self.feature_config.n_bits, self.bias, self.threshold))
-            fh.write(struct.pack("<Q", len(nz)))
-            fh.write(nz.astype(np.int64).tobytes())
+            fh.write(struct.pack("<Q", int(np.count_nonzero(nz))))
+            fh.write(self.columns[nz].astype(np.int64).tobytes())
             fh.write(self.weights[nz].astype(np.float64).tobytes())
         sidecar = {
             "feature_config": {
@@ -195,6 +211,8 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":
+        """The model ``save`` wrote. Indices that are not strictly increasing
+        or lie outside [0, dim), and non-finite weights, are a damaged file."""
         with open(str(path) + ".json", encoding="utf-8") as fh, parsing(f"{path}.json"):
             sidecar = json.load(fh)
             fc = FeatureConfig(**sidecar["feature_config"])
@@ -207,21 +225,29 @@ class ClassifierModel:
             if n_bits != fc.n_bits:
                 raise ConfigError(f"{path}: dim mismatch between binary and sidecar")
             (nnz,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-            idx = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.int64)
-            vals = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.float64)
-        w = np.zeros(fc.dim)
-        w[idx] = vals
-        return cls(weights=w, bias=bias, feature_config=fc,
+            if nnz > fc.dim:
+                _damaged(path, f"{nnz} entries for {fc.dim} columns")
+            columns = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.int64)
+            weights = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.float64)
+        if np.any((columns < 0) | (columns >= fc.dim)):
+            _damaged(path, f"index outside [0, {fc.dim})")
+        if np.any(columns[1:] <= columns[:-1]):
+            _damaged(path, "indices not strictly increasing")
+        if not np.all(np.isfinite(weights)):
+            _damaged(path, "non-finite weight")
+        return cls(columns=columns, weights=weights, bias=bias, feature_config=fc,
                    metadata=sidecar.get("metadata", {}), threshold=threshold)
+
+
+def _damaged(path, problem: str):
+    raise InputFormatError(f"{path}: damaged classifier model ({problem})",
+                           context={"path": str(path)})
 
 
 def _read_exact(fh, size: int, path) -> bytes:
     data = fh.read(size)
     if len(data) != size:
-        raise InputFormatError(
-            f"{path}: truncated classifier model (expected {size} more bytes, found {len(data)})",
-            context={"path": str(path)},
-        )
+        _damaged(path, f"truncated: expected {size} more bytes, found {len(data)}")
     return data
 
 
@@ -268,10 +294,11 @@ def train_noise_aware(
     if missing:
         raise FitError(f"candidates missing labels: {missing[:5]}")
     p = np.array([by_id[cid] for cid in candidate_ids])
-    w, b = train_on_matrix(X, p, config, feature_config.dim)
+    columns, weights, bias = train_on_matrix(X, p, config, feature_config.dim)
     return ClassifierModel(
-        weights=w,
-        bias=b,
+        columns=columns,
+        weights=weights,
+        bias=bias,
         feature_config=feature_config,
         metadata={
             "seed": config.seed,
@@ -286,15 +313,19 @@ def train_noise_aware(
 
 def train_on_matrix(X, p, config: TrainConfig, dim: int):
     """Mini-batch SGD over the columns some row of the CSR ``X`` touches;
-    returns the dim-long weights and the bias. ``X`` is anything with
-    ``data``, ``indices``, ``indptr`` and ``shape``.
+    returns those columns (sorted int64), their weights and the bias. ``X``
+    is anything with ``data``, ``indices``, ``indptr`` and ``shape``; a
+    column outside [0, dim) is an error.
 
     An untouched column starts at 0 and its gradient is 0 + 2·l2·(…)·0, so it
-    stays exactly 0. The narrow matrix keeps each row's entries in the same
-    order (``cols`` is sorted), so every product sums as the dim-wide loop
-    did and the weights are bit-identical to it."""
+    stays exactly 0: the columns and weights are the dim-wide loop's weights
+    wherever they can be nonzero. The narrow matrix keeps each row's entries
+    in the same order (``cols`` is sorted), so every product sums as the
+    dim-wide loop did and the weights are bit-identical to it."""
     n = X.shape[0]
     cols, remap = np.unique(X.indices, return_inverse=True)
+    if len(cols) and not (cols[0] >= 0 and cols[-1] < dim):
+        raise FitError(f"feature column outside [0, {dim})")
     X = CSRMatrix(X.data, remap, X.indptr, (n, len(cols)))
     w = np.zeros(len(cols))
     b = 0.0
@@ -310,14 +341,20 @@ def train_on_matrix(X, p, config: TrainConfig, dim: int):
             scale = config.learning_rate / len(batch)
             w -= scale * grad_w
             b -= scale * grad_b
-    full = np.zeros(dim)
-    full[cols] = w
-    return full, b
+    return cols.astype(np.int64), w, b
 
 
 def score_matrix(model: ClassifierModel, X) -> np.ndarray:
-    """P(true) for each row of the CSR ``X``."""
-    return _sigmoid(matvec(X, model.weights) + model.bias)
+    """P(true) for each row of the CSR ``X``. Each entry's weight is found in
+    the model's sorted columns by binary search; an absent column weighs
+    0.0, so the products and sums are those of ``X @ w`` over the dim-long
+    weight vector."""
+    cols = np.append(model.columns, -1)  # no feature column is -1
+    pos = np.searchsorted(model.columns, X.indices)
+    pos[cols[pos] != X.indices] = len(model.columns)
+    w = np.append(model.weights, 0.0)
+    return _sigmoid(matvec(CSRMatrix(X.data, pos, X.indptr, (X.shape[0], len(w))), w)
+                    + model.bias)
 
 
 def predict_many(model: ClassifierModel, candidates) -> np.ndarray:

@@ -502,18 +502,9 @@ def reconcile_cmd(cfg):
 
     extracted_path = _require(cfg, "extracted_implants.csv")
     catalog = load_implant_catalog(cfg.paths.get("implant_catalog"))
-
-    def load_canonical(path):
-        return [
-            reconcile.RegistryRecord(
-                r.patient_id, r.surgery_date, r.component_role,
-                reconcile.canonicalize_manufacturer(r.manufacturer, catalog), r.model,
-            )
-            for r in reconcile.load_registry_csv(path)
-        ]
-
     report = reconcile.reconcile_registry(
-        load_canonical(extracted_path), load_canonical(cfg.path("registry")),
+        reconcile.load_registry_csv(extracted_path, catalog),
+        reconcile.load_registry_csv(cfg.path("registry"), catalog),
         cfg.param("date_tolerance_days", 30),
     )
     out_path = cfg.artifact("reconciliation.csv")

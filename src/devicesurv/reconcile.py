@@ -136,9 +136,11 @@ def registry_to_csv(records, path) -> None:
                 r.model] for r in records))
 
 
-def load_registry_csv(path) -> list[RegistryRecord]:
+def load_registry_csv(path, catalog: dict | None = None) -> list[RegistryRecord]:
     """CSV columns: patient_id, surgery_date (ISO-8601), component_role,
-    manufacturer, model."""
+    manufacturer, model. With an implant ``catalog``, each manufacturer is
+    read through its ``manufacturer_aliases``."""
+    catalog = catalog or {}
 
     def record(row):
         # RegistryRecord's own checks raise ConfigError, which names no line.
@@ -150,7 +152,7 @@ def load_registry_csv(path) -> list[RegistryRecord]:
             patient_id=row["patient_id"],
             surgery_date=datetime.fromisoformat(row["surgery_date"]).date(),
             component_role=row["component_role"],
-            manufacturer=row["manufacturer"],
+            manufacturer=canonicalize_manufacturer(row["manufacturer"], catalog),
             model=row["model"],
         )
 

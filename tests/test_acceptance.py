@@ -173,7 +173,8 @@ class TestClassifierCorrectness:
             options={"ftol": 1e-15, "gtol": 1e-12},
         )
         config = clf.TrainConfig(seed=0, epochs=20000, learning_rate=0.05, l2=l2, batch_size=20)
-        w, b = clf.train_on_matrix(X, p, config, 5)
+        cols, w, b = clf.train_on_matrix(X, p, config, 5)
+        assert cols.tolist() == [0, 1, 2, 3, 4]
         assert np.allclose(w, oracle.x[:-1], atol=1e-3)
         assert abs(b - oracle.x[-1]) < 1e-3
 

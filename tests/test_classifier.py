@@ -1,6 +1,7 @@
 """Unit tests for hashed features and the noise-aware classifier."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -72,14 +73,15 @@ class TestFeatures:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         fc = clf.FeatureConfig()
-        w = np.zeros(fc.dim)
-        w[[3, 100, 999]] = [0.5, -1.25, 2.0]
         model = clf.ClassifierModel(
-            weights=w, bias=0.75, feature_config=fc, metadata={"seed": 3}, threshold=0.42
+            columns=np.array([3, 100, 999]), weights=np.array([0.5, -1.25, 2.0]), bias=0.75,
+            feature_config=fc, metadata={"seed": 3}, threshold=0.42
         )
         path = tmp_path / "model.bin"
         model.save(path)
         loaded = clf.ClassifierModel.load(path)
+        assert loaded.columns.dtype == np.int64
+        assert np.array_equal(loaded.columns, model.columns)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded.threshold == model.threshold
@@ -87,9 +89,8 @@ class TestSerialization:
 
     def test_save_load_save_byte_identical(self, tmp_path):
         fc = clf.FeatureConfig()
-        w = np.zeros(fc.dim)
-        w[[1, 2]] = [0.1, 0.2]
-        model = clf.ClassifierModel(weights=w, bias=0.0, feature_config=fc)
+        model = clf.ClassifierModel(columns=np.array([1, 2]), weights=np.array([0.1, 0.2]),
+                                    bias=0.0, feature_config=fc)
         p1 = tmp_path / "a.bin"
         p2 = tmp_path / "b.bin"
         model.save(p1)
@@ -98,7 +99,7 @@ class TestSerialization:
 
     def test_bad_magic_rejected(self, tmp_path):
         fc = clf.FeatureConfig()
-        model = clf.ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc)
+        model = _empty_model(fc)
         path = tmp_path / "model.bin"
         model.save(path)
         raw = bytearray(path.read_bytes())
@@ -109,7 +110,7 @@ class TestSerialization:
 
     def test_digest_mismatch_at_load(self, tmp_path):
         fc = clf.FeatureConfig()
-        model = clf.ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc)
+        model = _empty_model(fc)
         path = tmp_path / "model.bin"
         model.save(path)
         sidecar_path = tmp_path / "model.bin.json"
@@ -118,6 +119,35 @@ class TestSerialization:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(ConfigError, match="digest"):
             clf.ClassifierModel.load(path)
+
+    def test_save_writes_the_nonzero_entries_of_the_dense_vector(self, tmp_path):
+        # The bytes np.nonzero over the dim-long vector gave: columns ascend,
+        # and 0.0 and -0.0 weights are dropped.
+        fc = clf.FeatureConfig(n_bits=4)
+        cols, vals = np.array([4, 7, 9, 12]), np.array([0.0, 1.5, -0.0, -2.0])
+        path = tmp_path / "model.bin"
+        clf.ClassifierModel(columns=cols, weights=vals, bias=0.25, feature_config=fc,
+                            threshold=0.5).save(path)
+        dense = _scatter(cols, vals, fc.dim)
+        nz = np.nonzero(dense)[0]
+        assert path.read_bytes() == (
+            b"DSCM\x01" + struct.pack("<BddQ", 4, 0.25, 0.5, len(nz))
+            + nz.astype(np.int64).tobytes() + dense[nz].tobytes())
+        loaded = clf.ClassifierModel.load(path)
+        assert loaded.columns.tolist() == [7, 12]
+        assert loaded.weights.tolist() == [1.5, -2.0]
+
+
+def _empty_model(fc):
+    return clf.ClassifierModel(columns=np.zeros(0, dtype=np.int64), weights=np.zeros(0),
+                               bias=0.0, feature_config=fc)
+
+
+def _scatter(columns, weights, dim):
+    """The dim-long weight vector of a model's active columns."""
+    w = np.zeros(dim)
+    w[columns] = weights
+    return w
 
 
 def _small_problem(seed=0, n=20, d=5):
@@ -176,7 +206,8 @@ class TestObjective:
 
         opt = optimize.minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B")
         config = clf.TrainConfig(seed=0, epochs=3000, learning_rate=0.1, l2=l2, batch_size=X.shape[0])
-        w, b = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
+        cols, w, b = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
+        assert cols.tolist() == list(range(X.shape[1]))
         loss, _, _ = clf.loss_and_grad(w, b, X, p, l2)
         assert loss <= opt.fun + 1e-3
         assert np.allclose(w, opt.x[:-1], atol=1e-2)
@@ -199,18 +230,19 @@ class TestObjective:
         X = clf.design_matrix(pain_candidates)
         p = np.array([0.9, 0.1, 0.6, 0.3])
         config = clf.TrainConfig(seed=0, epochs=1, learning_rate=0.5, l2=l2, batch_size=4)
-        w, b = clf.train_on_matrix(X, p, config, X.shape[1])
+        cols, w, b = clf.train_on_matrix(X, p, config, X.shape[1])
         _, grad_w, grad_b = clf.loss_and_grad(np.zeros(X.shape[1]), 0.0, X, p, l2)
         scale = config.learning_rate / 4
-        assert np.array_equal(w, -(scale * grad_w))
+        assert cols.tolist() == np.unique(X.indices).tolist()
+        assert np.array_equal(_scatter(cols, w, X.shape[1]), -(scale * grad_w))
         assert b == -(scale * grad_b)
 
     def test_training_deterministic_per_seed(self):
         X, p = _small_problem(seed=4)
         config = clf.TrainConfig(seed=7, epochs=5, batch_size=4)
-        w1, b1 = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
-        w2, b2 = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
-        assert np.array_equal(w1, w2) and b1 == b2
+        c1, w1, b1 = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
+        c2, w2, b2 = clf.train_on_matrix(sparse.csr_matrix(X), p, config, X.shape[1])
+        assert np.array_equal(c1, c2) and np.array_equal(w1, w2) and b1 == b2
 
 
 def _train(cands, labels, config=None):
@@ -347,8 +379,11 @@ class TestActiveColumnTraining:
             config = clf.TrainConfig(seed=seed, epochs=4, learning_rate=0.5, l2=0.05,
                                      batch_size=batch_size)
             w_old, b_old = _dense_train_on_matrix(X, p, config, dim)
-            w_new, b_new = clf.train_on_matrix(X, p, config, dim)
-            assert w_new.shape == (dim,)
+            cols, w_active, b_new = clf.train_on_matrix(X, p, config, dim)
+            assert cols.dtype == np.int64
+            assert cols.tolist() == np.unique(X.indices).tolist()
+            assert w_active.tobytes() == w_old[cols].tobytes()
+            w_new = _scatter(cols, w_active, dim)
             assert np.array_equal(w_new, w_old)
             assert w_new.tobytes() == w_old.tobytes()
             assert b_new == b_old
@@ -357,6 +392,46 @@ class TestActiveColumnTraining:
             assert np.all(w_new[untouched] == 0.0)
             assert w_new[zero_col] == 0.0
             assert np.count_nonzero(w_new) == np.unique(X.indices).size - 1
+
+    def test_column_outside_dim_rejected(self):
+        X, p, _ = _hashed_problem(0, 1 << 12)
+        with pytest.raises(FitError, match="outside"):
+            clf.train_on_matrix(X, p, clf.TrainConfig(epochs=1), 1 << 11)
+
+    @pytest.mark.parametrize("keep", [slice(None), slice(0, None, 3), slice(0, 0)])
+    def test_scores_bit_identical_to_dense_vector(self, keep):
+        # Columns the model lacks (every third one kept, or none) weigh 0.0,
+        # as in the dim-long vector the scores were once taken against.
+        dim = 1 << 20
+        X, _, _ = _hashed_problem(5, dim)
+        cols = np.unique(X.indices)[keep]
+        weights = np.random.default_rng(5).normal(size=len(cols))
+        model = clf.ClassifierModel(columns=cols, weights=weights, bias=-0.3,
+                                    feature_config=clf.FeatureConfig())
+        want = clf._sigmoid(X @ _scatter(cols, weights, dim) - 0.3)
+        assert clf.score_matrix(model, _numpy_csr(X)).tobytes() == want.tobytes()
+
+
+class TestNoDimLongArray:
+    def test_train_save_load_score_peak_memory(self, pain_candidates, tmp_path):
+        # At n_bits=20 one dim-long float64 vector is 8 MB; the model of a
+        # few active columns needs a few kB.
+        import tracemalloc
+
+        X = clf.design_matrix(pain_candidates)
+        ids = [c.candidate_id for c in pain_candidates]
+        labels = [ProbabilisticLabel(cid, p) for cid, p in zip(ids, [0.9, 0.1, 0.6, 0.3])]
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            model = clf.train_noise_aware(X, ids, labels, clf.TrainConfig(epochs=2))
+            model.save(path)
+            clf.score_matrix(clf.ClassifierModel.load(path), X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.shape[1] == 1 << 20
+        assert peak < 2_000_000
 
 
 def _scipy_cases(synth_candidates):

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line surface."""
 
 import csv
+import hashlib
 import itertools
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -529,6 +531,32 @@ def _damage_header(path, damage):
     path.write_bytes(json.dumps(header).encode() + b"\n" + votes)
 
 
+def _damage_model(path, damage):
+    """Rewrite a classifier.bin: the last index becomes 2**40, the first -5,
+    the second a copy of the first, the first two swap, the entry count
+    becomes 2**62, or the first weight becomes NaN or infinite."""
+    data = bytearray(path.read_bytes())
+    head = 5 + 17  # magic, then n_bits, bias and threshold
+    (nnz,) = struct.unpack_from("<Q", data, head)
+    idx = np.frombuffer(data, dtype=np.int64, count=nnz, offset=head + 8).copy()
+    weights = np.frombuffer(data, dtype=np.float64, count=nnz, offset=head + 8 + 8 * nnz).copy()
+    assert nnz >= 2
+    if damage == "index_2**40":
+        idx[-1] = 2**40
+    elif damage == "index_-5":
+        idx[0] = -5
+    elif damage == "index_repeated":
+        idx[1] = idx[0]
+    elif damage == "index_descending":
+        idx[[0, 1]] = idx[[1, 0]]
+    elif damage == "nnz_huge":
+        nnz = 2**62
+    else:
+        weights[0] = {"weight_nan": np.nan, "weight_inf": np.inf}[damage]
+    path.write_bytes(bytes(data[:head]) + struct.pack("<Q", nnz) + idx.tobytes()
+                     + weights.tobytes())
+
+
 _SCORES_CSV = "candidate_id,score,predicted_label\na,0.900000,1\nb,0.500000,0\nc,0.100000,0\n"
 _COHORT_CSV = ("patient_id,index_date,last_contact_date,age_band,sex,race,ethnicity,cci\n"
                "p1,{index},2015-01-01,60-69,F,White,Unknown,none\n")
@@ -663,14 +691,24 @@ class TestDamagedArtifacts:
         assert "label_matrix.bin" in err["message"]
 
     # Sizes cut the struct fields after the magic, then the weight block;
-    # the last case damages the JSON sidecar.
-    @pytest.mark.parametrize("name,size", [("classifier.bin", 12), ("classifier.bin", -4),
-                                           ("classifier.bin.json", 20)])
-    def test_damaged_classifier_exit_code(self, runner, tmp_path, small_corpus_dir, name, size):
+    # one case damages the JSON sidecar, and the named ones rewrite the index
+    # or weight block (see _damage_model).
+    @pytest.mark.parametrize("name,damage", [
+        ("classifier.bin", 12), ("classifier.bin", -4), ("classifier.bin.json", 20),
+        ("classifier.bin", "index_2**40"), ("classifier.bin", "index_-5"),
+        ("classifier.bin", "index_repeated"), ("classifier.bin", "index_descending"),
+        ("classifier.bin", "nnz_huge"), ("classifier.bin", "weight_nan"),
+        ("classifier.bin", "weight_inf"),
+    ])
+    def test_damaged_classifier_exit_code(self, runner, tmp_path, small_corpus_dir, name,
+                                          damage):
         _, paths, _ = small_corpus_dir
         outdir, cfg = _chain(runner, tmp_path, paths, [
             ["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"]])
-        _truncate(outdir / name, size)
+        if isinstance(damage, int):
+            _truncate(outdir / name, damage)
+        else:
+            _damage_model(outdir / name, damage)
         result = runner.invoke(main, ["predict", "--config", cfg])
         assert result.exit_code == 3
         err = _stderr_json(result)
@@ -713,8 +751,8 @@ def _eval_setup(tmp_path, scores_csv=_SCORES_CSV):
     outdir = tmp_path / "out"
     outdir.mkdir()
     (outdir / "scores.csv").write_text(scores_csv)
-    fc = FeatureConfig(n_bits=4)
-    ClassifierModel(weights=np.zeros(fc.dim), bias=0.0, feature_config=fc,
+    ClassifierModel(columns=np.zeros(0, dtype=np.int64), weights=np.zeros(0), bias=0.0,
+                    feature_config=FeatureConfig(n_bits=4),
                     threshold=0.5).save(outdir / "classifier.bin")
     gold = tmp_path / "gold.csv"
     gold.write_text("candidate_id,label\na,1\nb,1\nc,0\n")
@@ -800,6 +838,32 @@ class TestPipelineChain:
                 assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
             outputs.append((outdir / "scores.csv").read_text())
         assert outputs[0] == outputs[1]
+
+
+class TestPinnedOutput:
+    # sha1 of the classifier artifacts over the synth corpus, recorded while
+    # the model still held a dim-long weight vector; storing only its active
+    # columns must keep these bytes.
+    @pytest.mark.parametrize("seed,digests", [
+        (0, {"classifier.bin": "b0e61ef29d38d57d6410db59be8a2666bc66cacf",
+             "classifier.bin.json": "53c679bbd00617bf39961f2620aa3fe50fd6727b",
+             "scores.csv": "74bdddd5e46ac16e249352367893bafc0ac3900c"}),
+        (1, {"classifier.bin": "972702e689c5f965862af85c8155091e8c7f418f",
+             "classifier.bin.json": "b39731e4112bb50a66e24293a9c3b150e9d73cce",
+             "scores.csv": "4752560c095b9a869d4c355fc0e2fe325a634728"}),
+    ])
+    def test_classifier_artifact_digests(self, runner, tmp_path, seed, digests):
+        paths = synth.write_corpus(synth.gen_corpus(synth.SynthConfig(seed=seed)), tmp_path)
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir,
+                            paths={"notes": paths["notes"], "dev_gold": paths["gold_relations"]},
+                            params={"lf_set": "benchmark", "seed": 0})
+        for cmd in (["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"],
+                    ["predict"]):
+            result = runner.invoke(main, cmd + ["--config", cfg])
+            assert result.exit_code == 0, (cmd, result.output)
+        assert {name: hashlib.sha1((outdir / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
 
 class TestReconcileCommand:

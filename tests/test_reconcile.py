@@ -265,6 +265,17 @@ class TestCsv:
         (rec,) = load_registry_csv(path)
         assert rec == _rec("p1", (date(2010, 5, 4) - date(2010, 1, 1)).days)
 
+    def test_catalog_aliases_manufacturers(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text(
+            "patient_id,surgery_date,component_role,manufacturer,model\n"
+            "p1,2010-05-04,femoral,Zimmer,VerSys\n"
+            "p2,2010-05-04,femoral,Stryker,Accolade\n"
+        )
+        assert [r.manufacturer for r in load_registry_csv(path)] == ["Zimmer", "Stryker"]
+        assert [r.manufacturer for r in load_registry_csv(path, CATALOG)] == [
+            "Zimmer Biomet", "Stryker"]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "registry.csv"
         path.write_text("patient_id,surgery_date\np1,2010-05-04\n")

@@ -1,9 +1,10 @@
 """Negative-binomial (NB2) count regression, AIC-driven grouping of rare
 categories, and the Welch t-test.
 
-nb_fit alternates IRLS Newton steps on the coefficients with a guarded 1-D
-Newton on the dispersion theta (Var = mu + mu^2/theta). Large fitted theta
-means no overdispersion, at which point the fit coincides with Poisson.
+nb_fit alternates IRLS Newton steps on the coefficients (survival.newton_step)
+with a guarded 1-D Newton on the dispersion theta (Var = mu + mu^2/theta).
+Large fitted theta means no overdispersion, at which point the fit coincides
+with Poisson.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy import special
 
 from .errors import ConfigError, FitError
 from .outcomes import Covariate, build_design
+from .survival import newton_step, wald, wald_rows
 
 log = logging.getLogger(__name__)
 
@@ -38,16 +40,7 @@ class NBFit:
     n_iter: int
 
     def summary_rows(self):
-        for i, name in enumerate(self.columns):
-            yield {
-                "term": name,
-                "coef": self.coef[i],
-                "se": self.se[i],
-                "IRR": self.irr[i],
-                "CI_low": self.ci_low[i],
-                "CI_high": self.ci_high[i],
-                "p": self.p_values[i],
-            }
+        return wald_rows(self, "IRR", self.irr)
 
 
 def _nb_loglik(y, mu, theta):
@@ -60,6 +53,12 @@ def _nb_loglik(y, mu, theta):
             + y * np.log(mu / (theta + mu))
         )
     )
+
+
+def _nb_info(D, mu, theta):
+    """D' diag(w) D, the coefficients' information at fixed theta."""
+    w = mu * theta / (theta + mu)
+    return D.T @ (D * w[:, None])
 
 
 def _theta_newton(y, mu, theta):
@@ -120,56 +119,36 @@ def nb_fit(counts, X, columns=None, exposure=None) -> NBFit:
     names = ["intercept"] + (list(columns) if columns is not None else
                              [f"x{j}" for j in range(X.shape[1])])
 
+    def objective(beta):  # the log-likelihood at the current theta, and the mean
+        mu = np.exp(np.clip(D @ beta + offset, -30, 30))
+        return _nb_loglik(y, mu, theta), mu
+
     beta = np.zeros(D.shape[1])
     beta[0] = np.log(max(y.mean(), 1e-8)) - offset.mean()
     theta = 1.0
-    ll = -np.inf
+    ll, mu = objective(beta)
     for n_iter in range(1, 201):
-        eta = np.clip(D @ beta + offset, -30, 30)
-        mu = np.exp(eta)
         # IRLS Newton step on beta at fixed theta
-        w = mu * theta / (theta + mu)
         score = D.T @ ((y - mu) * theta / (theta + mu))
-        info = D.T @ (D * w[:, None])
         try:
-            step = np.linalg.solve(info, score)
+            new_beta, (_, mu) = newton_step(objective, beta, ll, score, _nb_info(D, mu, theta))
         except np.linalg.LinAlgError as exc:
             raise FitError("singular information matrix in NB fit") from exc
-        new_beta = beta + step
-        mu_new = np.exp(np.clip(D @ new_beta + offset, -30, 30))
-        halvings = 0
-        while _nb_loglik(y, mu_new, theta) < _nb_loglik(y, mu, theta) and halvings < 30:
-            step /= 2.0
-            new_beta = beta + step
-            mu_new = np.exp(np.clip(D @ new_beta + offset, -30, 30))
-            halvings += 1
-        new_theta = _theta_newton(y, mu_new, theta) if theta < THETA_CAP else theta
+        new_theta = _theta_newton(y, mu, theta) if theta < THETA_CAP else theta
         rel_beta = np.max(np.abs(new_beta - beta)) / max(np.max(np.abs(beta)), 1e-8)
         rel_theta = abs(new_theta - theta) / max(theta, 1e-8)
         beta, theta = new_beta, new_theta
-        new_ll = _nb_loglik(y, mu_new, theta)
-        converged = rel_beta < 1e-8 and (rel_theta < 1e-8 or theta >= THETA_CAP)
-        ll = new_ll
-        if converged:
+        ll = _nb_loglik(y, mu, theta)
+        if rel_beta < 1e-8 and (rel_theta < 1e-8 or theta >= THETA_CAP):
             break
     else:
         raise FitError("NB fit did not converge in 200 iterations")
 
-    mu = np.exp(np.clip(D @ beta + offset, -30, 30))
-    w = mu * theta / (theta + mu)
-    info = D.T @ (D * w[:, None])
-    cov = np.linalg.inv(info)
-    se = np.sqrt(np.diag(cov))
-    z = beta / se
-    pvals = 2 * special.ndtr(-np.abs(z))
     k = D.shape[1] + 1  # coefficients plus dispersion
     return NBFit(
         coef=beta,
-        se=se,
         irr=np.exp(beta),
-        ci_low=np.exp(beta - 1.96 * se),
-        ci_high=np.exp(beta + 1.96 * se),
-        p_values=pvals,
+        **wald(beta, _nb_info(D, mu, theta)),
         columns=names,
         theta=float(theta),
         loglik=ll,

@@ -115,16 +115,23 @@ def split_documents(doc_ids, seed: int, sizes: tuple[int, int, int]):
     return train, dev, test
 
 
+def _zero_or_one(value: str, column: str) -> int:
+    if value not in ("0", "1"):
+        raise ValueError(f"{column} must be 0 or 1, found {value!r}")
+    return int(value)
+
+
 def read_gold(path) -> dict[str, int]:
     """Gold labels from a CSV with a candidate_id column and a label (or
-    gold) column; duplicate ids are an error."""
+    gold) column; a duplicate id or a label other than 0 or 1 is an error."""
     out: dict[str, int] = {}
 
     def add(row):
         cid = row["candidate_id"]
         if cid in out:
             raise ValueError(f"duplicate candidate_id {cid!r}")
-        out[cid] = int(row["label"] if "label" in row else row["gold"])
+        column = "label" if "label" in row else "gold"
+        out[cid] = _zero_or_one(row[column], column)
 
     read_csv(path, ("candidate_id",), add)
     return out
@@ -141,12 +148,8 @@ def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
 def read_scores(path) -> dict[str, int]:
     """The predicted_label column of a scores.csv, keyed by candidate_id."""
 
-    def label(row):
-        if row["predicted_label"] not in ("0", "1"):
-            raise ValueError(f"predicted_label must be 0 or 1, found {row['predicted_label']!r}")
-        return row["candidate_id"], int(row["predicted_label"])
-
-    return dict(read_csv(path, ("candidate_id", "predicted_label"), label))
+    return dict(read_csv(path, ("candidate_id", "predicted_label"), lambda row: (
+        row["candidate_id"], _zero_or_one(row["predicted_label"], "predicted_label"))))
 
 
 def metrics_to_csv(metrics: Metrics, path) -> None:

@@ -1,8 +1,8 @@
 """Kaplan-Meier estimation, log-rank testing, and Cox proportional hazards.
 
-The Cox model maximizes the Breslow-tie partial log-likelihood with
-Newton-Raphson (step-halving on likelihood decrease); standard errors come
-from the inverse observed information.
+The Cox model maximizes the Breslow-tie partial log-likelihood with damped
+Newton-Raphson (``newton_step``, also the NB fit's); ``wald`` gives both fits
+their standard errors from the inverse observed information.
 """
 
 from __future__ import annotations
@@ -95,6 +95,53 @@ def _chi2_sf(x: float, df: int) -> float:
     return float(special.chdtrc(df, max(x, 0.0)))
 
 
+def _chi2_test(u: np.ndarray, V: np.ndarray) -> tuple[float, float]:
+    """The statistic u' V^-1 u and its chi-squared p-value on len(u) degrees
+    of freedom; a pseudo-inverse stands in for a singular V."""
+    try:
+        stat = float(u @ np.linalg.solve(V, u))
+    except np.linalg.LinAlgError:
+        stat = float(u @ np.linalg.pinv(V) @ u)
+    return stat, _chi2_sf(stat, len(u))
+
+
+def newton_step(objective, beta, ll, score, info):
+    """The Newton step from ``beta`` (log-likelihood ``ll``), halved at most
+    30 times while it loses more than round-off, so a fit does not depend on
+    the order of its sums. ``objective(b)`` returns a tuple led by the
+    log-likelihood at b; returns the new beta and that tuple there."""
+    step = np.linalg.solve(info, score)
+    tol = 8 * np.finfo(float).eps * abs(ll)
+    new = objective(beta + step)
+    halvings = 0
+    while new[0] < ll - tol and halvings < 30:
+        step /= 2.0
+        new = objective(beta + step)
+        halvings += 1
+    return beta + step, new
+
+
+def wald(beta: np.ndarray, info: np.ndarray) -> dict:
+    """Standard errors from the inverse information, 95% bounds on exp(beta)
+    and two-sided normal p-values, keyed by the fits' field names."""
+    from scipy import special
+
+    se = np.sqrt(np.diag(np.linalg.inv(info)))
+    z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+    with np.errstate(over="ignore"):  # degenerate fits get infinite CI bounds
+        ci_low = np.exp(beta - 1.96 * se)
+        ci_high = np.exp(beta + 1.96 * se)
+    return {"se": se, "ci_low": ci_low, "ci_high": ci_high,
+            "p_values": 2 * special.ndtr(-np.abs(z))}
+
+
+def wald_rows(fit, ratio_name: str, ratio: np.ndarray):
+    """One row per term of a fit carrying a ``wald`` table, with exp(coef),
+    ``ratio``, in the column ``ratio_name``."""
+    for row in zip(fit.columns, fit.coef, fit.se, ratio, fit.ci_low, fit.ci_high, fit.p_values):
+        yield dict(zip(("term", "coef", "se", ratio_name, "CI_low", "CI_high", "p"), row))
+
+
 def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     """Standard log-rank test over the dataset's group labels."""
     if dataset.groups is None:
@@ -120,11 +167,7 @@ def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     diff = (observed - expected)[: k - 1]
     if np.allclose(diff, 0.0):
         return LogRankResult(statistic=0.0, df=k - 1, p_value=1.0)
-    try:
-        stat = float(diff @ np.linalg.solve(V, diff))
-    except np.linalg.LinAlgError:
-        stat = float(diff @ np.linalg.pinv(V) @ diff)
-    p = _chi2_sf(stat, k - 1)
+    stat, p = _chi2_test(diff, V)
     return LogRankResult(statistic=stat, df=k - 1, p_value=p)
 
 
@@ -144,16 +187,7 @@ class CoxFit:
     n_iter: int
 
     def summary_rows(self):
-        for i, name in enumerate(self.columns):
-            yield {
-                "term": name,
-                "coef": self.coef[i],
-                "se": self.se[i],
-                "HR": self.hr[i],
-                "CI_low": self.ci_low[i],
-                "CI_high": self.ci_high[i],
-                "p": self.p_values[i],
-            }
+        return wald_rows(self, "HR", self.hr)
 
 
 def _breslow_quantities(beta, X, events, risk: _RiskSets):
@@ -194,42 +228,26 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                 f"{degenerate or dataset.columns}"
             )
     risk = _RiskSets(dataset.times, events)
-    ll_null, score0, info0 = _breslow_quantities(np.zeros(p), X, events, risk)
-    if p:
-        try:
-            score_stat = float(score0 @ np.linalg.solve(info0, score0))
-        except np.linalg.LinAlgError:
-            score_stat = float(score0 @ np.linalg.pinv(info0) @ score0)
-        score_p = _chi2_sf(score_stat, p)
-    else:
-        score_stat, score_p = 0.0, 1.0
+
+    def objective(beta):
+        return _breslow_quantities(beta, X, events, risk)
+
     beta = np.zeros(p)
-    ll = ll_null
+    ll, score, info = objective(beta)
+    ll_null = ll
+    score_stat, score_p = _chi2_test(score, info) if p else (0.0, 1.0)
     trace = [ll]
     n_iter = 0
     if p:
         for n_iter in range(1, 51):
-            ll_cur, score, info = _breslow_quantities(beta, X, events, risk)
             try:
-                step = np.linalg.solve(info, score)
+                beta, (new_ll, score, info) = newton_step(objective, beta, ll, score, info)
             except np.linalg.LinAlgError as exc:
                 raise FitError(
                     "singular information matrix; possible separation — "
                     "consider removing sparse covariates",
                     context={"iterations": trace},
                 ) from exc
-            new_beta = beta + step
-            new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)
-            # A step is halved only when it loses more than round-off, so the
-            # fit does not depend on the order in which the sums are taken.
-            tol = 8 * np.finfo(float).eps * abs(ll_cur)
-            halvings = 0
-            while new_ll < ll_cur - tol and halvings < 30:
-                step /= 2.0
-                new_beta = beta + step
-                new_ll, _, _ = _breslow_quantities(new_beta, X, events, risk)
-                halvings += 1
-            beta = new_beta
             trace.append(new_ll)
             if np.max(np.abs(beta)) > 50:
                 raise FitError(
@@ -237,36 +255,19 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
                     "consider removing the offending covariate",
                     context={"iterations": trace},
                 )
-            denom = max(abs(new_ll), 1e-12)
-            if abs(new_ll - ll) / denom < 1e-8:
-                ll = new_ll
-                break
+            converged = abs(new_ll - ll) / max(abs(new_ll), 1e-12) < 1e-8
             ll = new_ll
+            if converged:
+                break
         else:
             raise FitError(
                 "Cox fit did not converge in 50 iterations",
                 context={"iterations": trace},
             )
-    _, _, info = _breslow_quantities(beta, X, events, risk)
-    if p:
-        cov = np.linalg.inv(info)
-        se = np.sqrt(np.diag(cov))
-    else:
-        se = np.zeros(0)
-    z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    from scipy import special
-
-    pvals = 2 * special.ndtr(-np.abs(z))
-    with np.errstate(over="ignore"):  # degenerate fits get infinite CI bounds
-        ci_low = np.exp(beta - 1.96 * se)
-        ci_high = np.exp(beta + 1.96 * se)
     return CoxFit(
         coef=beta,
-        se=se,
         hr=np.exp(beta),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_values=pvals,
+        **wald(beta, info),
         columns=list(dataset.columns),
         loglik=ll,
         loglik_null=ll_null,

@@ -90,6 +90,9 @@ class LabelMatrix:
                 context={"path": str(path)},
             )
         votes = np.frombuffer(raw, dtype=np.int8).reshape(n, m).copy()
+        if not np.isin(votes, list(VOTE_NAMES)).all():
+            raise InputFormatError(f"{path}: a vote byte is not -1, 0 or 1",
+                                   context={"path": str(path)})
         return cls(candidate_ids, lf_ids, votes)
 
     def write_csv(self, path) -> None:
@@ -145,8 +148,17 @@ def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LF
     """Coverage/overlap/conflict per LF, plus empirical accuracy on gold
     (over non-abstaining rows) when gold labels are supplied."""
     V = matrix.votes
-    n, m = V.shape
+    n = V.shape[0]
     nonabstain = V != ABSTAIN
+    is_true, is_false = V == TRUE, V == FALSE
+    # an LF conflicts on a row when it votes TRUE and another LF FALSE, or
+    # the reverse
+    conflicting = ((is_true & is_false.any(axis=1)[:, None])
+                   | (is_false & is_true.any(axis=1)[:, None]))
+    overlapping = nonabstain & (nonabstain.sum(axis=1) >= 2)[:, None]
+    coverage, overlap, conflict = ((rows.sum(axis=0) / max(n, 1)).tolist()
+                                   for rows in (nonabstain, overlapping, conflicting))
+    accuracy = [None] * len(matrix.lf_ids)
     if gold is not None:
         missing = sorted(set(gold) - set(matrix.candidate_ids))
         if missing:
@@ -155,27 +167,12 @@ def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LF
                 context={"missing": missing},
             )
         idx = {cid: i for i, cid in enumerate(matrix.candidate_ids)}
-    stats = {}
-    counts = nonabstain.sum(axis=1)
-    for j, lf_id in enumerate(matrix.lf_ids):
-        mask_j = nonabstain[:, j]
-        cov = float(mask_j.mean()) if n else 0.0
-        overlap_rows = mask_j & (counts >= 2)
-        overlap = float(overlap_rows.mean()) if n else 0.0
-        conflict_rows = np.zeros(n, dtype=bool)
-        for k in range(m):
-            if k == j:
-                continue
-            both = mask_j & nonabstain[:, k]
-            conflict_rows |= both & (V[:, j] != V[:, k])
-        conflict = float(conflict_rows.mean()) if n else 0.0
-        accuracy = None
-        if gold is not None:
-            rows = [idx[cid] for cid in gold if mask_j[idx[cid]]]
-            if rows:
-                agree = sum(int(V[r, j]) == int(gold[matrix.candidate_ids[r]]) for r in rows)
-                accuracy = agree / len(rows)
-        stats[lf_id] = LFStat(coverage=cov, overlap=overlap, conflict=conflict, accuracy=accuracy)
+        G = V[[idx[cid] for cid in gold]]
+        voted = (G != ABSTAIN).sum(axis=0)
+        agree = (G == np.array(list(gold.values()))[:, None]).sum(axis=0)
+        accuracy = [int(a) / int(v) if v else None for a, v in zip(agree, voted)]
+    stats = {lf_id: LFStat(coverage=c, overlap=o, conflict=k, accuracy=a) for lf_id, c, o, k, a
+             in zip(matrix.lf_ids, coverage, overlap, conflict, accuracy)}
     return LFStats(per_lf=stats)
 
 

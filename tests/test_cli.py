@@ -523,11 +523,15 @@ def _truncate(path, size):
 
 def _damage_header(path, damage):
     """Rewrite a label matrix's header so it lists one candidate too few, or
-    the first candidate twice."""
+    the first candidate twice; or set its last vote byte to 7."""
     line, votes = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
     ids = header["candidate_ids"]
-    header["candidate_ids"] = ids[:-1] if damage == "ids_short" else [ids[0]] + ids[1:-1] + [ids[0]]
+    if damage == "vote_7":
+        votes = votes[:-1] + b"\x07"
+    else:
+        header["candidate_ids"] = (ids[:-1] if damage == "ids_short"
+                                   else [ids[0]] + ids[1:-1] + [ids[0]])
     path.write_bytes(json.dumps(header).encode() + b"\n" + votes)
 
 
@@ -675,8 +679,8 @@ _NOT_UTF8_INPUTS = {
 
 class TestDamagedArtifacts:
     # Sizes cut the header line, then the vote bytes; the named cases leave
-    # the header's id lists at odds with its shape.
-    @pytest.mark.parametrize("size", [10, -3, "ids_short", "ids_repeated"])
+    # the header's id lists at odds with its shape, or a vote byte invalid.
+    @pytest.mark.parametrize("size", [10, -3, "ids_short", "ids_repeated", "vote_7"])
     def test_damaged_label_matrix_exit_code(self, runner, tmp_path, small_corpus_dir, size):
         _, paths, _ = small_corpus_dir
         outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
@@ -782,6 +786,18 @@ class TestEvalCommand:
         err = _stderr_json(result)
         assert err["code"] == "input_format"
         assert "scores.csv" in err["message"]
+
+
+    def test_gold_label_other_than_0_or_1_exit_code(self, runner, tmp_path):
+        # select_threshold counts a label of 2 in neither class, so every
+        # gold reader refuses it rather than counting it as a positive.
+        _, cfg = _eval_setup(tmp_path)
+        (tmp_path / "gold.csv").write_text("candidate_id,label\na,1\nb,2\nc,0\n")
+        result = runner.invoke(main, ["eval", "--config", cfg])
+        assert result.exit_code == 3
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert f"{tmp_path / 'gold.csv'}:3" in err["message"]
 
 
 class TestPipelineChain:
@@ -1022,7 +1038,7 @@ _COMMAND_IMPORTS = {
     ("survival", "km"): ("outcomes survival", "numpy"),
     ("survival", "logrank"): ("outcomes survival", "numpy scipy"),
     ("survival", "cox"): ("outcomes survival", "numpy scipy"),
-    ("regression", "nb"): ("countreg outcomes", "numpy scipy"),
+    ("regression", "nb"): ("countreg outcomes survival", "numpy scipy"),
     ("reconcile",): ("defaults outcomes reconcile", ""),
     ("report", "forest"): ("", ""),
 }

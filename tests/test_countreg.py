@@ -205,6 +205,59 @@ class TestWelch:
         assert rejections / trials < 0.09
 
 
+class TestStepHalving:
+    """The coefficient step is halved only on a loss beyond round-off, as
+    the Cox step is (test_survival.TestStepHalving)."""
+
+    x = np.repeat([0.0, 1.0], 4)
+    y = np.array([0, 1, 2, 1, 3, 4, 2, 5], dtype=float)
+    start = np.full(8, np.exp(np.log(y.mean())))  # the mean nb_fit starts from
+
+    @pytest.mark.parametrize("drop,factor", [
+        (np.nextafter(-100.0, -np.inf) + 100.0, 1.0),  # 1 ulp: round-off, step taken whole
+        (-1e-10, 2.0**-30),  # a real loss: halved until the 30-halving cap
+    ], ids=["one_ulp", "real_loss"])
+    def test_halves_only_a_loss_beyond_round_off(self, monkeypatch, drop, factor):
+        # Every mean but the starting one reads `drop` below the
+        # log-likelihood there; the theta update that follows the first
+        # step reports the mean the step reached.
+        class Taken(Exception):
+            pass
+
+        def theta_newton(y, mu, theta):
+            raise Taken(mu)
+
+        monkeypatch.setattr(countreg, "_nb_loglik", lambda y, mu, theta: (
+            -100.0 if np.array_equal(mu, self.start) else -100.0 + drop))
+        monkeypatch.setattr(countreg, "_theta_newton", theta_newton)
+        with pytest.raises(Taken) as taken:
+            nb_fit(self.y, self.x)
+        mu = taken.value.args[0]
+        # The Newton step in the slope from 0 at theta = 1 (IRLS weights
+        # mu / (1 + mu)), which the fit starts from.
+        D = np.column_stack([np.ones(8), self.x])
+        w = self.start / (1 + self.start)
+        step = np.linalg.solve(D.T @ (D * w[:, None]), D.T @ ((self.y - self.start) * w / self.start))
+        assert step[1] > 0.5
+        assert np.log(mu[-1]) - np.log(mu[0]) == pytest.approx(factor * step[1], rel=1e-6)
+
+    def test_two_likelihood_evaluations_per_iteration(self, monkeypatch):
+        # One at the start, then per iteration one at the step (none of this
+        # fit's steps is halved) and one at the updated theta.
+        counts, X = gen_nb_counts(800, beta=(0.3, 0.05), theta=2.0, seed=0)
+        calls = []
+        loglik = countreg._nb_loglik
+
+        def counted(*args):
+            calls.append(1)
+            return loglik(*args)
+
+        monkeypatch.setattr(countreg, "_nb_loglik", counted)
+        fit = nb_fit(counts, X)
+        assert fit.n_iter >= 3
+        assert len(calls) == 2 * fit.n_iter + 1
+
+
 class TestThetaCap:
     def test_cap_value(self):
         assert THETA_CAP == 1e8

@@ -306,6 +306,25 @@ class TestStepHalving:
         assert fit.n_iter == 1
         assert fit.coef.tolist() == [coef]
 
+    def test_one_evaluation_per_iteration(self, monkeypatch):
+        # A fit that halves no step evaluates the partial likelihood once at
+        # beta = 0 and once per iteration; each step reuses the score and
+        # information of the evaluation that accepted the last one.
+        from devicesurv.synth import gen_survival_dataset
+
+        calls = []
+        quantities = survival._breslow_quantities
+
+        def counted(*args):
+            calls.append(args[0].copy())
+            return quantities(*args)
+
+        monkeypatch.setattr(survival, "_breslow_quantities", counted)
+        fit = cox_fit(gen_survival_dataset(500, hazard_ratio=2.0, seed=0))
+        assert fit.n_iter >= 3
+        assert len(calls) == fit.n_iter + 1
+        assert calls[-1].tolist() == fit.coef.tolist()
+
 
 class TestPValuesMatchScipyStats:
     """The tail probabilities call the scipy.special kernels that scipy.stats

@@ -91,6 +91,15 @@ class TestSerialization:
         assert loaded.lf_ids == matrix.lf_ids
         assert np.array_equal(loaded.votes, matrix.votes)
 
+    @pytest.mark.parametrize("byte", [7, 2, -2, -128])
+    def test_vote_byte_outside_ternary_rejected(self, tmp_path, byte):
+        path = tmp_path / "m.bin"
+        _matrix([[TRUE, ABSTAIN], [FALSE, TRUE], [ABSTAIN, ABSTAIN]]).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-3] + np.int8(byte).tobytes() + data[-2:])
+        with pytest.raises(InputFormatError, match="m.bin"):
+            LabelMatrix.load(path)
+
     def test_csv_export(self, tmp_path):
         matrix = _matrix([[TRUE, FALSE]])
         path = tmp_path / "m.csv"
@@ -145,6 +154,29 @@ class TestLFStatistics:
         matrix = LabelMatrix([f"c{i}" for i in range(50)], [f"lf{j}" for j in range(4)], votes)
         for st_ in lf_statistics(matrix).per_lf.values():
             assert st_.conflict <= st_.overlap <= st_.coverage
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_loop(self, seed):
+        # The reference compares each pair of LFs on each row; gold covers a
+        # random subset of rows, in shuffled order.
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 60), rng.integers(1, 7)
+        votes = rng.choice([TRUE, FALSE, ABSTAIN], size=(n, m), p=rng.dirichlet([1, 1, 1]))
+        matrix = LabelMatrix([f"c{i}" for i in range(n)], [f"lf{j}" for j in range(m)], votes)
+        rows = rng.permutation(n)[: rng.integers(0, n + 1)]
+        gold = {f"c{i}": int(rng.integers(0, 2)) for i in rows}
+        V = matrix.votes.tolist()
+        for j, st_ in enumerate(lf_statistics(matrix, gold).per_lf.values()):
+            voting = [i for i in range(n) if V[i][j] != ABSTAIN]
+            overlap = [i for i in voting if sum(v != ABSTAIN for v in V[i]) >= 2]
+            conflict = [i for i in voting
+                        if any(V[i][k] not in (ABSTAIN, V[i][j]) for k in range(m) if k != j)]
+            scored = [i for i in rows if V[i][j] != ABSTAIN]
+            assert st_.coverage == len(voting) / n
+            assert st_.overlap == len(overlap) / n
+            assert st_.conflict == len(conflict) / n
+            assert st_.accuracy == (
+                sum(V[i][j] == gold[f"c{i}"] for i in scored) / len(scored) if scored else None)
 
     def test_missing_gold_id_error(self):
         matrix = _matrix([[TRUE]])

@@ -62,6 +62,9 @@ _KNOWN_PARAM_KEYS = {
 }
 # Params with a valid range: (test, the range as the error states it).
 _PARAM_RANGES = {
+    "seed": (lambda v: v >= 0, "at least 0"),
+    "merge_window_days": (lambda v: v >= 0, "at least 0"),
+    "date_tolerance_days": (lambda v: v >= 0, "at least 0"),
     "epochs": (lambda v: v >= 1, "at least 1"),
     "batch_size": (lambda v: v >= 1, "at least 1"),
     "learning_rate": (lambda v: v > 0, "above 0"),
@@ -565,12 +568,9 @@ def _load_survival_dataset(
         outcomes.Covariate("sex", reference="F"),
         outcomes.Covariate("cci", reference="none"),
     ]
-    ds = outcomes.build_survival_dataset(
-        cohort, evts, cfg.param("outcome_class", "revision"), spec
+    return outcomes.build_survival_dataset(
+        cohort, evts, cfg.param("outcome_class", "revision"), spec, group_by
     )
-    if group_by is not None:
-        ds.groups = [cohort[pid].covariates.get(group_by, "Unknown") for pid in ds.subject_ids]
-    return ds
 
 
 @main.group("survival")

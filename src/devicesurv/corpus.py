@@ -7,19 +7,22 @@ mentions normalized to signed relative-time bins against the note timestamp.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .errors import ConfigError, InputFormatError, decoded_lines
+from .errors import InputFormatError, decoded_lines
 
 log = logging.getLogger(__name__)
 
 # Signed relative-time bins. Edges are inclusive upper bounds in days; an
-# exact boundary falls into the smaller bin.
+# exact boundary falls into the smaller bin. One label per level, the last
+# for deltas beyond the last edge.
 DEFAULT_BIN_EDGES_DAYS = (1, 7, 30, 365, 1825)
+_BIN_LABELS = ("0-1d", "1-7d", "7-30d", "30-1y", "1-5y", "5y+")
 
 # Two-digit years below the pivot are 20xx, the rest 19xx.
 TWO_DIGIT_YEAR_PIVOT = 50
@@ -55,8 +58,17 @@ DEFAULT_HEADER_LEXICON = (
     "COMPONENTS",
     "PATIENT EDUCATION",
 )
+_HEADER_INDEX = {entry.lower(): entry for entry in DEFAULT_HEADER_LEXICON}
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+# The four sentence cuts; sentence_spans says where each one falls. The period
+# scan starts only at a word start, so a long unbroken token is read once
+# rather than once per character.
+_BANG_RE = re.compile(r"[!?]")
+_PERIOD_RE = re.compile(r"(?<!\S)\S*\.(?!\S)")
+_BLANK_LINE_RE = re.compile(r"\n(?=[ \t]*\n)")
+_HEADER_LINE_RE = re.compile(r":[ \t]*(\n)")
 
 _MONTHS = {
     name: i + 1
@@ -218,53 +230,24 @@ def tokenize(text: str, offset: int = 0) -> tuple[Token, ...]:
     )
 
 
-def _period_is_guarded(text: str, i: int, abbreviations) -> bool:
-    # Decimal number: digit on both sides.
-    if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-        return True
-    # No whitespace after the period ("e.g.", "U.S.") -- internal dot.
-    if i + 1 < len(text) and not text[i + 1].isspace():
-        return True
-    k = i
-    while k > 0 and not text[k - 1].isspace():
-        k -= 1
-    word = text[k : i + 1].lower()
-    return word in abbreviations
-
-
-def sentence_spans(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[tuple[int, int]]:
-    """Character spans of sentences: boundaries at ., !, ?, blank lines, and
-    header-style lines ending with ':'. Abbreviation periods are suppressed."""
-    cuts: list[int] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in "!?":
-            cuts.append(i + 1)
-        elif ch == ".":
-            if not _period_is_guarded(text, i, abbreviations):
-                cuts.append(i + 1)
-        elif ch == "\n":
-            j = i + 1
-            while j < n and text[j] in " \t":
-                j += 1
-            if j < n and text[j] == "\n":
-                cuts.append(i)
-            else:
-                k = i - 1
-                while k >= 0 and text[k] in " \t":
-                    k -= 1
-                if k >= 0 and text[k] == ":":
-                    cuts.append(i)
-        i += 1
-    cuts.append(n)
+def sentence_spans(text: str) -> list[tuple[int, int]]:
+    """Character spans of sentences: boundaries after ! and ?, after a period
+    ending a whitespace-delimited word that is not in
+    ``DEFAULT_ABBREVIATIONS`` (so "e.g.", "U.S." and 98.6 do not split), at
+    the first newline of a blank line, and at the newline ending a line whose
+    last non-blank character is ':'."""
+    cuts = [m.end() for m in _BANG_RE.finditer(text)]
+    cuts += [m.end() for m in _PERIOD_RE.finditer(text)
+             if m.group().lower() not in DEFAULT_ABBREVIATIONS]
+    cuts += [m.start() for m in _BLANK_LINE_RE.finditer(text)]
+    cuts += [m.start(1) for m in _HEADER_LINE_RE.finditer(text)]
+    cuts.sort()
+    cuts.append(len(text))
     spans = []
     start = 0
     for cut in cuts:
         seg = text[start:cut]
-        lead = len(seg) - len(seg.lstrip())
-        s = start + lead
+        s = start + len(seg) - len(seg.lstrip())
         e = start + len(seg.rstrip())
         if e > s:
             spans.append((s, e))
@@ -280,7 +263,7 @@ def preprocess(note: RawNote) -> Document:
         doc.sentences.append(
             Sentence(text=seg, char_start=s, char_end=e, tokens=tokenize(seg, offset=s))
         )
-    doc.sections = detect_sections(doc, DEFAULT_HEADER_LEXICON)
+    doc.sections = detect_sections(doc)
     doc.dates = normalize_dates(doc, note.note_datetime)
     return doc
 
@@ -296,81 +279,57 @@ def _is_uppercase_header(line: str) -> bool:
     return upper / len(letters) >= 0.8
 
 
-def detect_sections(doc: Document, header_lexicon) -> list[SectionSpan]:
-    """Find section headers by lexicon match or uppercase-colon rule; each
-    section runs to the next header or end of document."""
-    if not header_lexicon:
-        raise ConfigError("header lexicon must be nonempty")
-    lexicon = {entry.strip().rstrip(":").lower(): entry for entry in header_lexicon}
+def detect_sections(doc: Document) -> list[SectionSpan]:
+    """Find section headers by case-folded ``DEFAULT_HEADER_LEXICON`` match or
+    uppercase-colon rule; each section runs to the next header or end of
+    document."""
     text = doc.note.text
-    headers: list[tuple[int, int, str, str]] = []  # (start, end, verbatim, canonical)
+    headers: list[tuple[int, str, str]] = []  # (start, verbatim, canonical)
     pos = 0
     for line in text.splitlines(keepends=True):
         raw = line.rstrip("\n")
         stripped = raw.strip()
-        key = stripped.rstrip(":").strip().lower()
-        canonical = None
-        if key and key in lexicon:
-            canonical = lexicon[key]
-        elif _is_uppercase_header(raw):
-            canonical = stripped.rstrip(":").strip()
+        name = stripped.rstrip(":").strip()
+        canonical = _HEADER_INDEX.get(name.lower())
+        if canonical is None and _is_uppercase_header(raw):
+            canonical = name
         if canonical is not None:
-            lead = len(raw) - len(raw.lstrip())
-            headers.append(
-                (pos + lead, pos + len(raw.rstrip()), stripped, canonical)
-            )
+            headers.append((pos + len(raw) - len(raw.lstrip()), stripped, canonical))
         pos += len(line)
-    sections: list[SectionSpan] = []
     if not headers or headers[0][0] > 0:
-        end = headers[0][0] if headers else len(text)
-        sections.append(
-            SectionSpan(header_text="", canonical_header="UNKNOWN", char_start=0, char_end=end)
-        )
-    for idx, (hstart, _hend, verbatim, canonical) in enumerate(headers):
-        nxt = headers[idx + 1][0] if idx + 1 < len(headers) else len(text)
-        sections.append(
-            SectionSpan(
-                header_text=verbatim,
-                canonical_header=canonical,
-                char_start=hstart,
-                char_end=nxt,
-            )
-        )
-    return sections
+        headers.insert(0, (0, "", "UNKNOWN"))
+    ends = [start for start, _, _ in headers[1:]] + [len(text)]
+    return [
+        SectionSpan(header_text=verbatim, canonical_header=canonical,
+                    char_start=start, char_end=end)
+        for (start, verbatim, canonical), end in zip(headers, ends)
+    ]
 
 
-def _level_label(edges, level: int) -> str:
-    def fmt(days: int) -> str:
-        if days % 365 == 0 and days >= 365:
-            return f"{days // 365}y"
-        return f"{days}d"
-
-    if level == 0:
-        return f"0-{fmt(edges[0])}"
-    if level >= len(edges):
-        return f"{fmt(edges[-1])}+"
-    lo, hi = edges[level - 1], edges[level]
-    if lo % 365 == 0 and lo >= 365 and hi % 365 == 0:
-        return f"{lo // 365}-{hi // 365}y"
-    return f"{lo}-{fmt(hi)}"
-
-
-def compute_delta_bin(delta_days: int, edges=DEFAULT_BIN_EDGES_DAYS) -> DeltaBin:
+def compute_delta_bin(delta_days: int) -> DeltaBin:
     """Bin a signed day delta. Exact boundaries fall in the smaller bin; a
     zero delta counts as past ("-0-1d")."""
     sign = 1 if delta_days > 0 else -1
-    d = abs(delta_days)
-    level = len(edges)
-    for lvl, edge in enumerate(edges):
-        if d <= edge:
-            level = lvl
-            break
-    label = ("+" if sign > 0 else "-") + _level_label(edges, level)
+    level = bisect.bisect_left(DEFAULT_BIN_EDGES_DAYS, abs(delta_days))
+    label = ("+" if sign > 0 else "-") + _BIN_LABELS[level]
     return DeltaBin(sign=sign, level=level, label=label)
 
 
-def _resolve_year(two_digit: int) -> int:
-    return 2000 + two_digit if two_digit < TWO_DIGIT_YEAR_PIVOT else 1900 + two_digit
+def _slash_date(m: re.Match) -> date:
+    month, day, year = (int(g) for g in m.groups())
+    if len(m.group(3)) == 2:
+        year += 2000 if year < TWO_DIGIT_YEAR_PIVOT else 1900
+    return date(year, month, day)
+
+
+# Date surfaces in precedence order: a later form never claims characters an
+# earlier one already resolved. A resolver raises ValueError on an impossible
+# calendar date, which yields no mention.
+_DATE_FORMS = (
+    (_ISO_DATE_RE, lambda m: date(*(int(g) for g in m.groups()))),
+    (_SLASH_DATE_RE, _slash_date),
+    (_MONTH_YEAR_RE, lambda m: date(int(m.group(2)), _MONTHS[m.group(1).lower()], 1)),
+)
 
 
 def normalize_dates(doc: Document, note_datetime: datetime) -> list[DateMention]:
@@ -383,44 +342,23 @@ def normalize_dates(doc: Document, note_datetime: datetime) -> list[DateMention]
     text = doc.note.text
     note_date = note_datetime.date()
     mentions: list[DateMention] = []
-    consumed: list[tuple[int, int]] = []
-
-    def overlaps(s: int, e: int) -> bool:
-        return any(s < ce and e > cs for cs, ce in consumed)
-
-    def emit(s: int, e: int, resolved: date) -> None:
-        if overlaps(s, e):
-            return
-        delta = (resolved - note_date).days
-        mentions.append(
-            DateMention(
-                surface=text[s:e],
-                resolved_date=resolved,
-                delta_bin=compute_delta_bin(delta),
-                char_start=s,
-                char_end=e,
+    for pattern, resolve in _DATE_FORMS:
+        for m in pattern.finditer(text):
+            s, e = m.span()
+            if any(s < d.char_end and e > d.char_start for d in mentions):
+                continue
+            try:
+                resolved = resolve(m)
+            except ValueError:
+                continue
+            mentions.append(
+                DateMention(
+                    surface=m.group(),
+                    resolved_date=resolved,
+                    delta_bin=compute_delta_bin((resolved - note_date).days),
+                    char_start=s,
+                    char_end=e,
+                )
             )
-        )
-        consumed.append((s, e))
-
-    for m in _ISO_DATE_RE.finditer(text):
-        y, mo, dy = (int(g) for g in m.groups())
-        try:
-            emit(m.start(), m.end(), date(y, mo, dy))
-        except ValueError:
-            pass
-    for m in _SLASH_DATE_RE.finditer(text):
-        mo, dy, ystr = int(m.group(1)), int(m.group(2)), m.group(3)
-        y = int(ystr) if len(ystr) == 4 else _resolve_year(int(ystr))
-        try:
-            emit(m.start(), m.end(), date(y, mo, dy))
-        except ValueError:
-            pass
-    for m in _MONTH_YEAR_RE.finditer(text):
-        month = _MONTHS[m.group(1).lower()]
-        try:
-            emit(m.start(), m.end(), date(int(m.group(2)), month, 1))
-        except ValueError:
-            pass
     mentions.sort(key=lambda d: d.char_start)
     return mentions

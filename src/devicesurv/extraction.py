@@ -97,52 +97,60 @@ class Dictionary:
             node[None] = entry
 
 
-def load_dictionary(path) -> Dictionary:
-    """Load a tab-separated dictionary: term, canonical_id, entity_type,
-    subcategory (optional, complications only). Lookup is case-insensitive.
-    """
-    entries: dict[str, DictEntry] = {}
+def _tsv_rows(path):
+    """(line number, stripped columns) for each row of the tab-separated file
+    ``path``, skipping blank lines and lines starting with '#'. A row of
+    fewer than 3 columns is an ``InputFormatError`` naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            cols = line.split("\t")
+            cols = [col.strip() for col in line.split("\t")]
             if len(cols) < 3:
                 raise InputFormatError(
                     f"{path}:{lineno}: expected at least 3 tab-separated columns",
                     context={"line": lineno},
                 )
-            term, canonical_id, entity_type = cols[0].strip(), cols[1].strip(), cols[2].strip()
-            subcategory = cols[3].strip() if len(cols) > 3 and cols[3].strip() else None
-            if not term:
-                raise InputFormatError(f"{path}:{lineno}: empty term", context={"line": lineno})
-            if entity_type not in ENTITY_TYPES:
+            yield lineno, cols
+
+
+def load_dictionary(path) -> Dictionary:
+    """Load a tab-separated dictionary: term, canonical_id, entity_type,
+    subcategory (optional, complications only). Lookup is case-insensitive.
+    """
+    entries: dict[str, DictEntry] = {}
+    for lineno, cols in _tsv_rows(path):
+        term, canonical_id, entity_type = cols[:3]
+        subcategory = cols[3] if len(cols) > 3 and cols[3] else None
+        if not term:
+            raise InputFormatError(f"{path}:{lineno}: empty term", context={"line": lineno})
+        if entity_type not in ENTITY_TYPES:
+            raise InputFormatError(
+                f"{path}:{lineno}: unknown entity_type {entity_type!r}",
+                context={"line": lineno},
+            )
+        if entity_type == "complication":
+            if subcategory not in COMPLICATION_SUBCATEGORIES:
                 raise InputFormatError(
-                    f"{path}:{lineno}: unknown entity_type {entity_type!r}",
+                    f"{path}:{lineno}: complication needs a subcategory, got {subcategory!r}",
                     context={"line": lineno},
                 )
-            if entity_type == "complication":
-                if subcategory not in COMPLICATION_SUBCATEGORIES:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: complication needs a subcategory, got {subcategory!r}",
-                        context={"line": lineno},
-                    )
-            elif subcategory is not None:
-                raise InputFormatError(
-                    f"{path}:{lineno}: subcategory only valid for complications",
-                    context={"line": lineno},
-                )
-            key = _norm_term(term)
-            entry = DictEntry(canonical_id, entity_type, subcategory, lineno)
-            existing = entries.get(key)
-            if existing is not None and existing.entity_type != entity_type:
-                raise InputFormatError(
-                    f"{path}: term {term!r} has conflicting entity types "
-                    f"(lines {existing.source_line} and {lineno})",
-                    context={"lines": [existing.source_line, lineno]},
-                )
-            entries[key] = entry
+        elif subcategory is not None:
+            raise InputFormatError(
+                f"{path}:{lineno}: subcategory only valid for complications",
+                context={"line": lineno},
+            )
+        key = _norm_term(term)
+        entry = DictEntry(canonical_id, entity_type, subcategory, lineno)
+        existing = entries.get(key)
+        if existing is not None and existing.entity_type != entity_type:
+            raise InputFormatError(
+                f"{path}: term {term!r} has conflicting entity types "
+                f"(lines {existing.source_line} and {lineno})",
+                context={"lines": [existing.source_line, lineno]},
+            )
+        entries[key] = entry
     return Dictionary(entries=entries)
 
 
@@ -247,31 +255,22 @@ def load_trigger_lexicon(path) -> TriggerLexicon:
     """Load a tab-separated trigger lexicon: trigger, category, direction,
     terminators (comma-joined, may be empty)."""
     triggers: list[Trigger] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(decoded_lines(fh, path), start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected at least 3 columns", context={"line": lineno}
-                )
-            phrase, category, direction = cols[0].strip(), cols[1].strip(), cols[2].strip()
-            if not phrase:
-                raise InputFormatError(f"{path}:{lineno}: empty trigger", context={"line": lineno})
-            if category not in TRIGGER_CATEGORIES:
-                raise InputFormatError(
-                    f"{path}:{lineno}: unknown category {category!r}", context={"line": lineno}
-                )
-            if direction not in ("forward", "backward", "bidirectional"):
-                raise InputFormatError(
-                    f"{path}:{lineno}: unknown direction {direction!r}", context={"line": lineno}
-                )
-            terms = ()
-            if len(cols) > 3 and cols[3].strip():
-                terms = tuple(t.strip() for t in cols[3].split(",") if t.strip())
-            triggers.append(Trigger(phrase, category, direction, terms))
+    for lineno, cols in _tsv_rows(path):
+        phrase, category, direction = cols[:3]
+        if not phrase:
+            raise InputFormatError(f"{path}:{lineno}: empty trigger", context={"line": lineno})
+        if category not in TRIGGER_CATEGORIES:
+            raise InputFormatError(
+                f"{path}:{lineno}: unknown category {category!r}", context={"line": lineno}
+            )
+        if direction not in ("forward", "backward", "bidirectional"):
+            raise InputFormatError(
+                f"{path}:{lineno}: unknown direction {direction!r}", context={"line": lineno}
+            )
+        terms = ()
+        if len(cols) > 3 and cols[3]:
+            terms = tuple(t.strip() for t in cols[3].split(",") if t.strip())
+        triggers.append(Trigger(phrase, category, direction, terms))
     return TriggerLexicon(triggers)
 
 

@@ -279,10 +279,13 @@ def build_survival_dataset(
     events,
     outcome_class: str,
     covariate_spec: list[Covariate],
+    group_by: str | None = None,
 ) -> SurvivalDataset:
     """Time from index to first matching event (event=1) or to last contact
     (censored). ``outcome_class`` may be a single class or "any_complication".
-    Subjects with nonpositive time are excluded with a warning count."""
+    Subjects with nonpositive time are excluded with a warning count. With
+    ``group_by``, each subject's group label is that cohort column
+    ("Unknown" where the subject has none); without it, ``groups`` is None."""
     import numpy as np
 
     if outcome_class == ANY_COMPLICATION:
@@ -302,8 +305,7 @@ def build_survival_dataset(
             first_event[e.patient_id] = e.timestamp
     ids, times, flags, rows = [], [], [], []
     excluded = 0
-    group_name = next((c.name for c in covariate_spec if c.name == "implant_system"), None)
-    groups = [] if group_name else None
+    groups = None if group_by is None else []
     for pid in sorted(cohort):
         pat = cohort[pid]
         if pid in first_event:
@@ -320,7 +322,7 @@ def build_survival_dataset(
         flags.append(flag)
         rows.append(pat.covariates)
         if groups is not None:
-            groups.append(str(pat.covariates.get(group_name, "Unknown")))
+            groups.append(str(pat.covariates.get(group_by, "Unknown")))
     if excluded:
         log.warning("excluded %d subjects with nonpositive follow-up time", excluded)
     X, columns = build_design(rows, covariate_spec)

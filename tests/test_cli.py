@@ -102,6 +102,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("batch_size", 0), ("epochs", 0), ("epochs", -3), ("learning_rate", 0),
         ("learning_rate", -0.5), ("l2", -1e-4), ("threshold", -0.1), ("threshold", 1.5),
+        ("seed", -1), ("merge_window_days", -1), ("date_tolerance_days", -30),
     ])
     def test_param_out_of_range(self, runner, tmp_path, key, value):
         cfg = _write_config(tmp_path, tmp_path / "out", params={key: value})
@@ -112,7 +113,8 @@ class TestConfigValidation:
         assert f"params.{key}" in err["message"]
 
     def test_param_range_includes_its_bounds(self, tmp_path):
-        for params in ({"epochs": 1, "batch_size": 1, "l2": 0, "threshold": 0},
+        for params in ({"epochs": 1, "batch_size": 1, "l2": 0, "threshold": 0, "seed": 0,
+                        "merge_window_days": 0, "date_tolerance_days": 0},
                        {"learning_rate": 1e-9, "threshold": 1}):
             cli.load_config(_write_config(tmp_path, tmp_path / "out", params=params))
 
@@ -158,7 +160,8 @@ class TestConfigValidation:
         monkeypatch.setenv("DEVICESURV_NOTES", paths["notes"])
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
-        records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
+        with (outdir / "candidates.jsonl").open() as fh:
+            records = [json.loads(line) for line in fh]
         assert [r["candidate_id"] for r in records] == list(corpus.gold_relations)
 
     @pytest.mark.parametrize("names", [["anatomy"], ["pain", "anatomy"]])
@@ -327,7 +330,8 @@ class TestArtifacts:
         cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0
-        records = [json.loads(line) for line in (outdir / "candidates.jsonl").open()]
+        with (outdir / "candidates.jsonl").open() as fh:
+            records = [json.loads(line) for line in fh]
         assert [r["candidate_id"] for r in records] == list(corpus.gold_relations)
 
     def test_missing_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):

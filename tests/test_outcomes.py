@@ -358,13 +358,15 @@ class TestBuildSurvivalDataset:
         cohort = {
             "p1": CohortPatient("p1", D0, D0 + timedelta(days=10), {"implant_system": "A"}),
             "p2": CohortPatient("p2", D0, D0 + timedelta(days=10), {"implant_system": "B"}),
+            "p3": CohortPatient("p3", D0, D0 + timedelta(days=10), {}),
         }
-        ds = build_survival_dataset(
-            cohort, [], "revision", [Covariate("implant_system", reference="A")]
-        )
-        assert ds.groups == ["A", "B"]
-        assert ds.columns == ["implant_system=B"]
-        assert np.array_equal(ds.X[:, 0], [0.0, 1.0])
+        spec = [Covariate("implant_system", reference="A")]
+        ds = build_survival_dataset(cohort, [], "revision", spec, group_by="implant_system")
+        assert ds.groups == ["A", "B", "Unknown"]
+        assert ds.columns == ["implant_system=B", "implant_system=Unknown"]
+        assert np.array_equal(ds.X[:, 0], [0.0, 1.0, 0.0])
+        # A covariate in the design does not group the subjects by itself.
+        assert build_survival_dataset(cohort, [], "revision", spec).groups is None
 
 
 class TestCsv:

@@ -27,25 +27,14 @@ from .lf_lib import between_tokens, left_window, right_window, token_distance
 _MAGIC = b"DSCM\x01"
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    n_bits: int = 20
-    ngram_max: int = 3
-    window: int = 3
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_bits
-
-    def digest(self) -> str:
-        raw = f"v1|{self.n_bits}|{self.ngram_max}|{self.window}"
-        return hashlib.blake2b(raw.encode(), digest_size=8).hexdigest()
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    indices: np.ndarray
-    values: np.ndarray
+# The feature scheme: hashed columns, longest n-gram, window in tokens. A
+# model file records it, and ``load`` refuses a file made under any other.
+N_BITS = 20
+NGRAM_MAX = 3
+WINDOW = 3
+DIM = 1 << N_BITS
+_SCHEME = {"n_bits": N_BITS, "ngram_max": NGRAM_MAX, "window": WINDOW}
+_DIGEST = hashlib.blake2b(f"v1|{N_BITS}|{NGRAM_MAX}|{WINDOW}".encode(), digest_size=8).hexdigest()
 
 
 _DIST_BUCKETS = ((0, "0"), (2, "1-2"), (5, "3-5"), (10, "6-10"))
@@ -64,13 +53,12 @@ def _ngrams(tokens, n_max):
             yield " ".join(tokens[i : i + n])
 
 
-def raw_features(c: RelationCandidate, config: FeatureConfig | None = None) -> list[str]:
+def raw_features(c: RelationCandidate) -> list[str]:
     """Human-readable feature strings before hashing."""
-    config = config or FeatureConfig()
     feats: list[str] = []
-    feats.extend(f"btw:{g}" for g in _ngrams(between_tokens(c), config.ngram_max))
-    feats.extend(f"lw:{g}" for g in _ngrams(left_window(c, config.window), config.ngram_max))
-    feats.extend(f"rw:{g}" for g in _ngrams(right_window(c, config.window), config.ngram_max))
+    feats.extend(f"btw:{g}" for g in _ngrams(between_tokens(c), NGRAM_MAX))
+    feats.extend(f"lw:{g}" for g in _ngrams(left_window(c, WINDOW), NGRAM_MAX))
+    feats.extend(f"rw:{g}" for g in _ngrams(right_window(c, WINDOW), NGRAM_MAX))
     feats.append(f"arg1_id:{c.arg1.canonical_id}")
     feats.append(f"arg2_id:{c.arg2.canonical_id}")
     feats.append(f"arg1_type:{c.arg1.entity_type}")
@@ -83,34 +71,9 @@ def raw_features(c: RelationCandidate, config: FeatureConfig | None = None) -> l
     return feats
 
 
-def _hash_feature(feat: str, n_bits: int) -> tuple[int, float]:
+def _hash_feature(feat: str) -> tuple[int, float]:
     h = int.from_bytes(hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest(), "big")
-    idx = h & ((1 << n_bits) - 1)
-    sign = 1.0 if (h >> 60) & 1 else -1.0
-    return idx, sign
-
-
-def featurize(
-    c: RelationCandidate, config: FeatureConfig | None = None, hashes: dict | None = None
-) -> FeatureVector:
-    """The candidate's hashed features, summed per index, by ascending index.
-    ``hashes`` maps each feature string already hashed under ``config`` to
-    its (index, sign); callers featurizing many candidates share one, so
-    each distinct string is hashed once."""
-    config = config or FeatureConfig()
-    hashes = {} if hashes is None else hashes
-    acc: dict[int, float] = {}
-    for feat in raw_features(c, config):
-        hashed = hashes.get(feat)
-        if hashed is None:
-            hashed = hashes[feat] = _hash_feature(feat, config.n_bits)
-        idx, sign = hashed
-        acc[idx] = acc.get(idx, 0.0) + sign
-    items = sorted(acc.items())
-    return FeatureVector(
-        indices=np.array([i for i, _ in items], dtype=np.int64),
-        values=np.array([v for _, v in items], dtype=np.float64),
-    )
+    return h & (DIM - 1), 1.0 if (h >> 60) & 1 else -1.0
 
 
 @dataclass(frozen=True)
@@ -148,20 +111,29 @@ def rmatvec(X, r) -> np.ndarray:
     return np.bincount(X.indices, X.data * r[_entry_rows(X)], minlength=X.shape[1])
 
 
-def design_matrix(candidates, config: FeatureConfig | None = None) -> CSRMatrix:
-    config = config or FeatureConfig()
-    hashes: dict = {}
+def design_matrix(candidates) -> CSRMatrix:
+    """One CSR row per candidate: the signs of its hashed features summed
+    per column, by ascending column. Each distinct feature string is hashed
+    once."""
+    hashes: dict[str, tuple[int, float]] = {}
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     for c in candidates:
-        fv = featurize(c, config, hashes)
-        indices.extend(fv.indices.tolist())
-        data.extend(fv.values.tolist())
+        acc: dict[int, float] = {}
+        for feat in raw_features(c):
+            hashed = hashes.get(feat)
+            if hashed is None:
+                hashed = hashes[feat] = _hash_feature(feat)
+            idx, sign = hashed
+            acc[idx] = acc.get(idx, 0.0) + sign
+        cols = sorted(acc)
+        indices.extend(cols)
+        data.extend(map(acc.__getitem__, cols))
         indptr.append(len(indices))
     return CSRMatrix(
         np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-        np.array(indptr, dtype=np.int64), (len(indptr) - 1, config.dim),
+        np.array(indptr, dtype=np.int64), (len(indptr) - 1, DIM),
     )
 
 
@@ -178,64 +150,58 @@ class TrainConfig:
 class ClassifierModel:
     """A trained model as its active columns: the sorted int64 ``columns``
     of the hashed feature space and their ``weights``. A column not listed
-    weighs 0.0, so no ``feature_config.dim``-long vector is ever built."""
+    weighs 0.0, so no ``DIM``-long vector is ever built."""
 
     columns: np.ndarray
     weights: np.ndarray
     bias: float
-    feature_config: FeatureConfig
     metadata: dict = field(default_factory=dict)
     threshold: float = 0.5
 
     def save(self, path) -> None:
         """Binary layout: magic, n_bits, bias, threshold, nnz, then int64
         indices and float64 weights of the nonzero entries. A JSON sidecar
-        (path + ".json") carries the metadata."""
+        (path + ".json") carries the feature scheme, its digest and the
+        metadata."""
         nz = self.weights != 0
         with writing(path, binary=True) as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<Bdd", self.feature_config.n_bits, self.bias, self.threshold))
+            fh.write(struct.pack("<Bdd", N_BITS, self.bias, self.threshold))
             fh.write(struct.pack("<Q", int(np.count_nonzero(nz))))
             fh.write(self.columns[nz].astype(np.int64).tobytes())
             fh.write(self.weights[nz].astype(np.float64).tobytes())
-        sidecar = {
-            "feature_config": {
-                "n_bits": self.feature_config.n_bits,
-                "ngram_max": self.feature_config.ngram_max,
-                "window": self.feature_config.window,
-            },
-            "feature_digest": self.feature_config.digest(),
-            "metadata": self.metadata,
-        }
-        write_json(f"{path}.json", sidecar)
+        write_json(f"{path}.json", {"feature_config": _SCHEME, "feature_digest": _DIGEST,
+                                    "metadata": self.metadata})
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":
-        """The model ``save`` wrote. Indices that are not strictly increasing
-        or lie outside [0, dim), and non-finite weights, are a damaged file."""
+        """The model ``save`` wrote. A file made under another feature scheme
+        is a ``ConfigError``. Indices that are not strictly increasing or lie
+        outside [0, DIM), and non-finite weights, are a damaged file."""
         with open(str(path) + ".json", encoding="utf-8") as fh, parsing(f"{path}.json"):
             sidecar = json.load(fh)
-            fc = FeatureConfig(**sidecar["feature_config"])
-        if sidecar.get("feature_digest") != fc.digest():
-            raise ConfigError(f"{path}: feature digest does not match the feature config")
+            scheme, digest = sidecar["feature_config"], sidecar.get("feature_digest")
+        if (scheme, digest) != (_SCHEME, _DIGEST):
+            raise ConfigError(f"{path}: feature scheme {scheme} (digest {digest}) is not the "
+                              f"scheme this version hashes with, {_SCHEME} (digest {_DIGEST})")
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ConfigError(f"{path}: not a classifier model file")
             n_bits, bias, threshold = struct.unpack("<Bdd", _read_exact(fh, 17, path))
-            if n_bits != fc.n_bits:
-                raise ConfigError(f"{path}: dim mismatch between binary and sidecar")
+            if n_bits != N_BITS:
+                raise ConfigError(f"{path}: header n_bits {n_bits} is not {N_BITS}")
             (nnz,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-            if nnz > fc.dim:
-                _damaged(path, f"{nnz} entries for {fc.dim} columns")
+            if nnz > DIM:
+                _damaged(path, f"{nnz} entries for {DIM} columns")
             columns = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.int64)
             weights = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.float64)
-        if np.any((columns < 0) | (columns >= fc.dim)):
-            _damaged(path, f"index outside [0, {fc.dim})")
+        if np.any((columns < 0) | (columns >= DIM)):
+            _damaged(path, f"index outside [0, {DIM})")
         if np.any(columns[1:] <= columns[:-1]):
             _damaged(path, "indices not strictly increasing")
         if not np.all(np.isfinite(weights)):
             _damaged(path, "non-finite weight")
-        return cls(columns=columns, weights=weights, bias=bias, feature_config=fc,
+        return cls(columns=columns, weights=weights, bias=bias,
                    metadata=sidecar.get("metadata", {}), threshold=threshold)
 
 
@@ -273,19 +239,13 @@ def loss_and_grad(w, b, X, p, l2):
     return loss, grad_w, grad_b
 
 
-def train_noise_aware(
-    X,
-    candidate_ids,
-    labels,
-    config: TrainConfig | None = None,
-    feature_config: FeatureConfig | None = None,
-) -> ClassifierModel:
+def train_noise_aware(X, candidate_ids, labels,
+                      config: TrainConfig | None = None) -> ClassifierModel:
     """Mini-batch SGD on the noise-aware objective, deterministic for a
-    fixed seed. Row i of the CSR ``X`` (from ``design_matrix`` with
-    ``feature_config``) is candidate ``candidate_ids[i]``; ``labels`` is a
-    sequence of ProbabilisticLabel covering every one of them."""
+    fixed seed. Row i of the CSR ``X`` (from ``design_matrix``) is candidate
+    ``candidate_ids[i]``; ``labels`` is a sequence of ProbabilisticLabel
+    covering every one of them."""
     config = config or TrainConfig()
-    feature_config = feature_config or FeatureConfig()
     candidate_ids = list(candidate_ids)
     if not candidate_ids:
         raise FitError("empty training set")
@@ -294,12 +254,11 @@ def train_noise_aware(
     if missing:
         raise FitError(f"candidates missing labels: {missing[:5]}")
     p = np.array([by_id[cid] for cid in candidate_ids])
-    columns, weights, bias = train_on_matrix(X, p, config, feature_config.dim)
+    columns, weights, bias = train_on_matrix(X, p, config, DIM)
     return ClassifierModel(
         columns=columns,
         weights=weights,
         bias=bias,
-        feature_config=feature_config,
         metadata={
             "seed": config.seed,
             "epochs": config.epochs,
@@ -358,7 +317,7 @@ def score_matrix(model: ClassifierModel, X) -> np.ndarray:
 
 
 def predict_many(model: ClassifierModel, candidates) -> np.ndarray:
-    return score_matrix(model, design_matrix(candidates, model.feature_config))
+    return score_matrix(model, design_matrix(candidates))
 
 
 THRESHOLD_GRID = np.round(np.arange(0, 101) / 100.0, 2)
@@ -367,20 +326,15 @@ THRESHOLD_GRID = np.round(np.arange(0, 101) / 100.0, 2)
 def select_threshold(scores, gold) -> float:
     """Grid-search the decision threshold maximizing F1 of the dev
     ``scores`` against their 0/1 ``gold`` labels, with both classes
-    present; ties break toward the lowest threshold."""
+    present; ties break toward the lowest threshold. F1 is 2tp/(2tp+fp+fn),
+    so equal F1 values are equal floats and ``argmax`` takes the first."""
     scores = np.asarray(scores)
     gold = np.asarray(gold, dtype=np.int64)
     if gold.size == 0 or gold.min() == gold.max():
         raise FitError("dev set must contain both classes")
-    best_t, best_f1 = 0.0, -1.0
-    for t in THRESHOLD_GRID:
-        pred = scores >= t
-        tp = int(np.sum(pred & (gold == 1)))
-        fp = int(np.sum(pred & (gold == 0)))
-        fn = int(np.sum(~pred & (gold == 1)))
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        if f1 > best_f1 + 1e-12:
-            best_t, best_f1 = float(t), f1
-    return best_t
+    pred = scores >= THRESHOLD_GRID[:, None]
+    tp = np.sum(pred & (gold == 1), axis=1)
+    fp = np.sum(pred & (gold == 0), axis=1)
+    fn = np.sum(gold == 1) - tp
+    f1 = 2 * tp / np.maximum(2 * tp + fp + fn, 1)
+    return float(THRESHOLD_GRID[np.argmax(f1)])

@@ -315,6 +315,15 @@ def compute_delta_bin(delta_days: int) -> DeltaBin:
     return DeltaBin(sign=sign, level=level, label=label)
 
 
+def _month_year(m: re.Match) -> date:
+    # IGNORECASE folds some non-ASCII letters onto ASCII ones ("ſeptember"),
+    # so a match need not name a month.
+    month = _MONTHS.get(m.group(1).lower())
+    if month is None:
+        raise ValueError(f"no month {m.group(1)!r}")
+    return date(int(m.group(2)), month, 1)
+
+
 def _slash_date(m: re.Match) -> date:
     month, day, year = (int(g) for g in m.groups())
     if len(m.group(3)) == 2:
@@ -324,11 +333,11 @@ def _slash_date(m: re.Match) -> date:
 
 # Date surfaces in precedence order: a later form never claims characters an
 # earlier one already resolved. A resolver raises ValueError on an impossible
-# calendar date, which yields no mention.
+# calendar date or a word that is no month, which yields no mention.
 _DATE_FORMS = (
     (_ISO_DATE_RE, lambda m: date(*(int(g) for g in m.groups()))),
     (_SLASH_DATE_RE, _slash_date),
-    (_MONTH_YEAR_RE, lambda m: date(int(m.group(2)), _MONTHS[m.group(1).lower()], 1)),
+    (_MONTH_YEAR_RE, _month_year),
 )
 
 

@@ -368,13 +368,17 @@ def events_from_csv(path) -> list[Event]:
 
 def patients_from_csv(path) -> list[PatientRecord]:
     """Per-patient CSV: patient_id, birth_date, sex, race, ethnicity, cci,
-    last_contact_date, procedures (semicolon-joined system:code:date)."""
+    last_contact_date, procedures (semicolon-joined system:code:date). A
+    negative cci is a bad row."""
 
     def record(row):
         procedures = []
         for item in filter(None, (row["procedures"] or "").split(";")):
             system, code, when = item.split(":")
             procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
+        cci = int(row["cci"])
+        if cci < 0:
+            raise ValueError(f"cci {cci} is negative")
         return PatientRecord(
             patient_id=row["patient_id"],
             birth_date=date.fromisoformat(row["birth_date"]),
@@ -382,7 +386,7 @@ def patients_from_csv(path) -> list[PatientRecord]:
             race=row["race"],
             ethnicity=row["ethnicity"],
             procedures=procedures,
-            cci=int(row["cci"]),
+            cci=cci,
             last_contact_date=date.fromisoformat(row["last_contact_date"]),
         )
 

@@ -336,5 +336,13 @@ def labels_to_csv(labels, path) -> None:
 
 
 def labels_from_csv(path) -> list[ProbabilisticLabel]:
-    return read_csv(path, ("candidate_id", "p_true"),
-                    lambda row: ProbabilisticLabel(row["candidate_id"], float(row["p_true"])))
+    """The labels ``labels_to_csv`` wrote; a ``p_true`` outside [0, 1],
+    NaN included, is a bad row."""
+
+    def label(row):
+        p = float(row["p_true"])
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_true {row['p_true']!r} is not in [0, 1]")
+        return ProbabilisticLabel(row["candidate_id"], p)
+
+    return read_csv(path, ("candidate_id", "p_true"), label)

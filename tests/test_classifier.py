@@ -37,10 +37,11 @@ def pain_candidates(dictionaries, trigger_lexicon):
 
 class TestFeatures:
     def test_featurize_deterministic(self, pain_candidates):
-        a = clf.featurize(pain_candidates[0])
-        b = clf.featurize(pain_candidates[0])
+        a = clf.design_matrix(pain_candidates)
+        b = clf.design_matrix(pain_candidates)
         assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.indptr, b.indptr)
 
     def test_raw_features_include_structure(self, pain_candidates):
         feats = clf.raw_features(pain_candidates[0])
@@ -60,10 +61,22 @@ class TestFeatures:
         assert "dist:0" in clf.raw_features(cand)
 
     def test_indices_within_dim(self, pain_candidates):
-        config = clf.FeatureConfig(n_bits=12)
-        fv = clf.featurize(pain_candidates[0], config)
-        assert fv.indices.max() < config.dim
-        assert np.all(np.diff(fv.indices) > 0)
+        X = clf.design_matrix(pain_candidates)
+        assert clf.DIM == 1 << 20
+        assert X.indices.min() >= 0 and X.indices.max() < clf.DIM
+        for i in range(X.shape[0]):
+            assert np.all(np.diff(X.indices[X.indptr[i]:X.indptr[i + 1]]) > 0)
+
+    def test_row_sums_signed_hashes_per_column(self, pain_candidates):
+        # Each row is its raw features' (column, sign) pairs summed per column.
+        X = clf.design_matrix(pain_candidates)
+        for i, c in enumerate(pain_candidates):
+            want: dict = {}
+            for feat in clf.raw_features(c):
+                col, sign = clf._hash_feature(feat)
+                want[col] = want.get(col, 0.0) + sign
+            row = slice(X.indptr[i], X.indptr[i + 1])
+            assert dict(zip(X.indices[row].tolist(), X.data[row].tolist())) == want
 
     def test_attribute_features_present(self, pain_candidates):
         negated = clf.raw_features(pain_candidates[1])
@@ -72,10 +85,9 @@ class TestFeatures:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        fc = clf.FeatureConfig()
         model = clf.ClassifierModel(
             columns=np.array([3, 100, 999]), weights=np.array([0.5, -1.25, 2.0]), bias=0.75,
-            feature_config=fc, metadata={"seed": 3}, threshold=0.42
+            metadata={"seed": 3}, threshold=0.42
         )
         path = tmp_path / "model.bin"
         model.save(path)
@@ -88,9 +100,7 @@ class TestSerialization:
         assert loaded.metadata == {"seed": 3}
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        fc = clf.FeatureConfig()
-        model = clf.ClassifierModel(columns=np.array([1, 2]), weights=np.array([0.1, 0.2]),
-                                    bias=0.0, feature_config=fc)
+        model = clf.ClassifierModel(np.array([1, 2]), np.array([0.1, 0.2]), bias=0.0)
         p1 = tmp_path / "a.bin"
         p2 = tmp_path / "b.bin"
         model.save(p1)
@@ -98,8 +108,7 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
-        fc = clf.FeatureConfig()
-        model = _empty_model(fc)
+        model = _empty_model()
         path = tmp_path / "model.bin"
         model.save(path)
         raw = bytearray(path.read_bytes())
@@ -109,8 +118,7 @@ class TestSerialization:
             clf.ClassifierModel.load(path)
 
     def test_digest_mismatch_at_load(self, tmp_path):
-        fc = clf.FeatureConfig()
-        model = _empty_model(fc)
+        model = _empty_model()
         path = tmp_path / "model.bin"
         model.save(path)
         sidecar_path = tmp_path / "model.bin.json"
@@ -123,24 +131,22 @@ class TestSerialization:
     def test_save_writes_the_nonzero_entries_of_the_dense_vector(self, tmp_path):
         # The bytes np.nonzero over the dim-long vector gave: columns ascend,
         # and 0.0 and -0.0 weights are dropped.
-        fc = clf.FeatureConfig(n_bits=4)
         cols, vals = np.array([4, 7, 9, 12]), np.array([0.0, 1.5, -0.0, -2.0])
         path = tmp_path / "model.bin"
-        clf.ClassifierModel(columns=cols, weights=vals, bias=0.25, feature_config=fc,
-                            threshold=0.5).save(path)
-        dense = _scatter(cols, vals, fc.dim)
+        clf.ClassifierModel(columns=cols, weights=vals, bias=0.25, threshold=0.5).save(path)
+        dense = _scatter(cols, vals, clf.DIM)
         nz = np.nonzero(dense)[0]
         assert path.read_bytes() == (
-            b"DSCM\x01" + struct.pack("<BddQ", 4, 0.25, 0.5, len(nz))
+            b"DSCM\x01" + struct.pack("<BddQ", 20, 0.25, 0.5, len(nz))
             + nz.astype(np.int64).tobytes() + dense[nz].tobytes())
         loaded = clf.ClassifierModel.load(path)
         assert loaded.columns.tolist() == [7, 12]
         assert loaded.weights.tolist() == [1.5, -2.0]
 
 
-def _empty_model(fc):
+def _empty_model():
     return clf.ClassifierModel(columns=np.zeros(0, dtype=np.int64), weights=np.zeros(0),
-                               bias=0.0, feature_config=fc)
+                               bias=0.0)
 
 
 def _scatter(columns, weights, dim):
@@ -310,6 +316,59 @@ class TestThreshold:
         assert clf.THRESHOLD_GRID[0] == 0.0
         assert clf.THRESHOLD_GRID[-1] == 1.0
 
+    def test_matches_the_loop(self):
+        # Continuous, 2-decimal (on the grid, so ties with >=) and 5-level
+        # scores; balanced or 10%-positive gold, and some with a label 2,
+        # which counts in neither class.
+        rng = np.random.default_rng(0)
+        checked = 0
+        for trial in range(600):
+            n = int(rng.integers(2, 400))
+            scores = rng.uniform(size=n)
+            if trial % 3 == 1:
+                scores = np.round(scores, 2)
+            elif trial % 3 == 2:
+                scores = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=n)
+            gold = (rng.uniform(size=n) < (0.5 if trial % 2 else 0.1)).astype(np.int64)
+            if trial % 10 == 0:
+                gold[rng.uniform(size=n) < 0.2] = 2
+            if gold.min() == gold.max():
+                continue
+            assert clf.select_threshold(scores, gold) == _loop_select_threshold(scores, gold)
+            checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("scores,gold", [
+        ([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]),
+        ([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1]),
+        ([0.3, 0.3, 0.7, 0.7, 0.7, 0.7], [1, 0, 1, 1, 0, 0]),
+        ([0.0, 1.0], [1, 0]),
+        ([0.1, 0.9], [0, 2]),
+    ])
+    def test_ties_match_the_loop(self, scores, gold):
+        assert clf.select_threshold(scores, gold) == _loop_select_threshold(scores, gold)
+
+
+def _loop_select_threshold(scores, gold) -> float:
+    """The 101-step loop select_threshold replaced, kept verbatim as the
+    reference whose threshold it must return."""
+    scores = np.asarray(scores)
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.size == 0 or gold.min() == gold.max():
+        raise FitError("dev set must contain both classes")
+    best_t, best_f1 = 0.0, -1.0
+    for t in clf.THRESHOLD_GRID:
+        pred = scores >= t
+        tp = int(np.sum(pred & (gold == 1)))
+        fp = int(np.sum(pred & (gold == 0)))
+        fn = int(np.sum(~pred & (gold == 1)))
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        if f1 > best_f1 + 1e-12:
+            best_t, best_f1 = float(t), f1
+    return best_t
+
 
 class TestScoresCsv:
     # scores.csv is written from predict's scores; evaluation owns its columns.
@@ -406,8 +465,7 @@ class TestActiveColumnTraining:
         X, _, _ = _hashed_problem(5, dim)
         cols = np.unique(X.indices)[keep]
         weights = np.random.default_rng(5).normal(size=len(cols))
-        model = clf.ClassifierModel(columns=cols, weights=weights, bias=-0.3,
-                                    feature_config=clf.FeatureConfig())
+        model = clf.ClassifierModel(columns=cols, weights=weights, bias=-0.3)
         want = clf._sigmoid(X @ _scatter(cols, weights, dim) - 0.3)
         assert clf.score_matrix(model, _numpy_csr(X)).tobytes() == want.tobytes()
 
@@ -474,6 +532,6 @@ class TestNumpyCsr:
     def test_design_matrix_is_numpy_csr(self, synth_candidates):
         X = clf.design_matrix(synth_candidates[:20])
         assert isinstance(X, clf.CSRMatrix)
-        assert X.shape == (20, clf.FeatureConfig().dim)
+        assert X.shape == (20, clf.DIM)
         assert X.indices.dtype == X.indptr.dtype == np.int64
         assert X.indptr[-1] == len(X.data) == len(X.indices)

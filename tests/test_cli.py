@@ -581,6 +581,9 @@ _TEXT_EVENT = "p1,{cls},2012-02-03,{source},{provenance}\n"
 _DAMAGED_INPUTS = {
     "labels_no_comma": ({"labels.csv": "candidate_id,p_true\nc1\n"}, {}, ["train"],
                         "labels.csv", 3),
+    **{f"labels_p_true_{p}": ({"labels.csv": f"candidate_id,p_true\nc1,0.5\nc2,{p}\n"}, {},
+                              ["train"], "labels.csv:3", 3)
+       for p in ("nan", "inf", "-0.1", "7.5")},
     "gold_label_yes": ({"scores.csv": _SCORES_CSV, "gold.csv": "candidate_id,label\na,yes\n"},
                        {"gold_relations": "gold.csv"}, ["eval"], "gold.csv", 3),
     "cohort_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-13-01")}, {},
@@ -603,6 +606,9 @@ _DAMAGED_INPUTS = {
                           {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
     "patients_bad_cci": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci="two")},
                          {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
+    "patients_negative_cci": (
+        {"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci=-1)},
+        {"patients": "patients.csv"}, ["cohort"], "patients.csv:2", 3),
     "config_not_object": ({"config.json": "[]"}, {}, ["cohort"], "config.json", 2),
     "config_paths_not_object": ({"config.json": '{"output_dir": ".", "paths": ["a"]}'}, {},
                                 ["cohort"], "config.json", 2),
@@ -723,6 +729,31 @@ class TestDamagedArtifacts:
         assert err["code"] == "input_format"
         assert "classifier.bin" in err["message"]
 
+    # A model file written under another feature scheme, its sidecar digest
+    # consistent with that scheme, or whose header names another n_bits.
+    @pytest.mark.parametrize("change", [("n_bits", 12), ("window", 5), "header_n_bits"],
+                             ids=["n_bits_12", "window_5", "header_n_bits_12"])
+    def test_other_feature_scheme_exit_code(self, runner, tmp_path, small_corpus_dir, change):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [
+            ["candidates"], ["lf", "apply"], ["labelmodel", "fit"], ["train"]])
+        if change == "header_n_bits":
+            raw = bytearray((outdir / "classifier.bin").read_bytes())
+            raw[5] = 12
+            (outdir / "classifier.bin").write_bytes(bytes(raw))
+        else:
+            sidecar = json.loads((outdir / "classifier.bin.json").read_text())
+            scheme = sidecar["feature_config"]
+            scheme[change[0]] = change[1]
+            raw = f"v1|{scheme['n_bits']}|{scheme['ngram_max']}|{scheme['window']}"
+            sidecar["feature_digest"] = hashlib.blake2b(raw.encode(), digest_size=8).hexdigest()
+            (outdir / "classifier.bin.json").write_text(json.dumps(sidecar))
+        result = runner.invoke(main, ["predict", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert "classifier.bin" in err["message"]
+
     @pytest.mark.parametrize("case", list(_DAMAGED_INPUTS))
     def test_damaged_input_exit_code(self, runner, tmp_path, case):
         files, paths, command, damaged, code = _DAMAGED_INPUTS[case]
@@ -752,16 +783,10 @@ class TestDamagedArtifacts:
 
 
 def _eval_setup(tmp_path, scores_csv=_SCORES_CSV):
-    """An output directory with a hand-written scores.csv and a classifier.bin
-    of threshold 0.5 (which eval need not read), plus a gold file."""
-    from devicesurv.classifier import ClassifierModel, FeatureConfig
-
+    """An output directory with a hand-written scores.csv, plus a gold file."""
     outdir = tmp_path / "out"
     outdir.mkdir()
     (outdir / "scores.csv").write_text(scores_csv)
-    ClassifierModel(columns=np.zeros(0, dtype=np.int64), weights=np.zeros(0), bias=0.0,
-                    feature_config=FeatureConfig(n_bits=4),
-                    threshold=0.5).save(outdir / "classifier.bin")
     gold = tmp_path / "gold.csv"
     gold.write_text("candidate_id,label\na,1\nb,1\nc,0\n")
     return outdir, _write_config(tmp_path, outdir, paths={"gold_relations": gold})

@@ -246,6 +246,13 @@ class TestDates:
         doc = preprocess(_note("Recorded 2/30/2020 oddly.", when=datetime(2020, 1, 1)))
         assert doc.dates == []
 
+    @pytest.mark.parametrize("word", ["ſeptember", "aprıl", "Aprİl"])
+    def test_case_folded_non_month_skipped(self, word):
+        # The case-insensitive pattern matches these, but none names a month.
+        doc = preprocess(_note(f"Revised in {word} 2004, seen May 2005."))
+        assert [(d.surface, d.resolved_date) for d in doc.dates] == [
+            ("May 2005", date(2005, 5, 1))]
+
     def test_span_soundness(self, reference_doc):
         text = reference_doc.note.text
         for d in reference_doc.dates:

@@ -13,9 +13,12 @@ from devicesurv.weaksup import (
     TRUE,
     LabelMatrix,
     LabelingFunction,
+    ProbabilisticLabel,
     apply_lfs,
     covered_candidate_ids,
     fit_label_model,
+    labels_from_csv,
+    labels_to_csv,
     lf_statistics,
     posterior_labels,
     soft_majority_vote,
@@ -107,6 +110,13 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "candidate_id,lf_id,vote"
         assert "c0,lf0,TRUE" in lines and "c0,lf1,FALSE" in lines
+
+    def test_labels_round_trip_at_the_bounds(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        labels = [ProbabilisticLabel("a", 0.0), ProbabilisticLabel("b", 1.0),
+                  ProbabilisticLabel("c", 0.25)]
+        labels_to_csv(labels, path)
+        assert labels_from_csv(path) == labels
 
     def test_duplicate_candidate_ids_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,8 +3,9 @@
 Stages communicate through files in the configured output directory. Every
 command reads a declarative JSON project config, holds a lock on the output
 directory, prints a one-line summary on success, and on failure prints an
-error JSON ({code, message, context}) to stderr with a per-error-class exit
-code: 2 config, 3 input format, 4 missing artifact, 5 fit failure, 1 other.
+error JSON ({code, message, context}) to stderr and exits with the code its
+error class declares in ``errors``: 2 config, 3 input format, 4 missing
+artifact, 5 fit failure, 1 other.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 # One OpenBLAS thread unless the user chose a count, set before any command
 # imports numpy: the commands' matrix products are small, a second thread
@@ -46,30 +47,34 @@ from .errors import (  # noqa: E402
 if TYPE_CHECKING:
     from .outcomes import SurvivalDataset
 
-EXIT_CODES = {
-    "config": 2,
-    "input_format": 3,
-    "missing_artifact": 4,
-    "fit": 5,
-}
-
 _LIST_PATH_KEYS = {"dictionaries"}
-# Each param's type; a JSON integer is also accepted where a float is expected.
-_KNOWN_PARAM_KEYS = {
-    "seed": int, "relation_type": str, "merge_window_days": int, "date_tolerance_days": int,
-    "epochs": int, "learning_rate": float, "l2": float, "batch_size": int,
-    "class_prior": float, "lf_set": str, "outcome_class": str, "threshold": float,
-}
-# Params with a valid range: (test, the range as the error states it).
-_PARAM_RANGES = {
-    "seed": (lambda v: v >= 0, "at least 0"),
-    "merge_window_days": (lambda v: v >= 0, "at least 0"),
-    "date_tolerance_days": (lambda v: v >= 0, "at least 0"),
-    "epochs": (lambda v: v >= 1, "at least 1"),
-    "batch_size": (lambda v: v >= 1, "at least 1"),
-    "learning_rate": (lambda v: v > 0, "above 0"),
-    "l2": (lambda v: v >= 0, "at least 0"),
-    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+
+
+class _Param(NamedTuple):
+    type: type  # a JSON integer is also accepted where a float is expected
+    default: object  # what a command uses when the config leaves the key out
+    allowed: tuple = ()  # (test, the values as an error states them); () allows any
+
+
+_AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# Every config param. relation_type, class_prior and outcome_class are
+# checked by the module that reads them (extraction, weaksup, outcomes): it
+# owns their choices, and loading it here would load it for every command.
+_PARAMS = {
+    "seed": _Param(int, 0, _AT_LEAST_0),
+    "relation_type": _Param(str, "pain-anatomy"),
+    "merge_window_days": _Param(int, 90, _AT_LEAST_0),
+    "date_tolerance_days": _Param(int, 30, _AT_LEAST_0),
+    "epochs": _Param(int, 20, _AT_LEAST_1),
+    "learning_rate": _Param(float, 0.5, (lambda v: v > 0, "above 0")),
+    "l2": _Param(float, 1e-4, _AT_LEAST_0),
+    "batch_size": _Param(int, 32, _AT_LEAST_1),
+    "class_prior": _Param(float, 0.5),
+    "lf_set": _Param(str, "starter", (lambda v: v in ("starter", "benchmark"),
+                                      "'starter' or 'benchmark'")),
+    "outcome_class": _Param(str, "revision"),
+    "threshold": _Param(float, 0.5, (lambda v: 0 <= v <= 1, "in [0, 1]")),
 }
 
 
@@ -94,9 +99,6 @@ class ProjectConfig:
         """Every file configured under ``paths.<key>``; none when unset."""
         value = self.paths.get(key)
         return [] if value is None else value if key in _LIST_PATH_KEYS else [value]
-
-    def param(self, key: str, default=None):
-        return self.params.get(key, default)
 
     def artifact(self, name: str) -> str:
         return os.path.join(self.output_dir, name)
@@ -123,20 +125,20 @@ def load_config(path: str) -> ProjectConfig:
     bad = set(paths) - _KNOWN_PATH_KEYS
     if bad:
         raise ConfigError(f"unknown config paths keys: {sorted(bad)}")
-    bad = set(params) - set(_KNOWN_PARAM_KEYS)
+    bad = set(params) - set(_PARAMS)
     if bad:
         raise ConfigError(f"unknown config params keys: {sorted(bad)}")
     for key, value in params.items():
-        want = _KNOWN_PARAM_KEYS[key]
+        want, _, allowed = _PARAMS[key]
         if want is float and type(value) is int:
             params[key] = value = float(value)
         if type(value) is not want:  # a JSON true/false is no int
             raise ConfigError(f"config params.{key} must be {want.__name__}, not {value!r}",
                               context={"key": key})
-        in_range, bounds = _PARAM_RANGES.get(key, (None, None))
-        if in_range is not None and not in_range(value):
-            raise ConfigError(f"config params.{key} must be {bounds}, not {value!r}",
+        if allowed and not allowed[0](value):
+            raise ConfigError(f"config params.{key} must be {allowed[1]}, not {value!r}",
                               context={"key": key})
+    params = {key: params.get(key, p.default) for key, p in _PARAMS.items()}
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
     if not isinstance(raw["output_dir"], str):
@@ -205,13 +207,6 @@ class _Lock:
         return False
 
 
-# How errors name each artifact a command reads from the output directory.
-_ARTIFACTS = {
-    "candidates.jsonl": "candidates", "label_matrix.bin": "label matrix", "labels.csv": "labels",
-    "classifier.bin": "classifier", "scores.csv": "scores", "cohort.csv": "cohort",
-    "extracted_implants.csv": "extracted implant records", "coded_events.csv": "coded events",
-    "merged_events.csv": "merged events", "cox.json": "Cox fit",
-}
 # Filled as ``_stage`` registers each command: its declared config paths and
 # written artifacts, each artifact's producer, and every path key a command reads.
 _STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -225,8 +220,7 @@ def _require(cfg: ProjectConfig, artifact: str) -> str:
     command (exit 4) naming the command that writes it."""
     path, producer = cfg.artifact(artifact), _PRODUCERS[artifact]
     if not os.path.exists(path):
-        raise MissingArtifactError(
-            f"{_ARTIFACTS[artifact]} not found: {path} (run '{producer}' first)")
+        raise MissingArtifactError(f"{path} not found (run '{producer}' first)")
     made = os.path.getmtime(path)
     for key in _STAGES[producer][0]:
         for inp in cfg.files(key):
@@ -258,7 +252,7 @@ def _load_candidates(cfg: ProjectConfig):
 def _get_lfs(cfg: ProjectConfig):
     from . import lf_lib, weaksup
 
-    rtype = cfg.param("relation_type", "pain-anatomy")
+    rtype = cfg.params["relation_type"]
     module_path = cfg.paths.get("lf_module")
     if module_path:
         # The user's own code: a module that does not import or has no
@@ -277,12 +271,9 @@ def _get_lfs(cfg: ProjectConfig):
                 raise ConfigError(f"{module_path}: get_lfs returned {lf!r}, not a "
                                   "LabelingFunction", context={"path": module_path})
         return lfs
-    lf_set = cfg.param("lf_set", "starter")
-    if lf_set == "starter":
-        return lf_lib.starter_lfs(rtype)
-    if lf_set == "benchmark":
+    if cfg.params["lf_set"] == "benchmark":
         return lf_lib.benchmark_lfs()
-    raise ConfigError(f"unknown lf_set {lf_set!r} (use 'starter' or 'benchmark')")
+    return lf_lib.starter_lfs(rtype)
 
 
 @click.group()
@@ -321,7 +312,7 @@ def _stage(group: click.Group, name: str, paths=(), writes=()):
                 click.echo(summary)
             except DeviceSurvError as exc:
                 click.echo(json.dumps(exc.to_json()), err=True)
-                sys.exit(EXIT_CODES.get(exc.code, 1))
+                sys.exit(exc.exit_code)
             except OSError as exc:
                 click.echo(
                     json.dumps({"code": "io", "message": str(exc), "context": {}}), err=True
@@ -343,12 +334,10 @@ def candidates(cfg):
     from .extraction import extract_candidates, write_candidates
 
     dictionaries, lexicon = _load_resources(cfg)
-    rtype = cfg.param("relation_type", "pain-anatomy")
+    rtypes = (cfg.params["relation_type"],)
     cands = [
         c for note in ingest_notes(cfg.path("notes"))
-        for c in extract_candidates(
-            preprocess(note), dictionaries, lexicon, relation_types=(rtype,)
-        )
+        for c in extract_candidates(preprocess(note), dictionaries, lexicon, rtypes)
     ]
     out_path = cfg.artifact("candidates.jsonl")
     write_candidates(cands, out_path)
@@ -417,7 +406,7 @@ def labelmodel_fit(cfg):
     from . import weaksup
 
     matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
-    model = weaksup.fit_label_model(matrix, cfg.param("class_prior", 0.5))
+    model = weaksup.fit_label_model(matrix, cfg.params["class_prior"])
     model_path = cfg.artifact("label_model.json")
     write_json(model_path, model.to_dict())
     weaksup.labels_to_csv(weaksup.posterior_labels(model, matrix), cfg.artifact("labels.csv"))
@@ -446,21 +435,15 @@ def train(cfg):
     ids = [c.candidate_id for c in used]
     X = clf.design_matrix(used)
     train_rows = [i for i, cid in enumerate(ids) if cid in covered]
-    train_cfg = clf.TrainConfig(
-        seed=cfg.param("seed", 0),
-        epochs=cfg.param("epochs", 20),
-        learning_rate=cfg.param("learning_rate", 0.5),
-        l2=cfg.param("l2", 1e-4),
-        batch_size=cfg.param("batch_size", 32),
-    )
+    train_cfg = clf.TrainConfig(**{f.name: cfg.params[f.name] for f in fields(clf.TrainConfig)})
     model = clf.train_noise_aware(
         X.rows(train_rows), [ids[i] for i in train_rows], labels, train_cfg)
     if gold_path:
         dev_rows = [i for i, cid in enumerate(ids) if cid in dev_gold]
         model.threshold = clf.select_threshold(
             clf.score_matrix(model, X.rows(dev_rows)), [dev_gold[ids[i]] for i in dev_rows])
-    elif cfg.param("threshold") is not None:
-        model.threshold = cfg.param("threshold")
+    else:
+        model.threshold = cfg.params["threshold"]
     model_path = cfg.artifact("classifier.bin")
     model.save(model_path)
     return f"train: {len(cands)} candidates, threshold {model.threshold:.2f} -> {model_path}"
@@ -508,7 +491,7 @@ def reconcile_cmd(cfg):
     report = reconcile.reconcile_registry(
         reconcile.load_registry_csv(extracted_path, catalog),
         reconcile.load_registry_csv(cfg.path("registry"), catalog),
-        cfg.param("date_tolerance_days", 30),
+        cfg.params["date_tolerance_days"],
     )
     out_path = cfg.artifact("reconciliation.csv")
     report.write_csv(out_path)
@@ -545,7 +528,7 @@ def events_merge(cfg):
 
     coded = outcomes.events_from_csv(_require(cfg, "coded_events.csv"))
     text = outcomes.events_from_csv(cfg.path("text_events"))
-    merged = outcomes.merge_events(coded, text, cfg.param("merge_window_days", 90))
+    merged = outcomes.merge_events(coded, text, cfg.params["merge_window_days"])
     out_path = cfg.artifact("merged_events.csv")
     outcomes.events_to_csv(merged, out_path)
     return (
@@ -569,7 +552,7 @@ def _load_survival_dataset(
         outcomes.Covariate("cci", reference="none"),
     ]
     return outcomes.build_survival_dataset(
-        cohort, evts, cfg.param("outcome_class", "revision"), spec, group_by
+        cohort, evts, cfg.params["outcome_class"], spec, group_by
     )
 
 
@@ -710,7 +693,7 @@ def synth_gen(cfg):
     """Generate a synthetic corpus with gold labels into the output dir."""
     from . import synth
 
-    corpus = synth.gen_corpus(synth.SynthConfig(seed=cfg.param("seed", 0)))
+    corpus = synth.gen_corpus(synth.SynthConfig(seed=cfg.params["seed"]))
     synth.write_corpus(corpus, cfg.output_dir)
     return (
         f"synth gen: {len(corpus.notes)} notes, {len(corpus.gold_relations)} gold "

@@ -197,6 +197,8 @@ def _parse_note_record(line: str, lineno: int) -> RawNote:
         raise InputFormatError(
             f"line {lineno}: invalid JSON ({exc.msg})", context={"line": lineno}
         ) from exc
+    if not isinstance(rec, dict):
+        raise InputFormatError(f"line {lineno}: not a JSON object", context={"line": lineno})
     for fld in REQUIRED_NOTE_FIELDS:
         if fld not in rec or rec[fld] is None:
             raise InputFormatError(

@@ -8,9 +8,10 @@ import os
 
 
 class DeviceSurvError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. Each class names its error-JSON
+    ``code`` and the CLI's ``exit_code`` for it."""
 
-    code = "error"
+    code, exit_code = "error", 1
 
     def __init__(self, message, context=None):
         super().__init__(message)
@@ -22,25 +23,25 @@ class DeviceSurvError(Exception):
 
 
 class ConfigError(DeviceSurvError):
-    code = "config"
+    code, exit_code = "config", 2
 
 
 class InputFormatError(DeviceSurvError):
     """Malformed input record or file."""
 
-    code = "input_format"
+    code, exit_code = "input_format", 3
 
 
 class MissingArtifactError(DeviceSurvError):
     """A required upstream artifact does not exist."""
 
-    code = "missing_artifact"
+    code, exit_code = "missing_artifact", 4
 
 
 class FitError(DeviceSurvError):
     """A statistical fit could not be completed."""
 
-    code = "fit"
+    code, exit_code = "fit", 5
 
 
 class parsing:

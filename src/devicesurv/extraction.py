@@ -488,7 +488,11 @@ def generate_candidates(
 
 def extract_candidates(doc: Document, dictionaries, lexicon: TriggerLexicon,
                        relation_types=RELATION_TYPES) -> list[RelationCandidate]:
-    """Full per-document pipeline: tag, apply context, generate candidates."""
+    """Full per-document pipeline: tag, apply context, generate candidates.
+    An unknown relation type is refused even if no sentence holds a mention."""
+    for rtype in relation_types:
+        if rtype not in RELATION_ARG_TYPES:
+            raise ConfigError(f"unknown relation type {rtype!r}")
     out: list[RelationCandidate] = []
     for sentence in doc.sentences:
         mentions = tag_entities(sentence, dictionaries)

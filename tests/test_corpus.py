@@ -82,6 +82,20 @@ class TestIngest:
         notes = list(ingest_notes(path))
         assert [n.note_id for n in notes] == ["a", "b"]
 
+    # JSON that is no object: a number, null, a boolean, and a string that
+    # holds every field name (a membership test on it would pass).
+    @pytest.mark.parametrize("line", [
+        "123", "null", "true", json.dumps(" ".join(VALID_RECORD)),
+    ], ids=["number", "null", "true", "string_of_field_names"])
+    def test_record_not_an_object_skipped(self, tmp_path, caplog, line):
+        path = tmp_path / "notes.jsonl"
+        path.write_text("\n".join([json.dumps(VALID_RECORD), line,
+                                   json.dumps(dict(VALID_RECORD, note_id="b"))]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
+            assert [n.note_id for n in ingest_notes(path)] == ["a", "b"]
+        [record] = caplog.records
+        assert record.getMessage() == "skipping note record: line 2: not a JSON object"
+
     def test_duplicate_note_id_always_aborts(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         _write_jsonl(path, [VALID_RECORD, VALID_RECORD])

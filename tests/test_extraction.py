@@ -221,6 +221,14 @@ class TestCandidates:
         with pytest.raises(ConfigError):
             generate_candidates(sent, [], "pain-implant", "n1")
 
+    def test_unknown_relation_type_without_mentions(self, dictionaries, trigger_lexicon):
+        # Refused before the first sentence, not only where a sentence holds
+        # a mention to pair.
+        doc = _doc("Nothing to report today.")
+        assert extract_candidates(doc, dictionaries, trigger_lexicon) == []
+        with pytest.raises(ConfigError, match="pain-anatomyy"):
+            extract_candidates(doc, dictionaries, trigger_lexicon, ("pain-anatomyy",))
+
     def test_candidate_id_stable(self, dictionaries, trigger_lexicon):
         a = extract_candidates(_doc("pain in the hip."), dictionaries, trigger_lexicon)
         b = extract_candidates(_doc("pain in the hip."), dictionaries, trigger_lexicon)

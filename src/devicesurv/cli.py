@@ -331,10 +331,12 @@ def _stage(group: click.Group, name: str, paths=(), writes=()):
 def candidates(cfg):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
     from .corpus import ingest_notes, preprocess
-    from .extraction import extract_candidates, write_candidates
+    from .extraction import extract_candidates, relation_arg_types, write_candidates
 
-    dictionaries, lexicon = _load_resources(cfg)
+    # Checked before the notes are read: an empty notes file checks nothing.
     rtypes = (cfg.params["relation_type"],)
+    relation_arg_types(rtypes[0])
+    dictionaries, lexicon = _load_resources(cfg)
     cands = [
         c for note in ingest_notes(cfg.path("notes"))
         for c in extract_candidates(preprocess(note), dictionaries, lexicon, rtypes)
@@ -353,7 +355,9 @@ def lf():
 def lf_apply(cfg):
     """Apply the configured LF set; write the label matrix."""
     from . import weaksup
+    from .extraction import relation_arg_types
 
+    relation_arg_types(cfg.params["relation_type"])  # before the candidates are read
     cands = _load_candidates(cfg)
     matrix = weaksup.apply_lfs(cands, _get_lfs(cfg))
     out_path, csv_path = cfg.artifact("label_matrix.bin"), cfg.artifact("label_matrix.csv")
@@ -370,9 +374,11 @@ def lf_stats(cfg):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
     from . import evaluation, weaksup
 
-    matrix = weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin"))
+    matrix_path = _require(cfg, "label_matrix.bin")
+    matrix = weaksup.LabelMatrix.load(matrix_path)
     if matrix.n == 0:
-        raise ConfigError("label matrix has no candidates")
+        raise ConfigError(f"{matrix_path}: label matrix has no candidates",
+                          context={"path": matrix_path})
     gold_path = cfg.paths.get("dev_gold")
     gold = None
     if gold_path:
@@ -541,19 +547,25 @@ def _load_survival_dataset(
     cfg: ProjectConfig, group_by: str | None = None
 ) -> SurvivalDataset:
     """The cohort's survival dataset; with ``group_by``, each subject's group
-    label is that cohort.csv column ("Unknown" if the column is absent)."""
+    label is that cohort.csv column ("Unknown" where a cell is missing or
+    empty). A cohort.csv left with no subject is refused (exit 2)."""
     from . import outcomes
 
-    cohort = outcomes.cohort_from_csv(_require(cfg, "cohort.csv"))
+    cohort_path = _require(cfg, "cohort.csv")
+    cohort = outcomes.cohort_from_csv(cohort_path)
     evts = outcomes.events_from_csv(_require(cfg, "merged_events.csv"))
     spec = [
         outcomes.Covariate("age_band", reference="40-49"),
         outcomes.Covariate("sex", reference="F"),
         outcomes.Covariate("cci", reference="none"),
     ]
-    return outcomes.build_survival_dataset(
-        cohort, evts, cfg.params["outcome_class"], spec, group_by
-    )
+    try:
+        return outcomes.build_survival_dataset(
+            cohort, evts, cfg.params["outcome_class"], spec, group_by
+        )
+    except outcomes.NoSubjectError as exc:
+        raise ConfigError(f"{cohort_path}: {exc.message}",
+                          context={"path": cohort_path, **exc.context}) from None
 
 
 @main.group("survival")
@@ -619,13 +631,14 @@ def _group_summaries(ds: SurvivalDataset):
     """Per-group patient/event/person-year summaries for the forest table."""
     import numpy as np
 
-    labels = ds.groups if ds.groups is not None else ["All"] * len(ds.subject_ids)
-    labels, g = np.unique(np.asarray(labels), return_inverse=True)
+    from .outcomes import categories
+
+    labels, g = categories(ds.groups or ["All"] * len(ds.subject_ids))
     n, events, days = (np.bincount(g, weights=w) for w in (None, ds.events, ds.times))
     return {
         label: {"n_patients": int(n[j]), "n_events": int(events[j]),
                 "person_years": float(days[j] / 365.25)}
-        for j, label in enumerate(labels.tolist())
+        for j, label in enumerate(labels)
     }
 
 

@@ -450,6 +450,15 @@ def make_candidate_id(note_id, relation_type, arg1, arg2) -> str:
     return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
 
+def relation_arg_types(relation_type: str) -> tuple[str, str]:
+    """(arg1 type, arg2 type) of a relation; an unknown one is a
+    ConfigError (exit 2)."""
+    if relation_type not in RELATION_ARG_TYPES:
+        raise ConfigError(f"unknown relation type {relation_type!r}",
+                          context={"key": "relation_type"})
+    return RELATION_ARG_TYPES[relation_type]
+
+
 def generate_candidates(
     sentence: Sentence,
     mentions: list[EntityMention],
@@ -459,9 +468,7 @@ def generate_candidates(
     dates: list[DateMention] | None = None,
 ) -> list[RelationCandidate]:
     """One candidate per typed (arg1, arg2) pair, ordered by arg spans."""
-    if relation_type not in RELATION_ARG_TYPES:
-        raise ConfigError(f"unknown relation type {relation_type!r}")
-    t1, t2 = RELATION_ARG_TYPES[relation_type]
+    t1, t2 = relation_arg_types(relation_type)
     args1 = sorted(
         (m for m in mentions if m.entity_type == t1), key=lambda m: (m.char_start, m.char_end)
     )
@@ -491,8 +498,7 @@ def extract_candidates(doc: Document, dictionaries, lexicon: TriggerLexicon,
     """Full per-document pipeline: tag, apply context, generate candidates.
     An unknown relation type is refused even if no sentence holds a mention."""
     for rtype in relation_types:
-        if rtype not in RELATION_ARG_TYPES:
-            raise ConfigError(f"unknown relation type {rtype!r}")
+        relation_arg_types(rtype)
     out: list[RelationCandidate] = []
     for sentence in doc.sentences:
         mentions = tag_entities(sentence, dictionaries)

@@ -230,6 +230,10 @@ def merge_events(coded, text, window_days: int = 90) -> list[Event]:
     return merged
 
 
+class NoSubjectError(ConfigError):
+    """A survival dataset would hold no subject."""
+
+
 @dataclass(frozen=True)
 class Covariate:
     """A categorical covariate, dummy-coded against ``reference``."""
@@ -245,8 +249,24 @@ class SurvivalDataset:
     events: np.ndarray  # 0/1
     X: np.ndarray  # n x p design
     columns: list[str]
-    groups: list[str] | None = None  # raw group labels when grouping applies
+    groups: list[str] | None = None  # each subject's category of the group_by column
     n_excluded_nonpositive: int = 0
+
+
+def category(value) -> str:
+    """A cohort cell's category: "Unknown" if missing, None or empty (false)."""
+    return str(value or "Unknown")
+
+
+def categories(values):
+    """The sorted categories of the cells ``values``, and each cell's index
+    into them as an int array. Every coded cohort column is coded here."""
+    import numpy as np
+
+    cells = [category(v) for v in values]
+    levels = sorted(set(cells))
+    index = {lv: j for j, lv in enumerate(levels)}
+    return levels, np.array([index[c] for c in cells], dtype=np.intp)
 
 
 def build_design(rows: list[dict[str, str]], spec: list[Covariate]):
@@ -255,22 +275,13 @@ def build_design(rows: list[dict[str, str]], spec: list[Covariate]):
     import numpy as np
 
     columns: list[str] = []
-    encoders = []
+    X = np.zeros((len(rows), 0))
     for cov in spec:
-        levels = sorted({str(r.get(cov.name, "Unknown") or "Unknown") for r in rows})
+        levels, codes = categories(r.get(cov.name) for r in rows)
         ref = cov.reference if cov.reference in levels else levels[0]
-        nonref = [lv for lv in levels if lv != ref]
-        for lv in nonref:
-            columns.append(f"{cov.name}={lv}")
-        encoders.append((cov, nonref))
-    X = np.zeros((len(rows), len(columns)))
-    col = 0
-    for cov, nonref in encoders:
-        for k, lv in enumerate(nonref):
-            for i, r in enumerate(rows):
-                if str(r.get(cov.name, "Unknown") or "Unknown") == lv:
-                    X[i, col + k] = 1.0
-        col += len(nonref)
+        kept = [j for j, lv in enumerate(levels) if lv != ref]
+        columns += [f"{cov.name}={levels[j]}" for j in kept]
+        X = np.hstack([X, codes[:, None] == kept])
     return X, columns
 
 
@@ -283,9 +294,10 @@ def build_survival_dataset(
 ) -> SurvivalDataset:
     """Time from index to first matching event (event=1) or to last contact
     (censored). ``outcome_class`` may be a single class or "any_complication".
-    Subjects with nonpositive time are excluded with a warning count. With
-    ``group_by``, each subject's group label is that cohort column
-    ("Unknown" where the subject has none); without it, ``groups`` is None."""
+    Subjects with nonpositive time are excluded with a warning count; if none
+    is left, ``NoSubjectError`` is raised before any column is coded. With
+    ``group_by``, ``groups`` holds each subject's ``category`` of that cohort
+    column; without it, ``groups`` is None."""
     import numpy as np
 
     if outcome_class == ANY_COMPLICATION:
@@ -305,7 +317,6 @@ def build_survival_dataset(
             first_event[e.patient_id] = e.timestamp
     ids, times, flags, rows = [], [], [], []
     excluded = 0
-    groups = None if group_by is None else []
     for pid in sorted(cohort):
         pat = cohort[pid]
         if pid in first_event:
@@ -321,10 +332,12 @@ def build_survival_dataset(
         times.append(t)
         flags.append(flag)
         rows.append(pat.covariates)
-        if groups is not None:
-            groups.append(str(pat.covariates.get(group_by, "Unknown")))
     if excluded:
         log.warning("excluded %d subjects with nonpositive follow-up time", excluded)
+    if not ids:
+        n = len(cohort)
+        raise NoSubjectError(f"no subject has positive follow-up time ({n} in the cohort)",
+                             context={"subjects": n})
     X, columns = build_design(rows, covariate_spec)
     return SurvivalDataset(
         subject_ids=ids,
@@ -332,7 +345,7 @@ def build_survival_dataset(
         events=np.array(flags, dtype=int),
         X=X,
         columns=columns,
-        groups=groups,
+        groups=None if group_by is None else [category(r.get(group_by)) for r in rows],
         n_excluded_nonpositive=excluded,
     )
 

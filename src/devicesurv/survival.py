@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .outcomes import SurvivalDataset
+from .outcomes import SurvivalDataset, categories
 
 
 class _RiskSets:
@@ -51,20 +51,16 @@ class KMCurve:
         return float(self.survival[k - 1]) if k else 1.0
 
 
-def km_estimate(dataset: SurvivalDataset, group_by: bool = False):
-    """Product-limit estimator; with ``group_by`` set, one curve per group
-    label (requires dataset.groups)."""
+def km_estimate(dataset: SurvivalDataset):
+    """Product-limit estimator: one curve, or one curve per group label,
+    keyed by label, when the dataset carries groups."""
     if len(dataset.times) == 0:
         raise ConfigError("empty dataset")
-    if group_by:
-        if dataset.groups is None:
-            raise ConfigError("dataset carries no group labels")
-        labels, g = np.unique(np.asarray(dataset.groups), return_inverse=True)
-        return {
-            label: _km(dataset.times[g == j], dataset.events[g == j])
-            for j, label in enumerate(labels.tolist())
-        }
-    return _km(dataset.times, dataset.events)
+    if dataset.groups is None:
+        return _km(dataset.times, dataset.events)
+    labels, g = categories(dataset.groups)
+    return {label: _km(dataset.times[g == j], dataset.events[g == j])
+            for j, label in enumerate(labels)}
 
 
 def _km(times: np.ndarray, events: np.ndarray) -> KMCurve:
@@ -146,7 +142,7 @@ def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     """Standard log-rank test over the dataset's group labels."""
     if dataset.groups is None:
         raise ConfigError("dataset carries no group labels")
-    labels, g = np.unique(np.asarray(dataset.groups), return_inverse=True)
+    labels, g = categories(dataset.groups)
     k = len(labels)
     if k < 2:
         raise ConfigError("log-rank requires at least two groups")

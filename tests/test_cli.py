@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import datetime
 import hashlib
 import inspect
 import itertools
@@ -19,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 import devicesurv
-from devicesurv import cli, outcomes, reconcile, synth, weaksup
+from devicesurv import cli, outcomes, reconcile, survival, synth, weaksup
 from devicesurv.classifier import ClassifierModel, TrainConfig
 from devicesurv.cli import main
 from devicesurv.defaults import DICTIONARY_FILES, resource_path
@@ -175,6 +176,39 @@ class TestConfigValidation:
         assert err["code"] == "config"
         assert "pain-anatomyy" in err["message"]
         assert not (tmp_path / "out" / "candidates.jsonl").exists()
+
+    @pytest.mark.parametrize("command", [["candidates"], ["lf", "apply"]])
+    def test_unknown_relation_type_on_empty_inputs(self, runner, tmp_path, command):
+        # An empty notes file gives no note and no candidate to check the
+        # type against; each command that reads it refuses it first.
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text("")
+        outdir = tmp_path / "out"
+        good = _write_config(tmp_path, outdir, paths={"notes": notes})
+        assert runner.invoke(main, ["candidates", "--config", good]).exit_code == 0
+        cfg = _write_config(tmp_path, outdir, paths={"notes": notes},
+                            params={"relation_type": "pain-anatomyy"})
+        result = runner.invoke(main, command + ["--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert _stderr_json(result) == {"code": "config",
+                                        "message": "unknown relation type 'pain-anatomyy'",
+                                        "context": {"key": "relation_type"}}
+        assert not (outdir / "label_matrix.bin").exists()
+
+    def test_empty_label_matrix_refused(self, runner, tmp_path):
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text("")
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={"notes": notes})
+        for command in (["candidates"], ["lf", "apply"]):
+            assert runner.invoke(main, command + ["--config", cfg]).exit_code == 0
+        result = runner.invoke(main, ["lf", "stats", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        path = str(outdir / "label_matrix.bin")
+        assert _stderr_json(result) == {"code": "config",
+                                        "message": f"{path}: label matrix has no candidates",
+                                        "context": {"path": path}}
+        assert not (outdir / "lf_stats.csv").exists()
 
     def test_missing_output_dir_key(self, runner, tmp_path):
         path = tmp_path / "config.json"
@@ -1025,6 +1059,84 @@ class TestStatsCommands:
         err = _stderr_json(result)
         assert err["code"] == "config"
         assert err["message"] == "exposure must be positive and finite"
+
+    _COHORT_HEADER = "patient_id,index_date,last_contact_date,age_band,cci,sex\n"
+
+    @pytest.mark.parametrize("rows", ["", "p1,2010-01-01,2010-01-01,60-69,none,F\n"],
+                             ids=["no_rows", "no_positive_time"])
+    @pytest.mark.parametrize("command", ["km", "logrank", "cox"])
+    def test_empty_cohort_refused(self, runner, tmp_path, rows, command):
+        (tmp_path / "cohort.csv").write_text(self._COHORT_HEADER + rows)
+        (tmp_path / "merged_events.csv").write_text("patient_id,class,date,source,provenance\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        result = runner.invoke(main, ["survival", command, "--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        path = str(tmp_path / "cohort.csv")
+        n = rows.count("\n")
+        assert err["message"] == (f"{path}: no subject has positive follow-up time "
+                                  f"({n} in the cohort)")
+        assert err["context"] == {"path": path, "subjects": n}
+
+    # A sex column holding F, "", a missing cell, "Unknown" and "x", with or
+    # without "x\0"; (cell, levels) per case. The csv module reads a NUL in a
+    # file from Python 3.11 on; test_nul_level_in_every_coding checks that
+    # level on every version, from a cohort built in memory.
+    _ONE_COLUMN_CASES = {
+        "plain": (["F", "", None, "Unknown", "x"], ["F", "Unknown", "x"]),
+        "nul": (["F", "", None, "Unknown", "x", "x\0"], ["F", "Unknown", "x", "x\0"]),
+    }
+
+    @pytest.mark.parametrize("case", [
+        "plain",
+        pytest.param("nul", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="csv reads a NUL from Python 3.11 on")),
+    ])
+    def test_one_column_one_coding(self, runner, tmp_path, case):
+        # The Cox design's columns, log-rank's groups, KM's curves and the
+        # group summaries (checked through _group_summaries, since cox.json is
+        # not grouped) all code the column as the same levels.
+        cells, levels = self._ONE_COLUMN_CASES[case]
+        rows, events = [], []
+        for i in range(6 * len(cells)):
+            cell = cells[i % len(cells)]
+            rows.append(f"p{i},2010-01-01,2015-01-01,60-69,none" + ("" if cell is None
+                                                                   else f",{cell}"))
+            if i % 4 != 1:
+                events.append(f"p{i},revision,{2011 + i % 3}-0{1 + i % 5}-01,coded,CPT:27134")
+        (tmp_path / "cohort.csv").write_text(self._COHORT_HEADER + "\n".join(rows) + "\n")
+        (tmp_path / "merged_events.csv").write_text(
+            "patient_id,class,date,source,provenance\n" + "\n".join(events) + "\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        for command in (["cox"], ["logrank", "--group-by", "sex"]):
+            result = runner.invoke(main, ["survival", *command, "--config", cfg])
+            assert result.exit_code == 0, result.output
+        terms = json.loads((tmp_path / "cox.json").read_text())["terms"]
+        assert ["F"] + [t["term"][4:] for t in terms] == levels
+        assert json.loads((tmp_path / "logrank.json").read_text())["df"] + 1 == len(levels)
+        ds = cli._load_survival_dataset(cli.load_config(cfg), "sex")
+        assert list(survival.km_estimate(ds)) == levels
+        assert list(cli._group_summaries(ds)) == levels
+
+    def test_nul_level_in_every_coding(self):
+        cells, levels = self._ONE_COLUMN_CASES["nul"]
+        start, end = datetime.date(2010, 1, 1), datetime.date(2015, 1, 1)
+        cohort, events = {}, []
+        for i in range(6 * len(cells)):
+            cell = cells[i % len(cells)]
+            covs = {"age_band": "60-69", "cci": "none"} | ({} if cell is None else {"sex": cell})
+            cohort[f"p{i}"] = outcomes.CohortPatient(f"p{i}", start, end, covs)
+            if i % 4 != 1:
+                events.append(outcomes.Event(f"p{i}", "revision",
+                                             datetime.date(2011 + i % 3, 1 + i % 5, 1),
+                                             "coded", "CPT:27134"))
+        spec = [outcomes.Covariate("sex", reference="F")]
+        ds = outcomes.build_survival_dataset(cohort, events, "revision", spec, "sex")
+        assert ["F"] + [c[4:] for c in ds.columns] == levels
+        assert survival.logrank_test(ds).df + 1 == len(levels)
+        assert list(survival.km_estimate(ds)) == levels
+        assert list(cli._group_summaries(ds)) == levels
 
     def test_logrank_groups_by_further_cohort_column(self, runner, tmp_path):
         # Any cohort.csv column after the id and dates is a covariate to group by.

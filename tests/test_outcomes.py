@@ -15,6 +15,7 @@ from devicesurv.outcomes import (
     CohortPatient,
     Covariate,
     Event,
+    NoSubjectError,
     PatientRecord,
     age_band,
     build_design,
@@ -282,7 +283,52 @@ class TestMatchByDate:
         assert groups[1][2] == [("b", 0)] and groups[2][3] == [("c", 0)]
 
 
+def _oracle_build_design(rows, spec):
+    """build_design as it was written with loops over rows x levels, kept as
+    the reference for the vectorised coder."""
+    columns: list[str] = []
+    encoders = []
+    for cov in spec:
+        levels = sorted({str(r.get(cov.name, "Unknown") or "Unknown") for r in rows})
+        ref = cov.reference if cov.reference in levels else levels[0]
+        nonref = [lv for lv in levels if lv != ref]
+        for lv in nonref:
+            columns.append(f"{cov.name}={lv}")
+        encoders.append((cov, nonref))
+    X = np.zeros((len(rows), len(columns)))
+    col = 0
+    for cov, nonref in encoders:
+        for k, lv in enumerate(nonref):
+            for i, r in enumerate(rows):
+                if str(r.get(cov.name, "Unknown") or "Unknown") == lv:
+                    X[i, col + k] = 1.0
+        col += len(nonref)
+    return X, columns
+
+
+_ORACLE_CELLS = ("F", "M", "x", "x\0", "", None, 0, "Unknown", "low", "none")
+
+
 class TestBuildDesign:
+    def test_matches_loop_oracle(self):
+        # Missing keys, None, "", 0, a reference present in some row sets and
+        # one absent from all of them, over two covariates.
+        rng = np.random.default_rng(0)
+        spec = [Covariate("sex", reference="F"), Covariate("cci", reference="absent")]
+        for _ in range(300):
+            rows = []
+            for _ in range(rng.integers(1, 30)):
+                row = {}
+                for cov in spec:
+                    if rng.random() < 0.8:
+                        row[cov.name] = _ORACLE_CELLS[rng.integers(len(_ORACLE_CELLS))]
+                rows.append(row)
+            X, cols = build_design(rows, spec)
+            X_ref, cols_ref = _oracle_build_design(rows, spec)
+            assert cols == cols_ref
+            assert X.shape == X_ref.shape
+            assert X.tobytes() == X_ref.tobytes()
+
     def test_dummy_coding_with_reference(self):
         rows = [{"sex": "M"}, {"sex": "F"}, {"sex": "M"}]
         X, cols = build_design(rows, [Covariate("sex", reference="F")])
@@ -349,6 +395,12 @@ class TestBuildSurvivalDataset:
         )
         assert ds.events.tolist() == [0]
         assert ds.times.tolist() == [100.0]
+
+    def test_no_subject_refused(self):
+        cohort, events = _cohort_pair()
+        for subjects in ({}, {"p3": cohort["p3"]}):  # none, or none with positive time
+            with pytest.raises(NoSubjectError, match="no subject has positive follow-up"):
+                build_survival_dataset(subjects, events, "revision", [Covariate("sex")])
 
     def test_unknown_outcome_class(self):
         with pytest.raises(ConfigError):

@@ -80,17 +80,13 @@ class TestKaplanMeier:
 
     def test_grouped_curves(self):
         ds = _dataset([1, 2, 3, 4], [1, 1, 1, 0], groups=["A", "B", "A", "B"])
-        curves = km_estimate(ds, group_by=True)
+        curves = km_estimate(ds)
         assert set(curves) == {"A", "B"}
         assert curves["A"].survival.tolist() == pytest.approx([0.5, 0.0])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             km_estimate(_dataset([], []))
-
-    def test_group_by_without_groups_rejected(self):
-        with pytest.raises(ConfigError):
-            km_estimate(_dataset([1], [1]), group_by=True)
 
 
 class TestLogRank:

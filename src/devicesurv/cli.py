@@ -10,6 +10,7 @@ artifact, 5 fit failure, 1 other.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import importlib.util
@@ -168,42 +169,40 @@ def load_config(path: str) -> ProjectConfig:
 
 
 class _Lock:
-    """One command at a time per output directory. The lock file holds the
-    owner's pid; a lock whose owner no longer runs is taken over."""
+    """One command at a time per output directory: an exclusive ``flock`` on
+    ``output_dir/.lock``. The kernel drops it when its holder exits, however
+    it exits, so a crashed run leaves nothing to take over. The file holds
+    the holder's pid for a human reader."""
 
     def __init__(self, outdir: str):
         self.path = os.path.join(outdir, ".lock")
 
     def __enter__(self):
-        if self._owner_gone():
-            self.__exit__()
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run: {self.path} "
-                "(delete the lock file if that run crashed)"
-            ) from None
+        while True:
+            # No truncate: a refused run leaves the holder's pid as it was.
+            self.fd = fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise ConfigError(
+                    f"output directory is locked by another run: {self.path}") from None
+            try:  # the last holder may have removed the file between open and flock
+                if os.stat(self.path).st_ino == os.fstat(fd).st_ino:
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         return self
-
-    def _owner_gone(self) -> bool:
-        """True only when the lock names a pid that no longer exists."""
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                os.kill(int(fh.read()), 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, ValueError, OverflowError):
-            pass  # no lock, a lock being written, or another user's live pid
-        return False
 
     def __exit__(self, *exc):
         try:
-            os.remove(self.path)
+            os.remove(self.path)  # while still holding the lock
         except FileNotFoundError:
-            pass
+            pass  # removed by hand during the run
+        os.close(self.fd)
         return False
 
 
@@ -548,7 +547,8 @@ def _load_survival_dataset(
 ) -> SurvivalDataset:
     """The cohort's survival dataset; with ``group_by``, each subject's group
     label is that cohort.csv column ("Unknown" where a cell is missing or
-    empty). A cohort.csv left with no subject is refused (exit 2)."""
+    empty). A cohort.csv left with no subject, or without the ``group_by``
+    column, is refused (exit 2) naming the file."""
     from . import outcomes
 
     cohort_path = _require(cfg, "cohort.csv")
@@ -563,7 +563,7 @@ def _load_survival_dataset(
         return outcomes.build_survival_dataset(
             cohort, evts, cfg.params["outcome_class"], spec, group_by
         )
-    except outcomes.NoSubjectError as exc:
+    except outcomes.CohortError as exc:
         raise ConfigError(f"{cohort_path}: {exc.message}",
                           context={"path": cohort_path, **exc.context}) from None
 

@@ -32,6 +32,7 @@ EVENT_CLASSES = (
     "pain",
 )
 
+# Equal to extraction.COMPLICATION_SUBCATEGORIES; neither module imports the other.
 COMPLICATION_CLASSES = EVENT_CLASSES[:6]
 
 EVENT_SOURCES = ("coded", "text", "both")
@@ -159,9 +160,9 @@ def patient_covariates(rec: PatientRecord, index_date: date) -> dict[str, str]:
     age = (index_date - rec.birth_date).days / 365.25
     return {
         "age_band": age_band(age),
-        "sex": rec.sex or "Unknown",
-        "race": rec.race or "Unknown",
-        "ethnicity": rec.ethnicity or "Unknown",
+        "sex": category(rec.sex),
+        "race": category(rec.race),
+        "ethnicity": category(rec.ethnicity),
         "cci": categorize_cci(rec.cci),
     }
 
@@ -230,8 +231,9 @@ def merge_events(coded, text, window_days: int = 90) -> list[Event]:
     return merged
 
 
-class NoSubjectError(ConfigError):
-    """A survival dataset would hold no subject."""
+class CohortError(ConfigError):
+    """The cohort cannot give the survival dataset asked for: no subject is
+    left, or it has no column to group by of the name given."""
 
 
 @dataclass(frozen=True)
@@ -294,10 +296,11 @@ def build_survival_dataset(
 ) -> SurvivalDataset:
     """Time from index to first matching event (event=1) or to last contact
     (censored). ``outcome_class`` may be a single class or "any_complication".
-    Subjects with nonpositive time are excluded with a warning count; if none
-    is left, ``NoSubjectError`` is raised before any column is coded. With
+    Subjects with nonpositive time are excluded with a warning count. With
     ``group_by``, ``groups`` holds each subject's ``category`` of that cohort
-    column; without it, ``groups`` is None."""
+    column; without it, ``groups`` is None. ``CohortError`` is raised before
+    any column is coded if no subject is left, or if ``group_by`` names no
+    covariate column of the cohort."""
     import numpy as np
 
     if outcome_class == ANY_COMPLICATION:
@@ -336,8 +339,14 @@ def build_survival_dataset(
         log.warning("excluded %d subjects with nonpositive follow-up time", excluded)
     if not ids:
         n = len(cohort)
-        raise NoSubjectError(f"no subject has positive follow-up time ({n} in the cohort)",
-                             context={"subjects": n})
+        raise CohortError(f"no subject has positive follow-up time ({n} in the cohort)",
+                          context={"subjects": n})
+    if group_by is not None:
+        known = list(dict.fromkeys(k for pat in cohort.values() for k in pat.covariates))
+        if group_by not in known:
+            raise CohortError(f"no cohort column {group_by!r} to group by (columns: "
+                              f"{', '.join(known)})",
+                              context={"group_by": group_by, "columns": known})
     X, columns = build_design(rows, covariate_spec)
     return SurvivalDataset(
         subject_ids=ids,

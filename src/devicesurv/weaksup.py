@@ -269,6 +269,9 @@ def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel
     coverage; the class prior stays fixed. Stops on relative log-likelihood
     change < EM_TOL or after EM_MAX_ITER iterations.
     """
+    # Checked first: a bad prior is a config error whatever the matrix holds.
+    if not 0 < class_prior < 1:
+        raise ConfigError("class prior must be in (0, 1)", context={"key": "class_prior"})
     V = matrix.votes
     n, m = V.shape
     if n < 1 or m < 1:
@@ -279,8 +282,6 @@ def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel
     beta = nonabstain.mean(axis=0)
     alpha = np.full(m, INIT_ALPHA)
     pi = class_prior
-    if not 0 < pi < 1:
-        raise ConfigError("class prior must be in (0, 1)")
     ll_history: list[float] = []
     prev_ll = -np.inf
     n_iter = 0

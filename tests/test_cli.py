@@ -277,22 +277,98 @@ class TestConfigValidation:
         assert set(re.findall(r'cfg\.(?:path|paths\.get)\("(\w+)"', src)) == cli._KNOWN_PATH_KEYS
 
 
+# Takes the output-directory lock as a command does, says so on stdout and
+# sleeps until killed.
+_LOCK_HOLDER = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)
+fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+os.write(fd, str(os.getpid()).encode())
+print("locked", flush=True)
+time.sleep(60)
+"""
+
+
+def _hold_lock(outdir):
+    """A process that holds ``outdir/.lock`` once this returns."""
+    holder = subprocess.Popen([sys.executable, "-c", _LOCK_HOLDER, str(outdir / ".lock")],
+                              stdout=subprocess.PIPE, text=True)
+    assert holder.stdout.readline() == "locked\n"
+    return holder
+
+
 class TestLocking:
     def test_lock_blocks_second_run(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
         outdir = tmp_path / "out"
         outdir.mkdir()
-        owner = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        owner = _hold_lock(outdir)
         try:
-            (outdir / ".lock").write_text(str(owner.pid))
             cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
             result = runner.invoke(main, ["candidates", "--config", cfg])
         finally:
             owner.kill()
             owner.wait()
+            owner.stdout.close()
         assert result.exit_code == 2
         assert "locked" in _stderr_json(result)["message"]
         assert (outdir / ".lock").read_text() == str(owner.pid)
+
+    def test_lock_of_killed_run_released(self, runner, tmp_path, small_corpus_dir):
+        # SIGKILL leaves the holder no chance to remove its file; the kernel
+        # still drops its lock.
+        _, paths, _ = small_corpus_dir
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        owner = _hold_lock(outdir)
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+        assert (outdir / ".lock").read_text() == str(owner.pid)
+        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
+        result = runner.invoke(main, ["candidates", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert not (outdir / ".lock").exists()
+
+    def test_stale_lock_naming_a_live_pid_taken(self, runner, tmp_path, small_corpus_dir):
+        # A crashed run's pid reused by a live process, here this one: nobody
+        # holds the lock, so the file's pid does not matter.
+        _, paths, _ = small_corpus_dir
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / ".lock").write_text(str(os.getpid()))
+        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
+        result = runner.invoke(main, ["candidates", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert not (outdir / ".lock").exists()
+
+    @pytest.mark.parametrize("third", [False, True], ids=["alone", "third_run"])
+    def test_lock_on_removed_file_retried(self, tmp_path, monkeypatch, third):
+        # Run b opens .lock while run a holds it; before b's flock, a exits
+        # (removing the file) and, with third, run c takes a new .lock. b's
+        # flock then succeeds on the removed file, so b must look again.
+        lock = tmp_path / ".lock"
+        a, b, c = cli._Lock(str(tmp_path)), cli._Lock(str(tmp_path)), cli._Lock(str(tmp_path))
+        a.__enter__()
+        between = [lambda: (a.__exit__(), third and c.__enter__())]
+        real_flock = cli.fcntl.flock
+
+        def flock(fd, op):
+            if between:
+                between.pop()()
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(cli.fcntl, "flock", flock)
+        if third:
+            with pytest.raises(cli.ConfigError, match="locked by another run"):
+                b.__enter__()
+            holder = c
+        else:
+            holder = b.__enter__()
+        assert os.stat(lock).st_ino == os.fstat(holder.fd).st_ino
+        assert lock.read_text() == str(os.getpid())
+        holder.__exit__()
+        assert not lock.exists()
 
     def test_lock_of_exited_run_taken_over(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir
@@ -313,6 +389,14 @@ class TestLocking:
         assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
         assert not (outdir / ".lock").exists()
         assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
+
+    def test_chain_leaves_no_lock_or_partial_file(self, every_input):
+        cfg, _ = every_input
+        with open(cfg, encoding="utf-8") as fh:
+            outdir = json.load(fh)["output_dir"]
+        names = os.listdir(outdir)
+        assert ".lock" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
 
 
 class TestArtifacts:
@@ -349,13 +433,24 @@ class TestArtifacts:
         assert not (outdir / "classifier.bin").exists()
 
     def test_class_prior_out_of_range_exit_code(self, runner, tmp_path, small_corpus_dir):
+        # The prior is checked before the matrix: on a matrix where every LF
+        # abstains it is still exit 2, not the fit's "no signal" (exit 5).
         _, paths, _ = small_corpus_dir
         outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
-        _write_config(tmp_path, outdir, paths={"notes": paths["notes"]},
-                      params={"lf_set": "benchmark", "class_prior": 1.5})
-        result = runner.invoke(main, ["labelmodel", "fit", "--config", cfg])
-        assert result.exit_code == 2
-        assert "class prior" in _stderr_json(result)["message"]
+        module = tmp_path / "abstain_lfs.py"
+        module.write_text("from devicesurv.weaksup import ABSTAIN, LabelingFunction\n"
+                          "def get_lfs(relation_type):\n"
+                          "    return [LabelingFunction('abstain', relation_type,\n"
+                          "                             lambda c: ABSTAIN)]\n")
+        for lf_paths, prior in (({}, 1.5), ({"lf_module": module}, 2.0)):
+            _write_config(tmp_path, outdir, paths={"notes": paths["notes"], **lf_paths},
+                          params={"lf_set": "benchmark", "class_prior": prior})
+            assert runner.invoke(main, ["lf", "apply", "--config", cfg]).exit_code == 0
+            result = runner.invoke(main, ["labelmodel", "fit", "--config", cfg])
+            assert result.exit_code == 2, result.output
+            assert _stderr_json(result) == {"code": "config",
+                                            "message": "class prior must be in (0, 1)",
+                                            "context": {"key": "class_prior"}}
 
     @pytest.mark.parametrize("source", [
         "def get_lfs(relation_type:\n",  # a syntax error
@@ -1153,6 +1248,26 @@ class TestStatsCommands:
             main, ["survival", "logrank", "--config", cfg, "--group-by", "implant_system"])
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / "logrank.json").read_text())["df"] == 1
+
+    def test_logrank_refuses_unknown_group_by(self, runner, tmp_path):
+        # A misspelt column would put every subject in one "Unknown" group.
+        rows = "".join(f"p{i},2010-01-01,2015-01-01,60-69,{'FM'[i % 2]},White,Unknown,none\n"
+                       for i in range(6))
+        (tmp_path / "cohort.csv").write_text(",".join(outcomes.COHORT_COLUMNS) + "\n" + rows)
+        (tmp_path / "merged_events.csv").write_text(
+            "patient_id,class,date,source,provenance\np1,revision,2012-02-01,coded,CPT:27134\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        result = runner.invoke(
+            main, ["survival", "logrank", "--config", cfg, "--group-by", "sexx"])
+        assert result.exit_code == 2, result.output
+        path = str(tmp_path / "cohort.csv")
+        columns = ["age_band", "sex", "race", "ethnicity", "cci"]
+        assert _stderr_json(result) == {
+            "code": "config",
+            "message": f"{path}: no cohort column 'sexx' to group by (columns: "
+                       + ", ".join(columns) + ")",
+            "context": {"path": path, "group_by": "sexx", "columns": columns}}
+        assert not (tmp_path / "logrank.json").exists()
 
     def test_ttest(self, runner, tmp_path):
         a = tmp_path / "a.csv"

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devicesurv import extraction
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.outcomes import (
     ANY_COMPLICATION,
     COMPLICATION_CLASSES,
     CodedProcedure,
+    CohortError,
     CohortPatient,
     Covariate,
     Event,
-    NoSubjectError,
     PatientRecord,
     age_band,
     build_design,
@@ -382,6 +383,12 @@ class TestBuildSurvivalDataset:
         assert by_id["p1"] == (150.0, 1)
         assert by_id["p2"] == (800.0, 0)
 
+    def test_complication_classes_are_the_extractor_subcategories(self):
+        # Stated twice, since neither module may import the other (each
+        # command loads only the modules it runs); equal, so a complication's
+        # subcategory names its event class.
+        assert extraction.COMPLICATION_SUBCATEGORIES == COMPLICATION_CLASSES
+
     def test_nonpositive_time_excluded(self):
         cohort, events = _cohort_pair()
         ds = build_survival_dataset(cohort, events, "revision", [Covariate("sex", reference="F")])
@@ -399,8 +406,16 @@ class TestBuildSurvivalDataset:
     def test_no_subject_refused(self):
         cohort, events = _cohort_pair()
         for subjects in ({}, {"p3": cohort["p3"]}):  # none, or none with positive time
-            with pytest.raises(NoSubjectError, match="no subject has positive follow-up"):
+            with pytest.raises(CohortError, match="no subject has positive follow-up"):
                 build_survival_dataset(subjects, events, "revision", [Covariate("sex")])
+
+    def test_unknown_group_by_refused(self):
+        # A misspelt column would put every subject in "Unknown", one group.
+        cohort, events = _cohort_pair()
+        with pytest.raises(CohortError) as err:
+            build_survival_dataset(cohort, events, "revision", [], group_by="sexx")
+        assert err.value.context == {"group_by": "sexx", "columns": ["sex"]}
+        assert "'sexx'" in err.value.message and "columns: sex" in err.value.message
 
     def test_unknown_outcome_class(self):
         with pytest.raises(ConfigError):

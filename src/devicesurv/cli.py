@@ -15,6 +15,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -679,10 +680,16 @@ def ttest(cfg, a_file, b_file):
     """Two-sided Welch t-test between two value files."""
     from . import countreg
 
+    def value(row):
+        x = float(row["value"])
+        if not math.isfinite(x):
+            raise ValueError(f"value {row['value']!r} is not finite")
+        return x
+
     def read_values(path):
         if not os.path.exists(path):
             raise MissingArtifactError(f"value file not found: {path}")
-        return read_csv(path, ("value",), lambda row: float(row["value"]))
+        return read_csv(path, ("value",), value)
 
     result = countreg.ttest_welch(read_values(a_file), read_values(b_file))
     out_path = cfg.artifact("ttest.json")

@@ -75,21 +75,29 @@ def decoded_lines(fh, path):
         yield from fh
 
 
-def read_csv(path, columns, parse_row) -> list:
+def read_csv(path, columns, parse_row, key=None) -> list:
     """``parse_row(row)`` for each row of the CSV file ``path``, the row a
-    dict keyed by the header. A header without every name in ``columns``
-    stops the reader; so does a row ``parse_row`` cannot parse, naming the
-    line the row ends on (a quoted field may span lines). Both are
-    ``InputFormatError``."""
+    dict keyed by the header. A row shorter than the header leaves its
+    missing trailing cells None. A header without every name in ``columns``
+    stops the reader; so does a bad row, naming the line the row ends on (a
+    quoted field may span lines): one with more fields than the header, one
+    whose ``key`` column repeats an earlier row's value, or one
+    ``parse_row`` cannot parse. Both are ``InputFormatError``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(decoded_lines(fh, path))
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise InputFormatError(f"{path}: missing columns {missing}",
                                    context={"path": str(path)})
-        out = []
+        out, seen = [], set()
         for row in reader:
             with parsing(path, reader.line_num):
+                if None in row:  # the csv key of the fields past the header
+                    raise ValueError(f"{len(row[None])} more fields than the header")
+                if key is not None:
+                    if row[key] in seen:
+                        raise ValueError(f"duplicate {key} {row[key]!r}")
+                    seen.add(row[key])
                 out.append(parse_row(row))
         return out
 

@@ -124,17 +124,12 @@ def _zero_or_one(value: str, column: str) -> int:
 def read_gold(path) -> dict[str, int]:
     """Gold labels from a CSV with a candidate_id column and a label (or
     gold) column; a duplicate id or a label other than 0 or 1 is an error."""
-    out: dict[str, int] = {}
 
-    def add(row):
-        cid = row["candidate_id"]
-        if cid in out:
-            raise ValueError(f"duplicate candidate_id {cid!r}")
+    def gold(row):
         column = "label" if "label" in row else "gold"
-        out[cid] = _zero_or_one(row[column], column)
+        return row["candidate_id"], _zero_or_one(row[column], column)
 
-    read_csv(path, ("candidate_id",), add)
-    return out
+    return dict(read_csv(path, ("candidate_id",), gold, key="candidate_id"))
 
 
 def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
@@ -146,10 +141,12 @@ def scores_to_csv(candidate_ids, scores, threshold, path) -> None:
 
 
 def read_scores(path) -> dict[str, int]:
-    """The predicted_label column of a scores.csv, keyed by candidate_id."""
+    """The predicted_label column of a scores.csv, keyed by candidate_id; a
+    duplicate id or a label other than 0 or 1 is an error."""
 
     return dict(read_csv(path, ("candidate_id", "predicted_label"), lambda row: (
-        row["candidate_id"], _zero_or_one(row["predicted_label"], "predicted_label"))))
+        row["candidate_id"], _zero_or_one(row["predicted_label"], "predicted_label")),
+        key="candidate_id"))
 
 
 def metrics_to_csv(metrics: Metrics, path) -> None:

@@ -9,8 +9,9 @@ window, keeping the earlier timestamp.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, read_csv, write_csv
@@ -86,8 +87,12 @@ class Event:
     provenance: str
 
     def __post_init__(self):
+        if self.event_class not in EVENT_CLASSES:
+            raise ValueError(f"unknown event class {self.event_class!r}")
+        if self.source not in EVENT_SOURCES:
+            raise ValueError(f"unknown event source {self.source!r}")
         if not self.provenance:
-            raise ConfigError("event provenance must be nonempty")
+            raise ValueError("event provenance must be nonempty")
 
 
 @dataclass
@@ -359,6 +364,25 @@ def build_survival_dataset(
     )
 
 
+_DATE_TIME = re.compile(r"(\d{4}-\d{2}-\d{2})[T ](?:[01]\d|2[0-3]):[0-5]\d"
+                        r"(?::[0-5]\d(?:\.\d{1,6})?)?(?:[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
+                        re.ASCII)
+
+
+def parse_date(cell: str) -> date:
+    """The date in a table cell: ``YYYY-MM-DD``, optionally followed by "T"
+    or a space and a time of day ``HH:MM[:SS[.ffffff]]`` with an optional
+    ``±HH:MM`` offset, which is dropped. Any other spelling is a ValueError
+    on every Python version, also the ones ``date.fromisoformat`` reads from
+    3.11 on (``20100101``, ``2010-W01-1``, a trailing ``Z``)."""
+    if len(cell) == 10 and cell[4] == cell[7] == "-":  # the common spelling, read without the regex
+        return date.fromisoformat(cell)
+    match = _DATE_TIME.fullmatch(cell)
+    if match is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(match[1])
+
+
 _EVENT_COLUMNS = ("patient_id", "class", "date", "source", "provenance")
 
 
@@ -370,17 +394,10 @@ def events_to_csv(events, path) -> None:
 
 def events_from_csv(path) -> list[Event]:
     def record(row):
-        # Event's own check raises ConfigError, which names no line.
-        if row["class"] not in EVENT_CLASSES:
-            raise ValueError(f"unknown event class {row['class']!r}")
-        if row["source"] not in EVENT_SOURCES:
-            raise ValueError(f"unknown event source {row['source']!r}")
-        if not row["provenance"]:
-            raise ValueError("provenance must be nonempty")
         return Event(
             patient_id=row["patient_id"],
             event_class=row["class"],
-            timestamp=datetime.fromisoformat(row["date"]).date(),
+            timestamp=parse_date(row["date"]),
             source=row["source"],
             provenance=row["provenance"],
         )
@@ -397,23 +414,23 @@ def patients_from_csv(path) -> list[PatientRecord]:
         procedures = []
         for item in filter(None, (row["procedures"] or "").split(";")):
             system, code, when = item.split(":")
-            procedures.append(CodedProcedure(system, code, date.fromisoformat(when)))
+            procedures.append(CodedProcedure(system, code, parse_date(when)))
         cci = int(row["cci"])
         if cci < 0:
             raise ValueError(f"cci {cci} is negative")
         return PatientRecord(
             patient_id=row["patient_id"],
-            birth_date=date.fromisoformat(row["birth_date"]),
+            birth_date=parse_date(row["birth_date"]),
             sex=row["sex"],
             race=row["race"],
             ethnicity=row["ethnicity"],
             procedures=procedures,
             cci=cci,
-            last_contact_date=date.fromisoformat(row["last_contact_date"]),
+            last_contact_date=parse_date(row["last_contact_date"]),
         )
 
     return read_csv(path, ("patient_id", "birth_date", "sex", "race", "ethnicity", "cci",
-                           "last_contact_date", "procedures"), record)
+                           "last_contact_date", "procedures"), record, key="patient_id")
 
 
 # cohort.csv: the id, the two dates, then the covariates patient_covariates makes.
@@ -435,7 +452,7 @@ def cohort_from_csv(path) -> dict[str, CohortPatient]:
 
     def patient(row):
         covariates = {k: v for k, v in row.items() if k not in fixed}
-        return CohortPatient(row["patient_id"], date.fromisoformat(row["index_date"]),
-                             date.fromisoformat(row["last_contact_date"]), covariates)
+        return CohortPatient(row["patient_id"], parse_date(row["index_date"]),
+                             parse_date(row["last_contact_date"]), covariates)
 
-    return {p.patient_id: p for p in read_csv(path, fixed, patient)}
+    return {p.patient_id: p for p in read_csv(path, fixed, patient, key="patient_id")}

@@ -9,10 +9,10 @@ pairs as conflict, and unmatched records as missing on one side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 
 from .errors import ConfigError, InputFormatError, read_csv, write_csv, write_json
-from .outcomes import match_by_date
+from .outcomes import match_by_date, parse_date
 
 COMPONENT_ROLES = ("acetabular", "femoral", "other")
 
@@ -32,9 +32,9 @@ class RegistryRecord:
 
     def __post_init__(self):
         if self.component_role not in COMPONENT_ROLES:
-            raise ConfigError(f"unknown component_role {self.component_role!r}")
+            raise ValueError(f"unknown component_role {self.component_role!r}")
         if not self.manufacturer or not self.model:
-            raise ConfigError("manufacturer and model must be nonempty")
+            raise ValueError("manufacturer and model must be nonempty")
 
 
 def canonicalize_implant(mention, catalog: dict) -> tuple[str, str]:
@@ -143,14 +143,9 @@ def load_registry_csv(path, catalog: dict | None = None) -> list[RegistryRecord]
     catalog = catalog or {}
 
     def record(row):
-        # RegistryRecord's own checks raise ConfigError, which names no line.
-        if row["component_role"] not in COMPONENT_ROLES:
-            raise ValueError(f"unknown component_role {row['component_role']!r}")
-        if not row["manufacturer"] or not row["model"]:
-            raise ValueError("manufacturer and model must be nonempty")
         return RegistryRecord(
             patient_id=row["patient_id"],
-            surgery_date=datetime.fromisoformat(row["surgery_date"]).date(),
+            surgery_date=parse_date(row["surgery_date"]),
             component_role=row["component_role"],
             manufacturer=canonicalize_manufacturer(row["manufacturer"], catalog),
             model=row["model"],

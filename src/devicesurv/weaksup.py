@@ -339,15 +339,11 @@ def labels_to_csv(labels, path) -> None:
 def labels_from_csv(path) -> list[ProbabilisticLabel]:
     """The labels ``labels_to_csv`` wrote; a repeated ``candidate_id`` or a
     ``p_true`` outside [0, 1], NaN included, is a bad row."""
-    seen: set[str] = set()
 
     def label(row):
-        cid, p = row["candidate_id"], float(row["p_true"])
+        p = float(row["p_true"])
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p_true {row['p_true']!r} is not in [0, 1]")
-        if cid in seen:
-            raise ValueError(f"duplicate candidate_id {cid!r}")
-        seen.add(cid)
-        return ProbabilisticLabel(cid, p)
+        return ProbabilisticLabel(row["candidate_id"], p)
 
-    return read_csv(path, ("candidate_id", "p_true"), label)
+    return read_csv(path, ("candidate_id", "p_true"), label, key="candidate_id")

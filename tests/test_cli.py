@@ -773,6 +773,16 @@ _DAMAGED_INPUTS = {
                         ["survival", "km"], "cohort.csv", 3),
     "cohort_no_last_contact": ({"cohort.csv": "patient_id,index_date,age_band\n"}, {},
                                ["survival", "km"], "cohort.csv", 3),
+    "cohort_repeated_id": ({"cohort.csv": _COHORT_CSV.format(index="2010-01-01")
+                            + "p1,2011-01-01,2015-01-01,70-79,M,White,Unknown,low\n"}, {},
+                           ["survival", "km"], "cohort.csv:3", 3),
+    "cohort_extra_field": ({"cohort.csv": _COHORT_CSV.format(index="2010-01-01")
+                            .replace(",none\n", ",none,M\n"),
+                            "merged_events.csv": _EVENTS_CSV}, {},
+                           ["survival", "logrank", "--group-by", "sexx"], "cohort.csv:2", 3),
+    "scores_repeated_id": ({"scores.csv": _SCORES_CSV + "a,0.100000,0\n",
+                            "gold.csv": "candidate_id,label\na,1\n"},
+                           {"gold_relations": "gold.csv"}, ["eval"], "scores.csv:5", 3),
     "events_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-01-01"),
                          "merged_events.csv": "patient_id,class,date,source,provenance\n"
                                               "p1,revision,2012-02-30,coded,CPT:27134\n"},
@@ -782,11 +792,21 @@ _DAMAGED_INPUTS = {
     "nb_count_fraction": ({"counts.csv": "patient_id,count\np1,2\np2,1.5\n"}, {},
                           ["regression", "nb", "--counts-file", "{out}/counts.csv"],
                           "counts.csv", 3),
+    "ttest_nan": ({"a.csv": "value\n1\n2\n", "b.csv": "value\n1\nnan\n3\n"}, {},
+                  ["ttest", "--a-file", "{out}/a.csv", "--b-file", "{out}/b.csv"],
+                  "b.csv:3", 3),
     "ttest_not_numeric": ({"a.csv": "value\n1\nabc\n", "b.csv": "value\n1\n2\n"}, {},
                           ["ttest", "--a-file", "{out}/a.csv", "--b-file", "{out}/b.csv"],
                           "a.csv", 3),
     "patients_bad_date": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-13-01", cci=0)},
                           {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
+    **{f"patients_birth_{birth}": (
+        {"patients.csv": _PATIENTS_CSV.format(birth=birth, cci=0)},
+        {"patients": "patients.csv"}, ["cohort"], "patients.csv:2", 3)
+       for birth in ("19500601", "1950-W22-4")},
+    "patients_repeated_id": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci=0)
+                              + "p1,1960-06-01,F,White,Unknown,0,2015-01-01,\n"},
+                             {"patients": "patients.csv"}, ["cohort"], "patients.csv:3", 3),
     "patients_bad_cci": ({"patients.csv": _PATIENTS_CSV.format(birth="1950-06-01", cci="two")},
                          {"patients": "patients.csv"}, ["cohort"], "patients.csv", 3),
     "patients_negative_cci": (

@@ -41,6 +41,20 @@ class TestReadCsv:
             read_csv(path, ("x",), _float_x)
         assert exc.value.context == {"line": 4}
 
+    def test_row_longer_than_header_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y\n1,a\n2,b,extra\n")
+        with pytest.raises(InputFormatError, match="t.csv:3: .*1 more fields than the header"):
+            read_csv(path, ("x",), _float_x)
+
+    def test_repeated_key_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y\n1,a\n2,b\n3,a\n")
+        assert read_csv(path, ("x",), _float_x, key="x") == [1.0, 2.0, 3.0]
+        with pytest.raises(InputFormatError, match="t.csv:4: .*duplicate y 'a'") as exc:
+            read_csv(path, ("x",), _float_x, key="y")
+        assert exc.value.context == {"line": 4}
+
     def test_dictreader_only_in_read_csv(self):
         # Every CSV table in the library is read through errors.read_csv.
         src = pathlib.Path(devicesurv.__file__).parent

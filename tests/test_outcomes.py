@@ -1,5 +1,7 @@
 """Unit tests for cohort selection, event merging, and survival datasets."""
 
+import inspect
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devicesurv import extraction
+from devicesurv import extraction, outcomes, reconcile
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.outcomes import (
     ANY_COMPLICATION,
@@ -28,6 +30,7 @@ from devicesurv.outcomes import (
     events_to_csv,
     match_by_date,
     merge_events,
+    parse_date,
     patients_from_csv,
     select_cohort,
 )
@@ -209,8 +212,13 @@ class TestMergeEvents:
         assert merge_events(coded, text, window) == _parent_merge_events(coded, text, window)
 
     def test_empty_provenance_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             Event("p1", "pain", D0, "text", "")
+
+    @pytest.mark.parametrize("cls,source", [("bogus", "text"), ("pain", "txt")])
+    def test_unknown_class_or_source_rejected(self, cls, source):
+        with pytest.raises(ValueError, match="unknown event"):
+            Event("p1", cls, D0, source, "n1")
 
 
 def _parent_merge_events(coded, text, window_days: int = 90) -> list[Event]:
@@ -434,6 +442,75 @@ class TestBuildSurvivalDataset:
         assert np.array_equal(ds.X[:, 0], [0.0, 1.0, 0.0])
         # A covariate in the design does not group the subjects by itself.
         assert build_survival_dataset(cohort, [], "revision", spec).groups is None
+
+
+# Cells parse_date reads, with the date each names; and cells it refuses on
+# every Python version, the first four of which datetime.fromisoformat reads
+# from 3.11 on.
+_DATE_CELLS = {
+    "2010-01-02": "2010-01-02",
+    "2012-02-29": "2012-02-29",
+    "2010-01-02T13:45": "2010-01-02",
+    "2010-01-02 13:45:30": "2010-01-02",
+    "2010-01-02T23:59:59.5": "2010-01-02",
+    "2010-01-02T00:00:00.123456": "2010-01-02",
+    "2010-01-02T13:45+05:30": "2010-01-02",
+    "2010-12-31 23:59:59-08:00": "2010-12-31",
+}
+_NOT_DATE_CELLS = (
+    "20100102", "2010-W01-1", "2010-01-02T13:45Z", "2010W011", "2010-002", "2010-01-02Z",
+    "2010-1-2", "2010-13-01", "2011-02-29", "0000-01-01", "", " 2010-01-02", "2010-01-02 ",
+    "2010/01/02", "2010-01-02T", "2010-01-02T13", "2010-01-02T24:00", "2010-01-02T13:60",
+    "2010-01-02T13:45:60", "2010-01-02T13:45:30.1234567", "2010-01-02T13:45+0530",
+    "2010-01-02T13:45+24:00", "2010-01-02T13:45:30+05:30:00", "2010-01-02t13:45",
+    "\uff12\uff10\uff11\uff10-01-02",
+)
+
+# The accepted grammar, stated apart from parse_date and without
+# date.fromisoformat: the oracle for cells the tables above miss.
+_ORACLE_DATE = re.compile(r"(\d{4})-(\d{2})-(\d{2})(?:[T ](\d{2}):(\d{2})"
+                          r"(?::(\d{2})(?:\.\d{1,6})?)?(?:[+-](\d{2}):(\d{2}))?)?", re.ASCII)
+
+
+def _oracle_parse_date(cell):
+    match = _ORACLE_DATE.fullmatch(cell)
+    if match is None:
+        raise ValueError(cell)
+    y, mo, d, h, mi, sec, oh, om = (int(g or 0) for g in match.groups())
+    if h > 23 or mi > 59 or sec > 59 or oh > 23 or om > 59:
+        raise ValueError(cell)
+    return date(y, mo, d)
+
+
+class TestParseDate:
+    @pytest.mark.parametrize("cell", list(_DATE_CELLS))
+    def test_accepted(self, cell):
+        assert parse_date(cell).isoformat() == _DATE_CELLS[cell]
+
+    @pytest.mark.parametrize("cell", _NOT_DATE_CELLS)
+    def test_refused(self, cell):
+        with pytest.raises(ValueError):
+            parse_date(cell)
+
+    @given(st.one_of(
+        st.from_regex(r"\d{4}[-W]?\d{1,3}-?\d{0,2}([T Zt]\d{1,2}(:\d{2}){0,2}(\.\d{1,7})?"
+                      r"([-+Z]\d{2}(:?\d{2})?)?)?", fullmatch=True),
+        st.text(alphabet="0123456789-:.+TWZ ", max_size=26)))
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_oracle(self, cell):
+        try:
+            expected = _oracle_parse_date(cell)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_date(cell)
+        else:
+            assert parse_date(cell) == expected
+
+    def test_only_parse_date_reads_dates(self):
+        # Every date cell of the surveillance tables is read by parse_date.
+        in_parse_date = inspect.getsource(parse_date).count("fromisoformat")
+        assert inspect.getsource(outcomes).count("fromisoformat") == in_parse_date
+        assert "fromisoformat" not in inspect.getsource(reconcile)
 
 
 class TestCsv:

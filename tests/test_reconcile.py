@@ -68,11 +68,11 @@ class TestCanonicalize:
 
 class TestRecordValidation:
     def test_unknown_role(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RegistryRecord("p", date(2010, 1, 1), "tibial", "A", "B")
 
     def test_empty_model(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RegistryRecord("p", date(2010, 1, 1), "femoral", "A", "")
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .errors import InputFormatError, decoded_lines
+from .errors import InputFormatError, decoded_lines, parse_date
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +93,7 @@ _MONTH_YEAR_RE = re.compile(
 class RawNote:
     note_id: str
     patient_id: str
-    note_datetime: datetime
+    note_datetime: datetime  # ingest_notes keeps the date only, at midnight
     note_type: str
     text: str
 
@@ -206,7 +206,7 @@ def _parse_note_record(line: str, lineno: int) -> RawNote:
                 context={"line": lineno, "field": fld},
             )
     try:
-        when = datetime.fromisoformat(str(rec["note_datetime"]))
+        when = datetime.combine(parse_date(str(rec["note_datetime"])), datetime.min.time())
     except ValueError as exc:
         raise InputFormatError(
             f"line {lineno}: unparseable note_datetime {rec['note_datetime']!r}",

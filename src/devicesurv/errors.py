@@ -1,10 +1,13 @@
 """Exception hierarchy shared across the pipeline, the CSV table reader that
-reports a bad row as one, and the artifact writers."""
+reports a bad row as one, the date rule of its cells, and the artifact writers."""
 
 import contextlib
 import csv
+import itertools
 import json
 import os
+import re
+from datetime import date
 
 
 class DeviceSurvError(Exception):
@@ -78,28 +81,52 @@ def decoded_lines(fh, path):
 def read_csv(path, columns, parse_row, key=None) -> list:
     """``parse_row(row)`` for each row of the CSV file ``path``, the row a
     dict keyed by the header. A row shorter than the header leaves its
-    missing trailing cells None. A header without every name in ``columns``
-    stops the reader; so does a bad row, naming the line the row ends on (a
-    quoted field may span lines): one with more fields than the header, one
-    whose ``key`` column repeats an earlier row's value, or one
-    ``parse_row`` cannot parse. Both are ``InputFormatError``."""
+    missing trailing cells None. A header without every name in ``columns``,
+    or naming one twice, stops the reader; so does a bad row, naming the
+    line the row ends on (a quoted field may span lines): one with more
+    fields than the header, one whose ``key`` column repeats an earlier
+    row's value, or one ``parse_row`` cannot parse. Both are
+    ``InputFormatError``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(decoded_lines(fh, path))
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InputFormatError(f"{path}: missing columns {missing}",
-                                   context={"path": str(path)})
-        out, seen = [], set()
-        for row in reader:
+        reader = csv.reader(decoded_lines(fh, path))
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if missing or repeated:
+            problem = f"missing columns {missing}" if missing else f"repeated columns {repeated}"
+            raise InputFormatError(f"{path}: {problem}", context={"path": str(path)})
+        width, out, seen = len(header), [], set()
+        for cells in filter(None, reader):  # a blank row is an empty list
             with parsing(path, reader.line_num):
-                if None in row:  # the csv key of the fields past the header
-                    raise ValueError(f"{len(row[None])} more fields than the header")
+                if len(cells) > width:
+                    raise ValueError(f"{len(cells) - width} more fields than the header")
+                row = dict(itertools.zip_longest(header, cells))
                 if key is not None:
                     if row[key] in seen:
                         raise ValueError(f"duplicate {key} {row[key]!r}")
                     seen.add(row[key])
                 out.append(parse_row(row))
         return out
+
+
+_DATE_TIME = re.compile(r"(\d{4}-\d{2}-\d{2})[T ](?:[01]\d|2[0-3]):[0-5]\d"
+                        r"(?::[0-5]\d(?:\.\d{1,6})?)?(?:[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
+                        re.ASCII)
+
+
+def parse_date(cell: str) -> date:
+    """The date in a table cell or a note's ``note_datetime``: ``YYYY-MM-DD``,
+    optionally followed by "T" or a space and a time of day
+    ``HH:MM[:SS[.ffffff]]`` with an optional ``±HH:MM`` offset, which is
+    dropped. Any other spelling is a ValueError on every Python version, also
+    the ones ``date.fromisoformat`` reads from 3.11 on (``20100101``,
+    ``2010-W01-1``, a trailing ``Z``)."""
+    if len(cell) == 10 and cell[4] == cell[7] == "-":  # the common spelling, read without the regex
+        return date.fromisoformat(cell)
+    match = _DATE_TIME.fullmatch(cell)
+    if match is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(match[1])
 
 
 @contextlib.contextmanager

@@ -9,12 +9,11 @@ window, keeping the earlier timestamp.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, read_csv, write_csv
+from .errors import ConfigError, parse_date, read_csv, write_csv
 
 # numpy is imported by the two functions that build arrays, so the cohort and
 # event commands start without it.
@@ -59,14 +58,14 @@ DEFAULT_REVISION_CODES = frozenset(
 AGE_BANDS = ("<40", "40-49", "50-59", "60-69", "70-79", "80+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodedProcedure:
     system: str  # "ICD9" | "CPT"
     code: str
     when: date
 
 
-@dataclass
+@dataclass(slots=True)
 class PatientRecord:
     patient_id: str
     birth_date: date
@@ -78,7 +77,7 @@ class PatientRecord:
     last_contact_date: date | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     patient_id: str
     event_class: str
@@ -95,7 +94,7 @@ class Event:
             raise ValueError("event provenance must be nonempty")
 
 
-@dataclass
+@dataclass(slots=True)
 class CohortPatient:
     patient_id: str
     index_date: date
@@ -364,25 +363,6 @@ def build_survival_dataset(
     )
 
 
-_DATE_TIME = re.compile(r"(\d{4}-\d{2}-\d{2})[T ](?:[01]\d|2[0-3]):[0-5]\d"
-                        r"(?::[0-5]\d(?:\.\d{1,6})?)?(?:[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
-                        re.ASCII)
-
-
-def parse_date(cell: str) -> date:
-    """The date in a table cell: ``YYYY-MM-DD``, optionally followed by "T"
-    or a space and a time of day ``HH:MM[:SS[.ffffff]]`` with an optional
-    ``±HH:MM`` offset, which is dropped. Any other spelling is a ValueError
-    on every Python version, also the ones ``date.fromisoformat`` reads from
-    3.11 on (``20100101``, ``2010-W01-1``, a trailing ``Z``)."""
-    if len(cell) == 10 and cell[4] == cell[7] == "-":  # the common spelling, read without the regex
-        return date.fromisoformat(cell)
-    match = _DATE_TIME.fullmatch(cell)
-    if match is None:
-        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
-    return date.fromisoformat(match[1])
-
-
 _EVENT_COLUMNS = ("patient_id", "class", "date", "source", "provenance")
 
 
@@ -393,12 +373,14 @@ def events_to_csv(events, path) -> None:
 
 
 def events_from_csv(path) -> list[Event]:
+    cells: dict = {}  # equal class and source cells share one string
+
     def record(row):
         return Event(
             patient_id=row["patient_id"],
-            event_class=row["class"],
+            event_class=cells.setdefault(row["class"], row["class"]),
             timestamp=parse_date(row["date"]),
-            source=row["source"],
+            source=cells.setdefault(row["source"], row["source"]),
             provenance=row["provenance"],
         )
 
@@ -447,11 +429,11 @@ def cohort_to_csv(cohort: dict[str, CohortPatient], path) -> None:
 
 def cohort_from_csv(path) -> dict[str, CohortPatient]:
     """The cohort written by ``cohort_to_csv``; every column but the id and
-    the two dates is a covariate."""
-    fixed = COHORT_COLUMNS[:3]
+    the two dates is a covariate, and equal covariate cells share one str."""
+    fixed, cells = COHORT_COLUMNS[:3], {}
 
     def patient(row):
-        covariates = {k: v for k, v in row.items() if k not in fixed}
+        covariates = {k: cells.setdefault(v, v) for k, v in row.items() if k not in fixed}
         return CohortPatient(row["patient_id"], parse_date(row["index_date"]),
                              parse_date(row["last_contact_date"]), covariates)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from .errors import ConfigError, InputFormatError, read_csv, write_csv, write_json
-from .outcomes import match_by_date, parse_date
+from .errors import ConfigError, InputFormatError, parse_date, read_csv, write_csv, write_json
+from .outcomes import match_by_date
 
 COMPONENT_ROLES = ("acetabular", "femoral", "other")
 
@@ -22,7 +22,7 @@ STATUS_MISSING_IN_REGISTRY = "missing_in_registry"
 STATUS_MISSING_IN_EXTRACTION = "missing_in_extraction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryRecord:
     patient_id: str
     surgery_date: date

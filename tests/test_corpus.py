@@ -96,6 +96,35 @@ class TestIngest:
         [record] = caplog.records
         assert record.getMessage() == "skipping note record: line 2: not a JSON object"
 
+    # note_datetime spellings read by the tables' date rule, with the date
+    # each names (None: the record is skipped), alike on every Python
+    # version. datetime.fromisoformat reads the Z, W and bare-digit forms
+    # from 3.11 on, a one-digit fraction not on 3.10, and "T08" and
+    # "x08:00" on all.
+    @pytest.mark.parametrize("cell, day", [
+        ("2010-01-02", date(2010, 1, 2)),
+        ("2010-01-02T08:30:00", date(2010, 1, 2)),
+        ("2010-01-02 08:30", date(2010, 1, 2)),
+        ("2010-01-02T08:30:00.5", date(2010, 1, 2)),
+        ("2010-01-02T23:30:00-05:00", date(2010, 1, 2)),
+        ("2010-01-02T08:00:00Z", None),
+        ("20100102", None),
+        ("2010-W01-1", None),
+        ("2010-01-02T08", None),
+        ("2010-01-02x08:00", None),
+        (20100102, None),
+    ])
+    def test_note_datetime_read_by_the_table_date_rule(self, tmp_path, caplog, cell, day):
+        path = tmp_path / "notes.jsonl"
+        _write_jsonl(path, [dict(VALID_RECORD, note_datetime=cell)])
+        with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
+            notes = list(ingest_notes(path))
+        if day is None:
+            assert notes == []
+            assert "unparseable note_datetime" in caplog.text
+        else:
+            assert [n.note_datetime for n in notes] == [datetime(day.year, day.month, day.day)]
+
     def test_duplicate_note_id_always_aborts(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         _write_jsonl(path, [VALID_RECORD, VALID_RECORD])

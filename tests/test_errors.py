@@ -1,15 +1,28 @@
 """Tests for the shared CSV table reader and the artifact writers."""
 
 import ast
+import csv
 import inspect
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import devicesurv
 from devicesurv import errors
-from devicesurv.errors import InputFormatError, read_csv, write_csv, write_json, writing
+from devicesurv.errors import (
+    DeviceSurvError,
+    InputFormatError,
+    decoded_lines,
+    parsing,
+    read_csv,
+    write_csv,
+    write_json,
+    writing,
+)
 
 
 def _float_x(row):
@@ -55,13 +68,97 @@ class TestReadCsv:
             read_csv(path, ("x",), _float_x, key="y")
         assert exc.value.context == {"line": 4}
 
-    def test_dictreader_only_in_read_csv(self):
+    def test_repeated_column_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y,z,y\n1,a,b,c\n")
+        with pytest.raises(InputFormatError, match=r"t\.csv: repeated columns \['y'\]") as exc:
+            read_csv(path, ("x",), _float_x)
+        assert exc.value.context == {"path": str(path)}
+
+    def test_csv_reader_only_in_read_csv(self):
         # Every CSV table in the library is read through errors.read_csv.
         src = pathlib.Path(devicesurv.__file__).parent
-        users = {p.name: p.read_text(encoding="utf-8").count("DictReader")
-                 for p in sorted(src.glob("*.py"))}
+
+        def readers(text):
+            return text.count("csv.reader") + text.count("DictReader")
+
+        users = {p.name: readers(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
         assert {name for name, n in users.items() if n} == {"errors.py"}
-        assert users["errors.py"] == inspect.getsource(errors.read_csv).count("DictReader") == 1
+        assert users["errors.py"] == readers(inspect.getsource(errors.read_csv)) == 1
+
+
+def _oracle_read_csv(path, columns, parse_row, key=None) -> list:
+    """``errors.read_csv`` as it was on csv.DictReader, before the header
+    rule on repeated names."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(decoded_lines(fh, path))
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InputFormatError(f"{path}: missing columns {missing}",
+                                   context={"path": str(path)})
+        out, seen = [], set()
+        for row in reader:
+            with parsing(path, reader.line_num):
+                if None in row:  # the csv key of the fields past the header
+                    raise ValueError(f"{len(row[None])} more fields than the header")
+                if key is not None:
+                    if row[key] in seen:
+                        raise ValueError(f"duplicate {key} {row[key]!r}")
+                    seen.add(row[key])
+                out.append(parse_row(row))
+        return out
+
+
+def _float_x_and_row(row):
+    return float(row["x"]), list(row.items())
+
+
+def _outcome(read, path, key):
+    try:
+        return read(path, ("x",), _float_x_and_row, key=key)
+    except DeviceSurvError as exc:
+        return type(exc), exc.message, exc.context
+    except csv.Error as exc:
+        return type(exc), str(exc)
+
+
+_CELLS = st.sampled_from(["1", "2.5", "1", "abc", "", " 3 ", "a,b", 'say "hi"', "two\nlines",
+                          "cr\r\nlf", "\r"])
+
+
+@st.composite
+def _csv_files(draw):
+    """The text of a CSV file: a header of distinct names, then rows of
+    any width and blank lines, written with LF or CRLF, the last line
+    ended or not; or text of the characters that matter to csv."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet='xy,1a" \r\n', max_size=60))
+    header = draw(st.lists(st.sampled_from("xyzw"), unique=True, max_size=4))
+    rows = draw(st.lists(st.one_of(st.none(), st.lists(_CELLS, max_size=6)), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [header] + rows
+    text = "".join(end if r is None else _csv_line(r, end) for r in lines)
+    return text[:-len(end)] if text and draw(st.booleans()) else text
+
+
+def _csv_line(cells, end):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=end).writerow(cells)
+    return buf.getvalue()
+
+
+class TestReadCsvOracle:
+    @given(_csv_files(), st.sampled_from([None, "x", "y"]))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_dictreader_oracle(self, tmp_path_factory, text, key):
+        # Every row rule of the DictReader reader holds: the same rows, or
+        # the same error, message and context. (The oracle reads a header
+        # that names a column twice; test_repeated_column_refused covers it.)
+        header = next(csv.reader(io.StringIO(text, newline="")), [])
+        assume(len(set(header)) == len(header))
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_csv, path, key) == _outcome(_oracle_read_csv, path, key)
 
 
 class TestWriting:

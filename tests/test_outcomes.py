@@ -1,6 +1,7 @@
 """Unit tests for cohort selection, event merging, and survival datasets."""
 
 import inspect
+import pathlib
 import re
 from datetime import date, timedelta
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devicesurv import extraction, outcomes, reconcile
+import devicesurv
+from devicesurv import extraction, reconcile
 from devicesurv.errors import ConfigError, InputFormatError
 from devicesurv.outcomes import (
     ANY_COMPLICATION,
@@ -507,10 +509,12 @@ class TestParseDate:
             assert parse_date(cell) == expected
 
     def test_only_parse_date_reads_dates(self):
-        # Every date cell of the surveillance tables is read by parse_date.
-        in_parse_date = inspect.getsource(parse_date).count("fromisoformat")
-        assert inspect.getsource(outcomes).count("fromisoformat") == in_parse_date
-        assert "fromisoformat" not in inspect.getsource(reconcile)
+        # Every date cell of the tables, and every note time, is read by parse_date.
+        src = pathlib.Path(devicesurv.__file__).parent
+        users = {p.name: p.read_text(encoding="utf-8").count("fromisoformat")
+                 for p in sorted(src.glob("*.py"))}
+        assert {name for name, n in users.items() if n} == {"errors.py"}
+        assert users["errors.py"] == inspect.getsource(parse_date).count("fromisoformat")
 
 
 class TestCsv:
@@ -584,6 +588,28 @@ class TestCsv:
                         "p1,VerSys,2010-01-01,2015-01-01\n")
         assert cohort_from_csv(path) == {
             "p1": CohortPatient("p1", D0, date(2015, 1, 1), {"implant_system": "VerSys"})}
+
+    def test_cohort_equal_covariate_cells_share_one_string(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,index_date,last_contact_date,sex,race\n"
+                        "p1,2010-01-01,2015-01-01,F,White\n"
+                        "p2,2010-01-01,2015-01-01,F,White\n")
+        p1, p2 = cohort_from_csv(path).values()
+        assert all(p1.covariates[k] is p2.covariates[k] for k in ("sex", "race"))
+
+    def test_events_equal_class_and_source_cells_share_one_string(self, tmp_path):
+        path = tmp_path / "events.csv"
+        events_to_csv([_event("p1", "pain", 3, "text", "n1"), _event("p2", "pain", 4, "text", "n2")],
+                      path)
+        e1, e2 = events_from_csv(path)
+        assert e1.event_class is e2.event_class and e1.source is e2.source
+
+    @pytest.mark.parametrize("record", [
+        CodedProcedure("CPT", "27130", D0), _patient(), _event("p1", "pain", 3),
+        CohortPatient("p1", D0, D0, {"sex": "F"}),
+        reconcile.RegistryRecord("p1", D0, "femoral", "Zimmer", "VerSys")], ids=type)
+    def test_table_records_have_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
 
     def test_cohort_missing_column_names_file(self, tmp_path):
         path = tmp_path / "cohort.csv"

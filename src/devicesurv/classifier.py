@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, InputFormatError, parsing, write_json, writing
+from .errors import ConfigError, FitError, parsing, write_json, writing
 from .extraction import RelationCandidate
 from .lf_lib import between_tokens, left_window, right_window, token_distance
 
@@ -176,44 +176,40 @@ class ClassifierModel:
     @classmethod
     def load(cls, path) -> "ClassifierModel":
         """The model ``save`` wrote. A file made under another feature scheme
-        is a ``ConfigError``. Indices that are not strictly increasing or lie
-        outside [0, DIM), and non-finite weights, are a damaged file."""
+        is a ``ConfigError``. A truncated file, indices that are not strictly
+        increasing or lie outside [0, DIM), and non-finite weights are bad
+        input (``errors.parsing``)."""
         with open(str(path) + ".json", encoding="utf-8") as fh, parsing(f"{path}.json"):
             sidecar = json.load(fh)
             scheme, digest = sidecar["feature_config"], sidecar.get("feature_digest")
         if (scheme, digest) != (_SCHEME, _DIGEST):
             raise ConfigError(f"{path}: feature scheme {scheme} (digest {digest}) is not the "
                               f"scheme this version hashes with, {_SCHEME} (digest {_DIGEST})")
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, parsing(path):
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ConfigError(f"{path}: not a classifier model file")
-            n_bits, bias, threshold = struct.unpack("<Bdd", _read_exact(fh, 17, path))
+            n_bits, bias, threshold = struct.unpack("<Bdd", _read_exact(fh, 17))
             if n_bits != N_BITS:
                 raise ConfigError(f"{path}: header n_bits {n_bits} is not {N_BITS}")
-            (nnz,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+            (nnz,) = struct.unpack("<Q", _read_exact(fh, 8))
             if nnz > DIM:
-                _damaged(path, f"{nnz} entries for {DIM} columns")
-            columns = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.int64)
-            weights = np.frombuffer(_read_exact(fh, 8 * nnz, path), dtype=np.float64)
-        if np.any((columns < 0) | (columns >= DIM)):
-            _damaged(path, f"index outside [0, {DIM})")
-        if np.any(columns[1:] <= columns[:-1]):
-            _damaged(path, "indices not strictly increasing")
-        if not np.all(np.isfinite(weights)):
-            _damaged(path, "non-finite weight")
+                raise ValueError(f"{nnz} entries for {DIM} columns")
+            columns = np.frombuffer(_read_exact(fh, 8 * nnz), dtype=np.int64)
+            weights = np.frombuffer(_read_exact(fh, 8 * nnz), dtype=np.float64)
+            if np.any((columns < 0) | (columns >= DIM)):
+                raise ValueError(f"index outside [0, {DIM})")
+            if np.any(columns[1:] <= columns[:-1]):
+                raise ValueError("indices not strictly increasing")
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("non-finite weight")
         return cls(columns=columns, weights=weights, bias=bias,
                    metadata=sidecar.get("metadata", {}), threshold=threshold)
 
 
-def _damaged(path, problem: str):
-    raise InputFormatError(f"{path}: damaged classifier model ({problem})",
-                           context={"path": str(path)})
-
-
-def _read_exact(fh, size: int, path) -> bytes:
+def _read_exact(fh, size: int) -> bytes:
     data = fh.read(size)
     if len(data) != size:
-        _damaged(path, f"truncated: expected {size} more bytes, found {len(data)}")
+        raise ValueError(f"truncated: expected {size} more bytes, found {len(data)}")
     return data
 
 

@@ -38,7 +38,6 @@ import click  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     DeviceSurvError,
-    InputFormatError,
     MissingArtifactError,
     parsing,
     read_csv,
@@ -109,11 +108,8 @@ class ProjectConfig:
 def load_config(path: str) -> ProjectConfig:
     if not os.path.exists(path):
         raise MissingArtifactError(f"config file not found: {path}", context={"path": path})
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
+    with open(path, encoding="utf-8") as fh, parsing(path):
+        raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for key in ("paths", "params"):

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .errors import InputFormatError, decoded_lines, parse_date
+from .errors import InputFormatError, decoded_lines, parse_date, parsing
 
 log = logging.getLogger(__name__)
 
@@ -169,57 +169,43 @@ REQUIRED_NOTE_FIELDS = ("note_id", "patient_id", "note_datetime", "note_type", "
 def ingest_notes(path):
     """Yield ``RawNote`` records from a line-delimited JSON file.
 
-    A malformed record is logged and skipped; a duplicate note_id raises.
-    """
+    A record that cannot be parsed is logged and skipped; a repeated
+    note_id stops the reader. Both are reported by ``errors.parsing``."""
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:
-                note = _parse_note_record(line, lineno)
+                with parsing(path, lineno):
+                    note = _parse_note_record(line)
             except InputFormatError as exc:
                 log.warning("skipping note record: %s", exc.message)
                 continue
-            if note.note_id in seen:
-                raise InputFormatError(
-                    f"duplicate note_id {note.note_id!r} at line {lineno}",
-                    context={"line": lineno, "note_id": note.note_id},
-                )
+            with parsing(path, lineno):
+                if note.note_id in seen:
+                    raise ValueError(f"duplicate note_id {note.note_id!r}")
             seen.add(note.note_id)
             yield note
 
 
-def _parse_note_record(line: str, lineno: int) -> RawNote:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"line {lineno}: invalid JSON ({exc.msg})", context={"line": lineno}
-        ) from exc
+def _parse_note_record(line: str) -> RawNote:
+    rec = json.loads(line)
     if not isinstance(rec, dict):
-        raise InputFormatError(f"line {lineno}: not a JSON object", context={"line": lineno})
+        raise ValueError("not a JSON object")
     for fld in REQUIRED_NOTE_FIELDS:
-        if fld not in rec or rec[fld] is None:
-            raise InputFormatError(
-                f"line {lineno}: missing field {fld!r}",
-                context={"line": lineno, "field": fld},
-            )
+        if rec.get(fld) is None:
+            raise ValueError(f"missing field {fld!r}")
     try:
-        when = datetime.combine(parse_date(str(rec["note_datetime"])), datetime.min.time())
+        day = parse_date(str(rec["note_datetime"]))
     except ValueError as exc:
-        raise InputFormatError(
-            f"line {lineno}: unparseable note_datetime {rec['note_datetime']!r}",
-            context={"line": lineno, "field": "note_datetime"},
-        ) from exc
+        raise ValueError(f"unparseable note_datetime {rec['note_datetime']!r}") from exc
     if not str(rec["note_id"]):
-        raise InputFormatError(
-            f"line {lineno}: empty note_id", context={"line": lineno, "field": "note_id"}
-        )
+        raise ValueError("empty note_id")
     return RawNote(
         note_id=str(rec["note_id"]),
         patient_id=str(rec["patient_id"]),
-        note_datetime=when,
+        note_datetime=datetime.combine(day, datetime.min.time()),
         note_type=str(rec["note_type"]),
         text=str(rec["text"]),
     )

@@ -49,10 +49,14 @@ class FitError(DeviceSurvError):
 
 class parsing:
     """Context manager that reports a value it cannot parse as bad input: a
-    ValueError, KeyError, TypeError or IndexError raised inside becomes an
-    ``InputFormatError`` naming ``path`` and, when given, ``line``. Wrap the
-    parsing of one record only, so a fault in the program still shows. (A
-    class, not a generator: readers enter it once per row.)"""
+    ValueError, KeyError, TypeError or IndexError raised inside, a
+    ``csv.Error``, or the RecursionError of a too deeply nested JSON value,
+    becomes an ``InputFormatError`` naming ``path`` and, when given,
+    ``line``. It is the one rule of every reader: a reader raises a plain
+    ValueError inside it, never its own ``InputFormatError``. Wrap the
+    parsing of one record or one whole-file artifact only, so a fault in the
+    program still shows. (A class, not a generator: readers enter it once
+    per row.)"""
 
     __slots__ = ("path", "line")
 
@@ -63,7 +67,8 @@ class parsing:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, (ValueError, KeyError, TypeError, IndexError)):
+        if isinstance(exc, (ValueError, KeyError, TypeError, IndexError, csv.Error,
+                            RecursionError)):
             if self.line is None:
                 where, context = str(self.path), {"path": str(self.path)}
             else:
@@ -83,21 +88,29 @@ def read_csv(path, columns, parse_row, key=None) -> list:
     dict keyed by the header. A row shorter than the header leaves its
     missing trailing cells None. A header without every name in ``columns``,
     or naming one twice, stops the reader; so does a bad row, naming the
-    line the row ends on (a quoted field may span lines): one with more
-    fields than the header, one whose ``key`` column repeats an earlier
-    row's value, or one ``parse_row`` cannot parse. Both are
-    ``InputFormatError``."""
+    line the row ends on (a quoted field may span lines): one csv cannot
+    split, one with more fields than the header, one whose ``key`` column
+    repeats an earlier row's value, or one ``parse_row`` cannot parse. Both
+    are ``InputFormatError``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(decoded_lines(fh, path))
-        header = next(reader, [])
+        reader, at = csv.reader(decoded_lines(fh, path)), parsing(path)
+
+        def pull():  # the next row, or None; read in the block so a csv.Error names its line
+            with at:
+                try:
+                    return next(reader, None)
+                finally:
+                    at.line = reader.line_num
+
+        header = pull() or []
         missing = [c for c in columns if c not in header]
         repeated = sorted({c for c in header if header.count(c) > 1})
         if missing or repeated:
             problem = f"missing columns {missing}" if missing else f"repeated columns {repeated}"
             raise InputFormatError(f"{path}: {problem}", context={"path": str(path)})
         width, out, seen = len(header), [], set()
-        for cells in filter(None, reader):  # a blank row is an empty list
-            with parsing(path, reader.line_num):
+        for cells in filter(None, iter(pull, None)):  # a blank row is an empty list
+            with at:
                 if len(cells) > width:
                     raise ValueError(f"{len(cells) - width} more fields than the header")
                 row = dict(itertools.zip_longest(header, cells))

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
-from .errors import ConfigError, InputFormatError, decoded_lines, parsing, writing
+from .errors import ConfigError, decoded_lines, parsing, writing
 
 ENTITY_TYPES = ("implant", "complication", "pain", "anatomy")
 
@@ -97,22 +97,20 @@ class Dictionary:
             node[None] = entry
 
 
-def _tsv_rows(path):
-    """(line number, stripped columns) for each row of the tab-separated file
-    ``path``, skipping blank lines and lines starting with '#'. A row of
-    fewer than 3 columns is an ``InputFormatError`` naming path:line."""
+def _tsv_rows(path, parse_row) -> None:
+    """``parse_row(line number, stripped columns)`` for each row of the
+    tab-separated file ``path``, inside ``errors.parsing``, skipping blank
+    lines and lines starting with '#'. A row needs at least 3 columns."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            cols = [col.strip() for col in line.split("\t")]
-            if len(cols) < 3:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected at least 3 tab-separated columns",
-                    context={"line": lineno},
-                )
-            yield lineno, cols
+            with parsing(path, lineno):
+                cols = [col.strip() for col in line.split("\t")]
+                if len(cols) < 3:
+                    raise ValueError("expected at least 3 tab-separated columns")
+                parse_row(lineno, cols)
 
 
 def load_dictionary(path) -> Dictionary:
@@ -120,37 +118,27 @@ def load_dictionary(path) -> Dictionary:
     subcategory (optional, complications only). Lookup is case-insensitive.
     """
     entries: dict[str, DictEntry] = {}
-    for lineno, cols in _tsv_rows(path):
+
+    def parse_row(lineno, cols):
         term, canonical_id, entity_type = cols[:3]
         subcategory = cols[3] if len(cols) > 3 and cols[3] else None
         if not term:
-            raise InputFormatError(f"{path}:{lineno}: empty term", context={"line": lineno})
+            raise ValueError("empty term")
         if entity_type not in ENTITY_TYPES:
-            raise InputFormatError(
-                f"{path}:{lineno}: unknown entity_type {entity_type!r}",
-                context={"line": lineno},
-            )
+            raise ValueError(f"unknown entity_type {entity_type!r}")
         if entity_type == "complication":
             if subcategory not in COMPLICATION_SUBCATEGORIES:
-                raise InputFormatError(
-                    f"{path}:{lineno}: complication needs a subcategory, got {subcategory!r}",
-                    context={"line": lineno},
-                )
+                raise ValueError(f"complication needs a subcategory, got {subcategory!r}")
         elif subcategory is not None:
-            raise InputFormatError(
-                f"{path}:{lineno}: subcategory only valid for complications",
-                context={"line": lineno},
-            )
+            raise ValueError("subcategory only valid for complications")
         key = _norm_term(term)
-        entry = DictEntry(canonical_id, entity_type, subcategory, lineno)
         existing = entries.get(key)
         if existing is not None and existing.entity_type != entity_type:
-            raise InputFormatError(
-                f"{path}: term {term!r} has conflicting entity types "
-                f"(lines {existing.source_line} and {lineno})",
-                context={"lines": [existing.source_line, lineno]},
-            )
-        entries[key] = entry
+            raise ValueError(f"term {term!r} has conflicting entity types "
+                             f"(lines {existing.source_line} and {lineno})")
+        entries[key] = DictEntry(canonical_id, entity_type, subcategory, lineno)
+
+    _tsv_rows(path, parse_row)
     return Dictionary(entries=entries)
 
 
@@ -255,22 +243,21 @@ def load_trigger_lexicon(path) -> TriggerLexicon:
     """Load a tab-separated trigger lexicon: trigger, category, direction,
     terminators (comma-joined, may be empty)."""
     triggers: list[Trigger] = []
-    for lineno, cols in _tsv_rows(path):
+
+    def parse_row(lineno, cols):
         phrase, category, direction = cols[:3]
         if not phrase:
-            raise InputFormatError(f"{path}:{lineno}: empty trigger", context={"line": lineno})
+            raise ValueError("empty trigger")
         if category not in TRIGGER_CATEGORIES:
-            raise InputFormatError(
-                f"{path}:{lineno}: unknown category {category!r}", context={"line": lineno}
-            )
+            raise ValueError(f"unknown category {category!r}")
         if direction not in ("forward", "backward", "bidirectional"):
-            raise InputFormatError(
-                f"{path}:{lineno}: unknown direction {direction!r}", context={"line": lineno}
-            )
+            raise ValueError(f"unknown direction {direction!r}")
         terms = ()
         if len(cols) > 3 and cols[3]:
             terms = tuple(t.strip() for t in cols[3].split(",") if t.strip())
         triggers.append(Trigger(phrase, category, direction, terms))
+
+    _tsv_rows(path, parse_row)
     return TriggerLexicon(triggers)
 
 
@@ -405,9 +392,9 @@ def _read_mention(sentence: Sentence, rec: list) -> EntityMention:
 
 
 def read_candidates(path) -> list[RelationCandidate]:
-    """Read a file written by ``write_candidates``; a damaged line raises
-    ``InputFormatError`` naming it. Each sentence is tokenized once and
-    shared by its candidates."""
+    """Read a file written by ``write_candidates``, each line inside
+    ``errors.parsing``. Each sentence is tokenized once and shared by its
+    candidates."""
     out: list[RelationCandidate] = []
     sentences: list[Sentence] = []
     with open(path, encoding="utf-8") as fh:

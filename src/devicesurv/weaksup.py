@@ -84,15 +84,12 @@ class LabelMatrix:
             if len(candidate_ids) != n or len(lf_ids) != m or len(set(candidate_ids)) != n:
                 raise ValueError(f"header id lists do not name {n} unique candidates "
                                  f"and {m} LFs")
-        if len(raw) != n * m:
-            raise InputFormatError(
-                f"{path}: expected {n * m} vote bytes for {n} x {m} votes, found {len(raw)}",
-                context={"path": str(path)},
-            )
-        votes = np.frombuffer(raw, dtype=np.int8).reshape(n, m).copy()
-        if not np.isin(votes, list(VOTE_NAMES)).all():
-            raise InputFormatError(f"{path}: a vote byte is not -1, 0 or 1",
-                                   context={"path": str(path)})
+            if len(raw) != n * m:
+                raise ValueError(f"expected {n * m} vote bytes for {n} x {m} votes, "
+                                 f"found {len(raw)}")
+            votes = np.frombuffer(raw, dtype=np.int8).reshape(n, m).copy()
+            if not np.isin(votes, list(VOTE_NAMES)).all():
+                raise ValueError("a vote byte is not -1, 0 or 1")
         return cls(candidate_ids, lf_ids, votes)
 
     def write_csv(self, path) -> None:

@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import logging
 import os
 import re
 import shutil
@@ -858,6 +859,11 @@ _DAMAGED_INPUTS = {
          "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="txt",
                                                       provenance="note-1")},
         {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
+    "text_event_long_cell": (
+        {"coded_events.csv": _EVENTS_CSV,
+         "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="text",
+                                                      provenance="x" * 200_000)},
+        {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
     "cox_not_object": ({"cox.json": "[]"}, {}, ["report", "forest"], "cox.json", 3),
     "cox_terms_not_list": ({"cox.json": '{"groups": {}, "terms": {"HR": 1}}'}, {},
                            ["report", "forest"], "cox.json", 3),
@@ -888,6 +894,42 @@ _NOT_UTF8_INPUTS = {
                 "catalog.json"),
     "config": ({"config.json": b'{"output_dir": "\xff"}'}, {}, ["cohort"], "config.json"),
 }
+
+# case: (files holding a JSON value nested 200,000 deep, which json cannot
+# read without a RecursionError, written as for _DAMAGED_INPUTS; config
+# paths; command; the file the error must name). A note so nested is
+# skipped like any bad note.
+_NESTED = "[" * 200_000
+_NOTE = json.dumps({"note_id": "n1", "patient_id": "p1", "note_datetime": "2010-01-01",
+                    "note_type": "progress", "text": "Left hip pain."})
+_NESTED_JSON_INPUTS = {
+    "config": ({"config.json": _NESTED}, {}, ["cohort"], "config.json"),
+    "notes": ({"notes.jsonl": f"{_NOTE}\n{_NESTED}\n"}, {"notes": "notes.jsonl"}, ["candidates"],
+              "notes.jsonl:2"),
+    "candidates": ({"candidates.jsonl": _NESTED + "\n"}, {}, ["lf", "apply"], "candidates.jsonl"),
+    "label_matrix": ({"label_matrix.bin": _NESTED + "\n"}, {}, ["labelmodel", "fit"],
+                     "label_matrix.bin"),
+    "classifier": ({"classifier.bin": "", "classifier.bin.json": _NESTED}, {}, ["predict"],
+                   "classifier.bin.json"),
+    "cox": ({"cox.json": _NESTED}, {}, ["report", "forest"], "cox.json"),
+    "catalog": ({"extracted_implants.csv": _REGISTRY_CSV.format(role="femoral"),
+                 "registry.csv": _REGISTRY_CSV.format(role="femoral"), "catalog.json": _NESTED},
+                {"registry": "registry.csv", "implant_catalog": "catalog.json"}, ["reconcile"],
+                "catalog.json"),
+}
+
+
+def _run_on_files(runner, tmp_path, files, paths, command):
+    """Run ``command`` with a config whose output directory is ``tmp_path``,
+    after writing ``files`` (text or bytes) there; ``paths`` are the config
+    paths naming them, and ``"{out}"`` in the command stands for the
+    directory."""
+    cfg = _write_config(tmp_path, tmp_path, paths={
+        k: [tmp_path / x for x in v] if isinstance(v, list) else tmp_path / v
+        for k, v in paths.items()})
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    return runner.invoke(main, [arg.format(out=tmp_path) for arg in command] + ["--config", cfg])
 
 
 class TestDamagedArtifacts:
@@ -960,11 +1002,7 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("case", list(_DAMAGED_INPUTS))
     def test_damaged_input_exit_code(self, runner, tmp_path, case):
         files, paths, command, damaged, code = _DAMAGED_INPUTS[case]
-        cfg = _write_config(tmp_path, tmp_path, paths={k: tmp_path / v for k, v in paths.items()})
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
-        argv = [arg.format(out=tmp_path) for arg in command] + ["--config", cfg]
-        result = runner.invoke(main, argv)
+        result = _run_on_files(runner, tmp_path, files, paths, command)
         assert result.exit_code == code, result.output
         err = _stderr_json(result)
         assert err["code"] == {2: "config", 3: "input_format"}[code]
@@ -973,16 +1011,49 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("case", list(_NOT_UTF8_INPUTS))
     def test_not_utf8_input_exit_code(self, runner, tmp_path, case):
         files, paths, command, damaged = _NOT_UTF8_INPUTS[case]
-        cfg = _write_config(tmp_path, tmp_path, paths={
-            k: [tmp_path / x for x in v] if isinstance(v, list) else tmp_path / v
-            for k, v in paths.items()})
-        for name, data in files.items():
-            (tmp_path / name).write_bytes(data)
-        result = runner.invoke(main, command + ["--config", cfg])
+        result = _run_on_files(runner, tmp_path, files, paths, command)
         assert result.exit_code == 3, result.output
         err = _stderr_json(result)
         assert err["code"] == "input_format"
         assert damaged in err["message"]
+
+    @pytest.mark.parametrize("case", list(_NESTED_JSON_INPUTS))
+    def test_nested_json_input_exit_code(self, runner, tmp_path, caplog, case):
+        files, paths, command, damaged = _NESTED_JSON_INPUTS[case]
+        with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
+            result = _run_on_files(runner, tmp_path, files, paths, command)
+        if case == "notes":
+            assert result.exit_code == 0, result.output
+            [record] = caplog.records
+            assert f"{damaged}: cannot parse (RecursionError(" in record.getMessage()
+            assert (tmp_path / "candidates.jsonl").exists()
+        else:
+            assert result.exit_code == 3, result.output
+            err = _stderr_json(result)
+            assert err["code"] == "input_format"
+            assert damaged in err["message"]
+
+    def test_nul_byte_in_a_table(self, runner, tmp_path):
+        # csv refuses a NUL byte on Python 3.10 and reads it from 3.11 on:
+        # the row is bad input naming its line, or read as any other cell.
+        try:
+            list(csv.reader(["a\0"]))
+        except csv.Error:
+            code = 3
+        else:
+            code = 0
+        result = _run_on_files(runner, tmp_path, {
+            "coded_events.csv": _EVENTS_CSV,
+            "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="text",
+                                                         provenance="note\0-1")},
+            {"text_events": "text.csv"}, ["events", "merge"])
+        assert result.exit_code == code, result.output
+        if code == 3:
+            err = _stderr_json(result)
+            assert err["code"] == "input_format"
+            assert "text.csv:2" in err["message"]
+        else:
+            assert "note\0-1" in (tmp_path / "merged_events.csv").read_text(encoding="utf-8")
 
 
 def _eval_setup(tmp_path, scores_csv=_SCORES_CSV):

@@ -71,7 +71,8 @@ class TestIngest:
             assert list(ingest_notes(path)) == []
         [record] = caplog.records
         assert record.getMessage() == (
-            "skipping note record: line 1: missing field 'note_datetime'"
+            f"skipping note record: {path}:1: cannot parse "
+            f"(ValueError(\"missing field 'note_datetime'\"))"
         )
 
     def test_skip_mode_logs_and_continues(self, tmp_path):
@@ -94,7 +95,8 @@ class TestIngest:
         with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
             assert [n.note_id for n in ingest_notes(path)] == ["a", "b"]
         [record] = caplog.records
-        assert record.getMessage() == "skipping note record: line 2: not a JSON object"
+        assert record.getMessage() == (
+            f"skipping note record: {path}:2: cannot parse (ValueError('not a JSON object'))")
 
     # note_datetime spellings read by the tables' date rule, with the date
     # each names (None: the record is skipped), alike on every Python

@@ -239,3 +239,43 @@ class TestOneWriter:
     ])
     def test_guard_finds_each_kind_of_write(self, source, flagged):
         assert bool(list(_file_writes(ast.parse(source)))) == flagged
+
+
+def _input_error_builds(tree):
+    """The name of the function around each call in ``tree`` that builds an
+    ``InputFormatError`` ("" at module level)."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "InputFormatError":
+                    yield where
+            yield from visit(child, where)
+
+    return list(visit(tree, ""))
+
+
+class TestOneInputRule:
+    def test_only_errors_builds_input_format_errors(self):
+        # Every reader raises a plain ValueError inside errors.parsing, which
+        # alone names the file and line. Two checks that compare inputs with
+        # each other, and read none, build their own.
+        src = pathlib.Path(devicesurv.__file__).parent
+        builds = {(p.name, where) for p in sorted(src.rglob("*.py")) if p.name != "errors.py"
+                  for where in _input_error_builds(ast.parse(p.read_text(encoding="utf-8")))}
+        assert builds == {("weaksup.py", "lf_statistics"),
+                          ("reconcile.py", "canonicalize_implant")}
+
+    @pytest.mark.parametrize("source,builds", [
+        ("raise InputFormatError('x')", [""]),
+        ("def load(p):\n    raise errors.InputFormatError(f'{p}: x')", ["load"]),
+        ("def load(p):\n    def row(r):\n        return InputFormatError('x')\n", ["row"]),
+        ("try:\n    pass\nexcept InputFormatError as exc:\n    log(exc.message)", []),
+        ("isinstance(exc, InputFormatError)", []),
+        ("raise ValueError('x')", []),
+    ])
+    def test_guard_finds_each_build(self, source, builds):
+        assert _input_error_builds(ast.parse(source)) == builds

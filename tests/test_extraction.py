@@ -77,9 +77,9 @@ class TestLoadDictionary:
     def test_conflicting_entity_type_aborts_with_lines(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("hip\thip\tanatomy\nhip\thip\timplant\n")
-        with pytest.raises(InputFormatError) as exc:
+        with pytest.raises(InputFormatError, match="lines 1 and 2") as exc:
             load_dictionary(path)
-        assert exc.value.context["lines"] == [1, 2]
+        assert exc.value.context == {"line": 2}
 
 
 class TestTagEntities:

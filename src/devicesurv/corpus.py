@@ -8,13 +8,12 @@ mentions normalized to signed relative-time bins against the note timestamp.
 from __future__ import annotations
 
 import bisect
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .errors import InputFormatError, decoded_lines, parse_date, parsing
+from .errors import InputFormatError, decoded_lines, json_record, parse_date, parsing
 
 log = logging.getLogger(__name__)
 
@@ -190,7 +189,7 @@ def ingest_notes(path):
 
 
 def _parse_note_record(line: str) -> RawNote:
-    rec = json.loads(line)
+    rec = json_record(line)
     if not isinstance(rec, dict):
         raise ValueError("not a JSON object")
     for fld in REQUIRED_NOTE_FIELDS:

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the pipeline, the CSV table reader that
-reports a bad row as one, the date rule of its cells, and the artifact writers."""
+reports a bad row as one, the date rule of its cells, the JSON-line rule,
+and the artifact writers."""
 
 import contextlib
 import csv
@@ -83,6 +84,21 @@ def decoded_lines(fh, path):
         yield from fh
 
 
+def json_record(line: str):
+    """``json.loads(line)``, refusing with a ValueError a line whose strings
+    UTF-8 cannot encode: json reads a lone surrogate escape such as
+    ``\\ud800``, which would crash a later encoder. Only a line holding a
+    ``\\u`` escape can hold one, so only such a line is checked."""
+    value = json.loads(line)
+    if "\\u" in line:
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:  # its repr would quote the whole record
+            bad = exc.object[exc.start:exc.end]
+            raise ValueError(f"a string holds {bad!r}, which UTF-8 cannot encode") from None
+    return value
+
+
 def read_csv(path, columns, parse_row, key=None) -> list:
     """``parse_row(row)`` for each row of the CSV file ``path``, the row a
     dict keyed by the header. A row shorter than the header leaves its
@@ -92,25 +108,21 @@ def read_csv(path, columns, parse_row, key=None) -> list:
     split, one with more fields than the header, one whose ``key`` column
     repeats an earlier row's value, or one ``parse_row`` cannot parse. Both
     are ``InputFormatError``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, at = csv.reader(decoded_lines(fh, path)), parsing(path)
-
-        def pull():  # the next row, or None; read in the block so a csv.Error names its line
-            with at:
-                try:
-                    return next(reader, None)
-                finally:
-                    at.line = reader.line_num
-
-        header = pull() or []
-        missing = [c for c in columns if c not in header]
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if missing or repeated:
-            problem = f"missing columns {missing}" if missing else f"repeated columns {repeated}"
-            raise InputFormatError(f"{path}: {problem}", context={"path": str(path)})
-        width, out, seen = len(header), [], set()
-        for cells in filter(None, iter(pull, None)):  # a blank row is an empty list
-            with at:
+    with open(path, newline="", encoding="utf-8") as fh, parsing(path) as at:
+        reader = csv.reader(decoded_lines(fh, path))
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if missing or repeated:
+                problem = (f"missing columns {missing}" if missing
+                           else f"repeated columns {repeated}")
+                raise InputFormatError(f"{path}: {problem}", context={"path": str(path)})
+            width, out, seen = len(header), [], set()
+            for cells in reader:
+                if not cells:  # a blank row
+                    continue
+                at.line = reader.line_num
                 if len(cells) > width:
                     raise ValueError(f"{len(cells) - width} more fields than the header")
                 row = dict(itertools.zip_longest(header, cells))
@@ -119,6 +131,9 @@ def read_csv(path, columns, parse_row, key=None) -> list:
                         raise ValueError(f"duplicate {key} {row[key]!r}")
                     seen.add(row[key])
                 out.append(parse_row(row))
+        except csv.Error:
+            at.line = reader.line_num  # the line the failed pull stopped on
+            raise
         return out
 
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DateMention, Document, SectionSpan, Sentence, tokenize
-from .errors import ConfigError, decoded_lines, parsing, writing
+from .errors import ConfigError, decoded_lines, json_record, parsing, writing
 
 ENTITY_TYPES = ("implant", "complication", "pain", "anatomy")
 
@@ -400,7 +400,7 @@ def read_candidates(path) -> list[RelationCandidate]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             with parsing(path, lineno):
-                rec = json.loads(line)
+                rec = json_record(line)
                 ref = rec["sentence"]
                 if isinstance(ref, list):
                     text, start, end = ref

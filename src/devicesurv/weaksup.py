@@ -1,20 +1,31 @@
 """Labeling-function engine and the generative label model.
 
-Votes are ternary: TRUE (1), FALSE (0), ABSTAIN (-1). The label model is a
-conditionally independent accuracy/propensity model: each labeling function j
-abstains with probability 1 - beta_j and, when voting, agrees with the latent
-label with probability alpha_j. Fit by EM with a closed-form M-step.
+Votes are ternary: TRUE (1), FALSE (0), ABSTAIN (-1). A ``LabelMatrix``
+stores them as the bytes ``label_matrix.bin`` holds: one signed byte per
+vote, row-major, a row of m LF votes per candidate. Applying LFs, saving,
+loading and the LF statistics work on those bytes and load no numpy; the
+statistics count each distinct vote row once, weighted by how often it
+occurs. Only the label model, ``fit_label_model`` and ``posterior_labels``,
+imports numpy, inside the function.
+
+The label model is a conditionally independent accuracy/propensity model:
+each labeling function j abstains with probability 1 - beta_j and, when
+voting, agrees with the latent label with probability alpha_j. Fit by EM
+with a closed-form M-step.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FitError, InputFormatError, parsing, read_csv, write_csv, writing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -35,28 +46,51 @@ class LabelingFunction:
         return self.fn(candidate)
 
 
-@dataclass
 class LabelMatrix:
-    candidate_ids: list[str]
-    lf_ids: list[str]
-    votes: np.ndarray  # n x m int8
-    lf_errors: dict[str, int] = field(default_factory=dict)
+    """The votes of ``lf_ids`` on ``candidate_ids``. ``vote_bytes`` holds
+    them, n x m signed bytes, row-major; ``votes`` reads them as an n x m
+    int8 numpy array, built on first use. ``votes`` may be passed as those
+    bytes or as an n x m array."""
 
-    def __post_init__(self):
-        self.votes = np.asarray(self.votes, dtype=np.int8)
-        n, m = self.votes.shape
-        if n != len(self.candidate_ids) or m != len(self.lf_ids):
+    def __init__(self, candidate_ids, lf_ids, votes, lf_errors=None):
+        self.candidate_ids, self.lf_ids = candidate_ids, lf_ids
+        self.lf_errors = {} if lf_errors is None else lf_errors
+        if isinstance(votes, (bytes, bytearray)):
+            self.vote_bytes, fits = bytes(votes), len(votes) == self.n * self.m
+        else:
+            import numpy as np
+
+            array = np.asarray(votes, dtype=np.int8)
+            self.vote_bytes, fits = array.tobytes(), array.shape == (self.n, self.m)
+        if not fits:
             raise ConfigError("label matrix dimensions inconsistent with id lists")
-        if len(set(self.candidate_ids)) != len(self.candidate_ids):
+        if len(set(candidate_ids)) != len(candidate_ids):
             raise ConfigError("candidate_ids must be unique")
+        self._votes = None
 
     @property
     def n(self) -> int:
-        return self.votes.shape[0]
+        return len(self.candidate_ids)
 
     @property
     def m(self) -> int:
-        return self.votes.shape[1]
+        return len(self.lf_ids)
+
+    @property
+    def votes(self) -> np.ndarray:
+        """The votes as a read-only n x m int8 array over ``vote_bytes``."""
+        if self._votes is None:
+            import numpy as np
+
+            self._votes = np.frombuffer(self.vote_bytes, dtype=np.int8).reshape(self.n, self.m)
+        return self._votes
+
+    def vote_rows(self):
+        """Each candidate's votes, in order, as a tuple of m ints."""
+        if not self.m:
+            return iter([()] * self.n)
+        votes = iter(memoryview(self.vote_bytes).cast("b"))
+        return zip(*[votes] * self.m)
 
     def save(self, path) -> None:
         """Columnar binary format: one JSON header line (n, m, lf_ids,
@@ -70,7 +104,7 @@ class LabelMatrix:
         with writing(path, binary=True) as fh:
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
-            fh.write(self.votes.astype(np.int8).tobytes())
+            fh.write(self.vote_bytes)
 
     @classmethod
     def load(cls, path) -> "LabelMatrix":
@@ -87,31 +121,32 @@ class LabelMatrix:
             if len(raw) != n * m:
                 raise ValueError(f"expected {n * m} vote bytes for {n} x {m} votes, "
                                  f"found {len(raw)}")
-            votes = np.frombuffer(raw, dtype=np.int8).reshape(n, m).copy()
-            if not np.isin(votes, list(VOTE_NAMES)).all():
+            if raw.translate(None, b"\x00\x01\xff"):  # what is left is not 0, 1 or -1
                 raise ValueError("a vote byte is not -1, 0 or 1")
-        return cls(candidate_ids, lf_ids, votes)
+        return cls(candidate_ids, lf_ids, raw)
 
     def write_csv(self, path) -> None:
         write_csv(path, ("candidate_id", "lf_id", "vote"),
                   ((cid, lf_id, VOTE_NAMES[v])
-                   for cid, row in zip(self.candidate_ids, self.votes.tolist())
+                   for cid, row in zip(self.candidate_ids, self.vote_rows())
                    for lf_id, v in zip(self.lf_ids, row)))
 
 
 def apply_lfs(candidates, lfs) -> LabelMatrix:
     """Apply labeling functions to candidates. An LF raising internally
-    records ABSTAIN for that row and increments its error counter."""
+    records ABSTAIN for that row and increments its error counter. A vote
+    equal to 1, 0 or -1 (True, 1.0 and numpy integers too) is stored as that
+    int; any other is a ConfigError."""
     lfs = list(lfs)
     candidates = list(candidates)
     if candidates and lfs:
         bad = [lf.lf_id for lf in lfs if lf.relation_type != candidates[0].relation_type]
         if bad:
             raise ConfigError(f"LFs {bad} do not share the candidates' relation type")
-    votes = np.full((len(candidates), len(lfs)), ABSTAIN, dtype=np.int8)
+    votes = bytearray()
     errors = {lf.lf_id: 0 for lf in lfs}
-    for i, cand in enumerate(candidates):
-        for j, lf in enumerate(lfs):
+    for cand in candidates:
+        for lf in lfs:
             try:
                 v = lf(cand)
             except Exception:
@@ -119,7 +154,7 @@ def apply_lfs(candidates, lfs) -> LabelMatrix:
                 v = ABSTAIN
             if v not in (TRUE, FALSE, ABSTAIN):
                 raise ConfigError(f"LF {lf.lf_id} returned invalid vote {v!r}")
-            votes[i, j] = v
+            votes.append(int(v) & 0xFF)  # -1 is the byte 0xff
     return LabelMatrix(
         candidate_ids=[c.candidate_id for c in candidates],
         lf_ids=[lf.lf_id for lf in lfs],
@@ -143,41 +178,50 @@ class LFStats:
 
 def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LFStats:
     """Coverage/overlap/conflict per LF, plus empirical accuracy on gold
-    (over non-abstaining rows) when gold labels are supplied."""
-    V = matrix.votes
-    n = V.shape[0]
-    nonabstain = V != ABSTAIN
-    is_true, is_false = V == TRUE, V == FALSE
-    # an LF conflicts on a row when it votes TRUE and another LF FALSE, or
-    # the reverse
-    conflicting = ((is_true & is_false.any(axis=1)[:, None])
-                   | (is_false & is_true.any(axis=1)[:, None]))
-    overlapping = nonabstain & (nonabstain.sum(axis=1) >= 2)[:, None]
-    coverage, overlap, conflict = ((rows.sum(axis=0) / max(n, 1)).tolist()
-                                   for rows in (nonabstain, overlapping, conflicting))
-    accuracy = [None] * len(matrix.lf_ids)
+    (over non-abstaining rows) when gold labels are supplied. An LF overlaps
+    on a row where it and another LF vote, and conflicts on a row where it
+    votes TRUE and another LF FALSE, or the reverse."""
+    m = matrix.m
+    coverage, overlap, conflict = [0] * m, [0] * m, [0] * m
+    for row, count in Counter(matrix.vote_rows()).items():
+        overlapping = m - row.count(ABSTAIN) >= 2
+        has_true, has_false = TRUE in row, FALSE in row
+        for j, v in enumerate(row):
+            if v != ABSTAIN:
+                coverage[j] += count
+                if overlapping:
+                    overlap[j] += count
+                if v == TRUE and has_false or v == FALSE and has_true:
+                    conflict[j] += count
+    n = max(matrix.n, 1)
+    accuracy = [None] * m
     if gold is not None:
-        missing = sorted(set(gold) - set(matrix.candidate_ids))
+        row_of = dict(zip(matrix.candidate_ids, matrix.vote_rows()))
+        missing = sorted(set(gold) - row_of.keys())
         if missing:
             raise InputFormatError(
                 f"gold ids not in matrix: {missing[:5]}{'...' if len(missing) > 5 else ''}",
                 context={"missing": missing},
             )
-        idx = {cid: i for i, cid in enumerate(matrix.candidate_ids)}
-        G = V[[idx[cid] for cid in gold]]
-        voted = (G != ABSTAIN).sum(axis=0)
-        agree = (G == np.array(list(gold.values()))[:, None]).sum(axis=0)
-        accuracy = [int(a) / int(v) if v else None for a, v in zip(agree, voted)]
-    stats = {lf_id: LFStat(coverage=c, overlap=o, conflict=k, accuracy=a) for lf_id, c, o, k, a
-             in zip(matrix.lf_ids, coverage, overlap, conflict, accuracy)}
+        voted, agree = [0] * m, [0] * m
+        scored = Counter((row_of[cid], label) for cid, label in gold.items())
+        for (row, label), count in scored.items():
+            for j, v in enumerate(row):
+                if v != ABSTAIN:
+                    voted[j] += count
+                if v == label:
+                    agree[j] += count
+        accuracy = [a / v if v else None for a, v in zip(agree, voted)]
+    stats = {lf_id: LFStat(coverage=c / n, overlap=o / n, conflict=k / n, accuracy=a)
+             for lf_id, c, o, k, a in zip(matrix.lf_ids, coverage, overlap, conflict, accuracy)}
     return LFStats(per_lf=stats)
 
 
 def covered_candidate_ids(matrix: LabelMatrix) -> set[str]:
     """Ids of rows where at least one LF did not abstain. All-abstain rows
     carry no supervision signal and are excluded from classifier training."""
-    mask = (matrix.votes != ABSTAIN).any(axis=1)
-    return {cid for cid, keep in zip(matrix.candidate_ids, mask) if keep}
+    return {cid for cid, row in zip(matrix.candidate_ids, matrix.vote_rows())
+            if row.count(ABSTAIN) < len(row)}
 
 
 @dataclass(frozen=True)
@@ -188,15 +232,12 @@ class ProbabilisticLabel:
 
 def soft_majority_vote(matrix: LabelMatrix) -> list[ProbabilisticLabel]:
     """p = #TRUE / (#TRUE + #FALSE) per row; all-abstain rows get 0.5."""
-    V = matrix.votes
-    n_true = (V == TRUE).sum(axis=1).astype(float)
-    n_false = (V == FALSE).sum(axis=1).astype(float)
-    denom = n_true + n_false
-    with np.errstate(invalid="ignore"):
-        p = np.where(denom > 0, n_true / np.where(denom > 0, denom, 1.0), 0.5)
-    return [
-        ProbabilisticLabel(cid, float(pi)) for cid, pi in zip(matrix.candidate_ids, p)
-    ]
+    rows = list(matrix.vote_rows())
+    p_true = {}
+    for row in set(rows):
+        n_true, n_false = row.count(TRUE), row.count(FALSE)
+        p_true[row] = n_true / (n_true + n_false) if n_true + n_false else 0.5
+    return [ProbabilisticLabel(cid, p_true[row]) for cid, row in zip(matrix.candidate_ids, rows)]
 
 
 # EM settings: iteration cap, relative log-likelihood tolerance, the
@@ -230,6 +271,8 @@ class LabelModel:
 
 def _log_class_scores(V, alpha, beta, eps=1e-12):
     """Per-row log P(votes | Y=T) and log P(votes | Y=F)."""
+    import numpy as np
+
     a = np.clip(alpha, eps, 1 - eps)
     b = np.clip(beta, 0.0, 1.0)
     log_abstain = np.log(np.clip(1 - b, eps, 1.0))
@@ -248,11 +291,15 @@ def _log_class_scores(V, alpha, beta, eps=1e-12):
 
 
 def _posterior(logA, logB, pi):
+    import numpy as np
+
     z = np.log(pi) - np.log(1 - pi) + logA - logB
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _loglik(logA, logB, pi):
+    import numpy as np
+
     hi = np.maximum(logA + np.log(pi), logB + np.log(1 - pi))
     lo = np.minimum(logA + np.log(pi), logB + np.log(1 - pi))
     return float(np.sum(hi + np.log1p(np.exp(lo - hi))))
@@ -266,6 +313,8 @@ def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel
     coverage; the class prior stays fixed. Stops on relative log-likelihood
     change < EM_TOL or after EM_MAX_ITER iterations.
     """
+    import numpy as np
+
     # Checked first: a bad prior is a config error whatever the matrix holds.
     if not 0 < class_prior < 1:
         raise ConfigError("class prior must be in (0, 1)", context={"key": "class_prior"})
@@ -317,6 +366,8 @@ def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel
 def posterior_labels(model: LabelModel, matrix: LabelMatrix) -> list[ProbabilisticLabel]:
     """Bayes-rule posteriors under the fitted model; all-abstain rows get the
     class prior."""
+    import numpy as np
+
     if list(model.lf_ids) != list(matrix.lf_ids):
         raise ConfigError("model and matrix lf_ids do not match")
     logA, logB = _log_class_scores(matrix.votes, model.alpha, model.beta)

@@ -507,6 +507,55 @@ class TestArtifacts:
             [("candidate_id", cid), ("lf_id", 'kw,"x"'), ("vote", "TRUE")]
             for cid in corpus.gold_relations]
 
+    def test_votes_equal_to_ints_write_the_int_bytes(self, runner, tmp_path, small_corpus_dir):
+        # A vote equal to 1, 0 or -1 is stored as that int, whatever its type.
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"]])
+        written = []
+        for votes in ("True, 1.0, np.int64(-1), np.int8(0)", "1, 1, -1, 0"):
+            module = tmp_path / "my_lfs.py"
+            module.write_text("import numpy as np\n"
+                              "from devicesurv.weaksup import LabelingFunction\n\n"
+                              "def get_lfs(relation_type):\n"
+                              "    return [LabelingFunction(f'lf{j}', relation_type,\n"
+                              "                             lambda c, v=v: v)\n"
+                              f"            for j, v in enumerate([{votes}])]\n")
+            _write_config(tmp_path, outdir, paths={"notes": paths["notes"], "lf_module": module})
+            result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+            assert result.exit_code == 0, result.output
+            written.append((outdir / "label_matrix.bin").read_bytes())
+        assert written[0] == written[1]
+        header, votes = written[0].split(b"\n", 1)
+        assert votes == b"\x01\x01\xff\x00" * json.loads(header)["n"]
+
+    @pytest.mark.parametrize("vote", ["2", "None", "float('nan')", "[1]"])
+    def test_invalid_vote_exit_code(self, runner, tmp_path, small_corpus_dir, vote):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"]])
+        module = tmp_path / "my_lfs.py"
+        module.write_text("from devicesurv.weaksup import LabelingFunction\n\n"
+                          "def get_lfs(relation_type):\n"
+                          "    return [LabelingFunction('odd', relation_type,\n"
+                          f"                             lambda c: {vote})]\n")
+        _write_config(tmp_path, outdir, paths={"notes": paths["notes"], "lf_module": module})
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "config"
+        assert err["message"].startswith("LF odd returned invalid vote")
+        assert not (outdir / "label_matrix.bin").exists()
+
+    def test_vote_byte_2_exit_code(self, runner, tmp_path, small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
+        path = outdir / "label_matrix.bin"
+        path.write_bytes(path.read_bytes()[:-1] + b"\x02")
+        result = runner.invoke(main, ["lf", "stats", "--config", cfg])
+        assert result.exit_code == 3, result.output
+        err = _stderr_json(result)
+        assert err["code"] == "input_format"
+        assert err["message"].startswith(f"{path}: cannot parse (ValueError('a vote byte")
+
     def test_tag_and_candidates(self, runner, tmp_path, small_corpus_dir):
         _, paths, corpus = small_corpus_dir
         outdir = tmp_path / "out"
@@ -756,6 +805,12 @@ _REGISTRY_CSV = ("patient_id,surgery_date,component_role,manufacturer,model\n"
                  "p1,2010-05-04,{role},Zimmer Biomet,VerSys\n")
 _EVENTS_CSV = "patient_id,class,date,source,provenance\n"
 _TEXT_EVENT = "p1,{cls},2012-02-03,{source},{provenance}\n"
+# One candidates.jsonl line as write_candidates writes it.
+_CANDIDATE = ('{{"candidate_id": "{cid}", "relation_type": "pain-anatomy", "note_id": "n1", '
+              '"section": "UNKNOWN", "date_bins": [], "sentence": '
+              '["Patient complains of severe pain in the hip today.", 0, 50], '
+              '"arg1": [28, 32, "pain", "pain", null, 4, 5, []], '
+              '"arg2": [40, 43, "anatomy", "hip", null, 7, 8, []]}}\n')
 
 # case: (files written to the output directory, which also holds the config;
 # config paths naming them; command, where "{out}" is that directory; the
@@ -864,6 +919,10 @@ _DAMAGED_INPUTS = {
          "text.csv": _EVENTS_CSV + _TEXT_EVENT.format(cls="revision", source="text",
                                                       provenance="x" * 200_000)},
         {"text_events": "text.csv"}, ["events", "merge"], "text.csv:2", 3),
+    # json reads a lone surrogate escape, which UTF-8 cannot encode
+    "candidates_surrogate": ({"candidates.jsonl": _CANDIDATE.format(cid="c1")
+                              + _CANDIDATE.format(cid="c\\ud800")}, {}, ["lf", "apply"],
+                             "candidates.jsonl:2", 3),
     "cox_not_object": ({"cox.json": "[]"}, {}, ["report", "forest"], "cox.json", 3),
     "cox_terms_not_list": ({"cox.json": '{"groups": {}, "terms": {"HR": 1}}'}, {},
                            ["report", "forest"], "cox.json", 3),
@@ -1032,6 +1091,23 @@ class TestDamagedArtifacts:
             err = _stderr_json(result)
             assert err["code"] == "input_format"
             assert damaged in err["message"]
+
+    @pytest.mark.parametrize("field", ["note_id", "text"])
+    def test_surrogate_in_a_note_skips_it(self, runner, tmp_path, caplog, field):
+        # json reads "\\ud800", which UTF-8 cannot encode: the note is bad input,
+        # skipped like any bad note, and never reaches an encoder downstream.
+        bad = json.loads(_NOTE) | {"note_id": "n2"}
+        bad[field] = bad[field].replace(".", "\ud800.") if field == "text" else "n\ud800"
+        with caplog.at_level(logging.WARNING, logger="devicesurv.corpus"):
+            result = _run_on_files(runner, tmp_path,
+                                   {"notes.jsonl": f"{_NOTE}\n{json.dumps(bad)}\n"},
+                                   {"notes": "notes.jsonl"}, ["candidates"])
+        assert result.exit_code == 0, result.output
+        [record] = caplog.records
+        assert ("notes.jsonl:2: cannot parse (ValueError(\"a string holds '\\\\ud800', "
+                "which UTF-8 cannot encode\"))") in record.getMessage()
+        with open(tmp_path / "candidates.jsonl", encoding="utf-8") as fh:
+            assert {json.loads(line)["note_id"] for line in fh} == {"n1"}
 
     def test_nul_byte_in_a_table(self, runner, tmp_path):
         # csv refuses a NUL byte on Python 3.10 and reads it from 3.11 on:
@@ -1428,8 +1504,8 @@ def _modules_after(statement):
 # besides cli and errors, and which of numpy and scipy it loads.
 _COMMAND_IMPORTS = {
     ("candidates",): ("corpus defaults extraction", ""),
-    ("lf", "apply"): ("corpus extraction lf_lib weaksup", "numpy"),
-    ("lf", "stats"): ("evaluation weaksup", "numpy"),
+    ("lf", "apply"): ("corpus extraction lf_lib weaksup", ""),
+    ("lf", "stats"): ("evaluation weaksup", ""),
     ("labelmodel", "fit"): ("weaksup", "numpy"),
     ("train",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
     ("predict",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
@@ -1479,6 +1555,12 @@ class TestStartup:
         assert "numpy" not in modules
         assert {m for m in modules if m.startswith("devicesurv.")} == {
             "devicesurv.cli", "devicesurv.errors"}
+
+    def test_weaksup_import_loads_no_numpy(self):
+        # Only the label model's fit and posteriors import numpy, when called.
+        modules = _modules_after("import devicesurv.weaksup, devicesurv.lf_lib")
+        assert "devicesurv.weaksup" in modules
+        assert "numpy" not in modules
 
     @pytest.mark.parametrize("command", list(_COMMAND_IMPORTS), ids=" ".join)
     def test_command_loads_only_what_it_runs(self, every_input, command):

@@ -13,6 +13,8 @@ from devicesurv.weaksup import (
     TRUE,
     LabelMatrix,
     LabelingFunction,
+    LFStat,
+    LFStats,
     ProbabilisticLabel,
     apply_lfs,
     covered_candidate_ids,
@@ -350,3 +352,81 @@ class TestCoverage:
     def test_covered_candidate_ids(self):
         matrix = _matrix([[TRUE, ABSTAIN], [ABSTAIN, ABSTAIN], [ABSTAIN, FALSE]])
         assert covered_candidate_ids(matrix) == {"c0", "c2"}
+
+
+# The numpy bodies lf_statistics, soft_majority_vote and covered_candidate_ids
+# had before they counted distinct vote rows, kept verbatim as their oracle.
+def _oracle_lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LFStats:
+    V = matrix.votes
+    n = V.shape[0]
+    nonabstain = V != ABSTAIN
+    is_true, is_false = V == TRUE, V == FALSE
+    # an LF conflicts on a row when it votes TRUE and another LF FALSE, or
+    # the reverse
+    conflicting = ((is_true & is_false.any(axis=1)[:, None])
+                   | (is_false & is_true.any(axis=1)[:, None]))
+    overlapping = nonabstain & (nonabstain.sum(axis=1) >= 2)[:, None]
+    coverage, overlap, conflict = ((rows.sum(axis=0) / max(n, 1)).tolist()
+                                   for rows in (nonabstain, overlapping, conflicting))
+    accuracy = [None] * len(matrix.lf_ids)
+    if gold is not None:
+        missing = sorted(set(gold) - set(matrix.candidate_ids))
+        if missing:
+            raise InputFormatError(
+                f"gold ids not in matrix: {missing[:5]}{'...' if len(missing) > 5 else ''}",
+                context={"missing": missing},
+            )
+        idx = {cid: i for i, cid in enumerate(matrix.candidate_ids)}
+        G = V[[idx[cid] for cid in gold]]
+        voted = (G != ABSTAIN).sum(axis=0)
+        agree = (G == np.array(list(gold.values()))[:, None]).sum(axis=0)
+        accuracy = [int(a) / int(v) if v else None for a, v in zip(agree, voted)]
+    stats = {lf_id: LFStat(coverage=c, overlap=o, conflict=k, accuracy=a) for lf_id, c, o, k, a
+             in zip(matrix.lf_ids, coverage, overlap, conflict, accuracy)}
+    return LFStats(per_lf=stats)
+
+
+def _oracle_covered_candidate_ids(matrix: LabelMatrix) -> set[str]:
+    mask = (matrix.votes != ABSTAIN).any(axis=1)
+    return {cid for cid, keep in zip(matrix.candidate_ids, mask) if keep}
+
+
+def _oracle_soft_majority_vote(matrix: LabelMatrix) -> list[ProbabilisticLabel]:
+    V = matrix.votes
+    n_true = (V == TRUE).sum(axis=1).astype(float)
+    n_false = (V == FALSE).sum(axis=1).astype(float)
+    denom = n_true + n_false
+    with np.errstate(invalid="ignore"):
+        p = np.where(denom > 0, n_true / np.where(denom > 0, denom, 1.0), 0.5)
+    return [
+        ProbabilisticLabel(cid, float(pi)) for cid, pi in zip(matrix.candidate_ids, p)
+    ]
+
+
+@st.composite
+def _matrices_with_gold(draw):
+    """A matrix of n in [0, 80] rows and m in [0, 6] LFs, some rows all
+    abstaining, and gold labels for a shuffled subset of its rows, or none."""
+    n, m = draw(st.integers(0, 80)), draw(st.integers(0, 6))
+    row = st.lists(st.sampled_from([TRUE, FALSE, ABSTAIN]), min_size=m, max_size=m)
+    rows = draw(st.lists(st.just([ABSTAIN] * m) | row, min_size=n, max_size=n))
+    votes = np.array(rows, dtype=np.int8).reshape(n, m)
+    matrix = LabelMatrix([f"c{i}" for i in range(n)], [f"lf{j}" for j in range(m)],
+                         votes.tobytes())
+    assert np.array_equal(matrix.votes, votes)
+    gold = None
+    if draw(st.booleans()):
+        scored = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+        gold = {f"c{i}": draw(st.sampled_from([0, 1])) for i in scored}
+    return matrix, gold
+
+
+class TestStatisticsOracle:
+    @given(_matrices_with_gold())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_numpy_bodies(self, case):
+        matrix, gold = case
+        stats, expected = lf_statistics(matrix, gold), _oracle_lf_statistics(matrix, gold)
+        assert list(stats.per_lf.items()) == list(expected.per_lf.items())
+        assert soft_majority_vote(matrix) == _oracle_soft_majority_vote(matrix)
+        assert covered_candidate_ids(matrix) == _oracle_covered_candidate_ids(matrix)

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from typing import TYPE_CHECKING, NamedTuple
@@ -390,7 +389,7 @@ def lf_stats(cfg):
     write_csv(out_path, header, rows)
     for row in [header, *rows]:
         click.echo(",".join(row))
-    dist = Counter(round(lab.p_true, 2) for lab in weaksup.soft_majority_vote(matrix))
+    dist = weaksup.soft_majority_distribution(matrix)
     click.echo("soft-majority-vote label distribution:")
     for p in sorted(dist):
         click.echo(f"  p_true={p:.2f}: {dist[p]}")
@@ -425,9 +424,8 @@ def train(cfg):
     from . import evaluation, weaksup
 
     labels = weaksup.labels_from_csv(_require(cfg, "labels.csv"))
-    # All-abstain rows carry no supervision signal; train on covered rows.
-    covered = weaksup.covered_candidate_ids(
-        weaksup.LabelMatrix.load(_require(cfg, "label_matrix.bin")))
+    # labels.csv lists only the candidates some LF voted on: the training rows.
+    covered = {lab.candidate_id for lab in labels}
     cands = _load_candidates(cfg)
     gold_path = cfg.paths.get("dev_gold")
     dev_gold = evaluation.read_gold(gold_path) if gold_path else {}

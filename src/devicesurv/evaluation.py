@@ -1,4 +1,4 @@
-"""Precision/recall/F1 scoring, PR curves, and document-level splits."""
+"""Precision/recall/F1 scoring and document-level splits."""
 
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ class Metrics:
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r > 0 else 0.0
+        return f1_from_pr(self.precision, self.recall)
 
     def rounded(self) -> tuple[float, float, float]:
         return round(self.precision, 1), round(self.recall, 1), round(self.f1, 1)
@@ -54,48 +53,6 @@ def prf1(predictions: dict, gold: dict, threshold: float = 0.5) -> Metrics:
         elif not pred_pos and gold_pos:
             fn += 1
     return Metrics(tp=tp, fp=fp, fn=fn)
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    recalls: tuple[float, ...]
-    precisions: tuple[float, ...]
-    average_precision: float
-
-
-def pr_curve(scores: dict[str, float], gold: dict[str, int]) -> PRCurve:
-    """Step-wise (non-interpolated) PR curve sweeping distinct scores
-    descending; AP = sum over steps of (R_k - R_{k-1}) * P_k."""
-    import numpy as np
-
-    ids = sorted(gold)
-    y = np.array([int(gold[i]) for i in ids])
-    if y.min() == y.max():
-        raise ConfigError("gold must contain both classes")
-    s = np.array([float(scores.get(i, 0.0)) for i in ids])
-    n_pos = int(y.sum())
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    recalls, precisions = [], []
-    ap = 0.0
-    prev_recall = 0.0
-    tp = fp = 0
-    i = 0
-    n = len(ids)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i:j].sum())
-        fp += (j - i) - int(y_sorted[i:j].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        recalls.append(recall)
-        precisions.append(precision)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return PRCurve(tuple(recalls), tuple(precisions), float(ap))
 
 
 def split_documents(doc_ids, seed: int, sizes: tuple[int, int, int]):

@@ -55,8 +55,6 @@ DEFAULT_REVISION_CODES = frozenset(
     }
 )
 
-AGE_BANDS = ("<40", "40-49", "50-59", "60-69", "70-79", "80+")
-
 
 @dataclass(frozen=True, slots=True)
 class CodedProcedure:

@@ -217,27 +217,32 @@ def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LF
     return LFStats(per_lf=stats)
 
 
-def covered_candidate_ids(matrix: LabelMatrix) -> set[str]:
-    """Ids of rows where at least one LF did not abstain. All-abstain rows
-    carry no supervision signal and are excluded from classifier training."""
-    return {cid for cid, row in zip(matrix.candidate_ids, matrix.vote_rows())
-            if row.count(ABSTAIN) < len(row)}
-
-
 @dataclass(frozen=True)
 class ProbabilisticLabel:
     candidate_id: str
     p_true: float
 
 
+def _soft_vote(row) -> float:
+    """#TRUE / (#TRUE + #FALSE) of one vote row; 0.5 when no LF voted."""
+    n_true, n_false = row.count(TRUE), row.count(FALSE)
+    return n_true / (n_true + n_false) if n_true + n_false else 0.5
+
+
 def soft_majority_vote(matrix: LabelMatrix) -> list[ProbabilisticLabel]:
-    """p = #TRUE / (#TRUE + #FALSE) per row; all-abstain rows get 0.5."""
+    """Each row's ``_soft_vote``, in matrix order."""
     rows = list(matrix.vote_rows())
-    p_true = {}
-    for row in set(rows):
-        n_true, n_false = row.count(TRUE), row.count(FALSE)
-        p_true[row] = n_true / (n_true + n_false) if n_true + n_false else 0.5
+    p_true = {row: _soft_vote(row) for row in set(rows)}
     return [ProbabilisticLabel(cid, p_true[row]) for cid, row in zip(matrix.candidate_ids, rows)]
+
+
+def soft_majority_distribution(matrix: LabelMatrix) -> Counter:
+    """How many rows have each ``_soft_vote``, rounded to 2 places; each
+    distinct vote row is scored once."""
+    dist = Counter()
+    for row, count in Counter(matrix.vote_rows()).items():
+        dist[round(_soft_vote(row), 2)] += count
+    return dist
 
 
 # EM settings: iteration cap, relative log-likelihood tolerance, the
@@ -364,19 +369,16 @@ def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel
 
 
 def posterior_labels(model: LabelModel, matrix: LabelMatrix) -> list[ProbabilisticLabel]:
-    """Bayes-rule posteriors under the fitted model; all-abstain rows get the
-    class prior."""
-    import numpy as np
-
+    """Bayes-rule posteriors under the fitted model, one for each row some LF
+    voted on, in matrix order. An all-abstain row carries no signal and gets
+    no label, so the classifier does not train on it."""
     if list(model.lf_ids) != list(matrix.lf_ids):
         raise ConfigError("model and matrix lf_ids do not match")
     logA, logB = _log_class_scores(matrix.votes, model.alpha, model.beta)
     q = _posterior(logA, logB, model.class_prior)
-    all_abstain = (matrix.votes == ABSTAIN).all(axis=1)
-    q = np.where(all_abstain, model.class_prior, q)
-    return [
-        ProbabilisticLabel(cid, float(p)) for cid, p in zip(matrix.candidate_ids, q)
-    ]
+    voted = (matrix.votes != ABSTAIN).any(axis=1)
+    return [ProbabilisticLabel(cid, p)
+            for cid, p, v in zip(matrix.candidate_ids, q.tolist(), voted.tolist()) if v]
 
 
 def labels_to_csv(labels, path) -> None:

@@ -108,7 +108,7 @@ class TestWeakSupervisionBenefit:
         matrix = weaksup.apply_lfs(train_c, lfs)
         model = weaksup.fit_label_model(matrix)
         labels = weaksup.posterior_labels(model, matrix)
-        covered = weaksup.covered_candidate_ids(matrix)
+        covered = {lab.candidate_id for lab in labels}
         covered_train = [c for c in train_c if c.candidate_id in covered]
         net = clf.train_noise_aware(clf.design_matrix(covered_train),
                                     [c.candidate_id for c in covered_train], labels,

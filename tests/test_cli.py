@@ -419,19 +419,20 @@ class TestArtifacts:
         assert result.exit_code == 4
         assert "labelmodel fit" in _stderr_json(result)["message"]
 
-    def test_train_without_label_matrix_exit_code(self, runner, tmp_path, small_corpus_dir):
-        # Without the matrix, train cannot tell covered rows from uncovered
-        # ones, so it stops instead of training on every candidate.
+    def test_train_without_label_matrix(self, runner, tmp_path, small_corpus_dir):
+        # labels.csv lists the candidates train learns from, so train never
+        # opens the label matrix: without it, the model is the same bytes.
         _, paths, _ = small_corpus_dir
-        outdir, cfg = _chain(runner, tmp_path, paths, [
-            ["candidates"], ["lf", "apply"], ["labelmodel", "fit"]])
-        (outdir / "label_matrix.bin").unlink()
-        result = runner.invoke(main, ["train", "--config", cfg])
-        assert result.exit_code == 4
-        err = _stderr_json(result)
-        assert err["code"] == "missing_artifact"
-        assert err["message"] == f"{outdir / 'label_matrix.bin'} not found (run 'lf apply' first)"
-        assert not (outdir / "classifier.bin").exists()
+        models = []
+        for name in ("kept", "deleted"):
+            (tmp_path / name).mkdir()
+            outdir, cfg = _chain(runner, tmp_path / name, paths, [
+                ["candidates"], ["lf", "apply"], ["labelmodel", "fit"]])
+            if name == "deleted":
+                (outdir / "label_matrix.bin").unlink()
+            assert runner.invoke(main, ["train", "--config", cfg]).exit_code == 0
+            models.append((outdir / "classifier.bin").read_bytes())
+        assert models[0] == models[1]
 
     def test_class_prior_out_of_range_exit_code(self, runner, tmp_path, small_corpus_dir):
         # The prior is checked before the matrix: on a matrix where every LF

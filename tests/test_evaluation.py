@@ -1,6 +1,5 @@
-"""Unit tests for metrics, PR curves, and document splits."""
+"""Unit tests for metrics and document splits."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,6 @@ from devicesurv.evaluation import (
     Metrics,
     f1_from_pr,
     metrics_to_csv,
-    pr_curve,
     prf1,
     split_documents,
 )
@@ -49,50 +47,6 @@ class TestPRF1:
         assert (m.tp, m.fp, m.fn) == (0, 0, 1)
         m = prf1({"a": 0.7}, {"a": 1}, threshold=0.7)
         assert (m.tp, m.fp, m.fn) == (1, 0, 0)
-
-
-class TestPRCurve:
-    def test_perfect_ranking_ap_one(self):
-        scores = {"a": 0.9, "b": 0.8, "c": 0.2, "d": 0.1}
-        gold = {"a": 1, "b": 1, "c": 0, "d": 0}
-        curve = pr_curve(scores, gold)
-        assert curve.average_precision == pytest.approx(1.0)
-
-    def test_constant_scores_ap_is_prevalence(self):
-        gold = {f"c{i}": int(i < 3) for i in range(10)}
-        scores = {k: 0.5 for k in gold}
-        curve = pr_curve(scores, gold)
-        assert curve.average_precision == pytest.approx(0.3)
-        assert curve.recalls == (1.0,)
-
-    def test_random_scores_ap_near_prevalence(self):
-        rng = np.random.default_rng(0)
-        gold = {f"c{i}": int(i < 400) for i in range(2000)}
-        scores = {k: float(rng.uniform()) for k in gold}
-        curve = pr_curve(scores, gold)
-        assert abs(curve.average_precision - 0.2) < 0.05
-
-    def test_monotone_transform_invariance(self):
-        rng = np.random.default_rng(1)
-        gold = {f"c{i}": int(rng.uniform() < 0.4) for i in range(50)}
-        gold["c0"], gold["c1"] = 1, 0
-        scores = {k: float(rng.uniform()) for k in gold}
-        squashed = {k: 1.0 / (1.0 + np.exp(-5 * (v - 0.5))) for k, v in scores.items()}
-        a = pr_curve(scores, gold)
-        b = pr_curve(squashed, gold)
-        assert a.recalls == b.recalls
-        assert a.precisions == b.precisions
-        assert a.average_precision == pytest.approx(b.average_precision)
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ConfigError):
-            pr_curve({"a": 0.5}, {"a": 1})
-
-    def test_missing_score_treated_as_zero(self):
-        gold = {"a": 1, "b": 0}
-        curve = pr_curve({"a": 0.9}, gold)
-        assert curve.recalls[0] == pytest.approx(1.0)
-        assert curve.precisions[0] == pytest.approx(1.0)
 
 
 class TestSplits:

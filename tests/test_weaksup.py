@@ -1,5 +1,7 @@
 """Unit and property tests for the LF engine and generative label model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,12 @@ from devicesurv.weaksup import (
     LFStats,
     ProbabilisticLabel,
     apply_lfs,
-    covered_candidate_ids,
     fit_label_model,
     labels_from_csv,
     labels_to_csv,
     lf_statistics,
     posterior_labels,
+    soft_majority_distribution,
     soft_majority_vote,
 )
 
@@ -307,11 +309,11 @@ class TestLabelModel:
 
 
 class TestPosteriors:
-    def test_all_abstain_row_gets_prior(self):
-        matrix = _matrix([[TRUE], [ABSTAIN]])
+    def test_all_abstain_row_gets_no_label(self):
+        matrix = _matrix([[TRUE], [ABSTAIN], [FALSE]])
         model = fit_label_model(matrix, class_prior=0.3)
         labels = posterior_labels(model, matrix)
-        assert labels[1].p_true == pytest.approx(0.3)
+        assert [lab.candidate_id for lab in labels] == ["c0", "c2"]
 
     def test_single_true_vote_posterior(self):
         # alpha=0.9, beta=1, prior 0.5, vote TRUE -> posterior 0.9 by Bayes.
@@ -346,12 +348,6 @@ class TestPosteriors:
         assert len(bucket) > 50
         frac = np.mean([gold[lab.candidate_id] for lab in bucket])
         assert 0.8 <= frac <= 1.0
-
-
-class TestCoverage:
-    def test_covered_candidate_ids(self):
-        matrix = _matrix([[TRUE, ABSTAIN], [ABSTAIN, ABSTAIN], [ABSTAIN, FALSE]])
-        assert covered_candidate_ids(matrix) == {"c0", "c2"}
 
 
 # The numpy bodies lf_statistics, soft_majority_vote and covered_candidate_ids
@@ -429,4 +425,18 @@ class TestStatisticsOracle:
         stats, expected = lf_statistics(matrix, gold), _oracle_lf_statistics(matrix, gold)
         assert list(stats.per_lf.items()) == list(expected.per_lf.items())
         assert soft_majority_vote(matrix) == _oracle_soft_majority_vote(matrix)
-        assert covered_candidate_ids(matrix) == _oracle_covered_candidate_ids(matrix)
+        assert soft_majority_distribution(matrix) == Counter(
+            round(lab.p_true, 2) for lab in _oracle_soft_majority_vote(matrix))
+
+
+class TestCoverage:
+    # The covered candidates are the ones posterior_labels labels. The fit
+    # refuses a matrix without a vote, so every drawn one holds one.
+    @given(_matrices_with_gold().filter(lambda case: (case[0].votes != ABSTAIN).any()))
+    @settings(max_examples=100, deadline=None)
+    def test_covered_candidate_ids(self, case):
+        matrix, _ = case
+        covered = _oracle_covered_candidate_ids(matrix)
+        labels = posterior_labels(fit_label_model(matrix), matrix)
+        assert [lab.candidate_id for lab in labels] == [
+            cid for cid in matrix.candidate_ids if cid in covered]

@@ -64,17 +64,17 @@ _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _PARAMS = {
     "seed": _Param(int, 0, _AT_LEAST_0),
     "relation_type": _Param(str, "pain-anatomy"),
-    "merge_window_days": _Param(int, 90, _AT_LEAST_0),
-    "date_tolerance_days": _Param(int, 30, _AT_LEAST_0),
+    "lf_set": _Param(str, "starter", (lambda v: v in ("starter", "benchmark"),
+                                      "'starter' or 'benchmark'")),
+    "class_prior": _Param(float, 0.5),
     "epochs": _Param(int, 20, _AT_LEAST_1),
     "learning_rate": _Param(float, 0.5, (lambda v: v > 0, "above 0")),
     "l2": _Param(float, 1e-4, _AT_LEAST_0),
     "batch_size": _Param(int, 32, _AT_LEAST_1),
-    "class_prior": _Param(float, 0.5),
-    "lf_set": _Param(str, "starter", (lambda v: v in ("starter", "benchmark"),
-                                      "'starter' or 'benchmark'")),
-    "outcome_class": _Param(str, "revision"),
     "threshold": _Param(float, 0.5, (lambda v: 0 <= v <= 1, "in [0, 1]")),
+    "merge_window_days": _Param(int, 90, _AT_LEAST_0),
+    "date_tolerance_days": _Param(int, 30, _AT_LEAST_0),
+    "outcome_class": _Param(str, "revision"),
 }
 
 
@@ -141,12 +141,6 @@ def load_config(path: str) -> ProjectConfig:
     if not isinstance(raw["output_dir"], str):
         raise ConfigError(f"config output_dir must be a string, not {raw['output_dir']!r}",
                           context={"key": "output_dir"})
-    # Environment overrides apply to paths only, e.g. DEVICESURV_NOTES; a
-    # list-valued key takes several paths joined by os.pathsep.
-    for key in _KNOWN_PATH_KEYS:
-        env = os.environ.get(f"DEVICESURV_{key.upper()}")
-        if env:
-            paths[key] = env.split(os.pathsep) if key in _LIST_PATH_KEYS else env
     cfg = ProjectConfig(output_dir=raw["output_dir"], paths=paths, params=params, raw=raw)
     for key, value in paths.items():
         listed = key in _LIST_PATH_KEYS
@@ -375,10 +369,7 @@ def lf_stats(cfg):
         raise ConfigError(f"{matrix_path}: label matrix has no candidates",
                           context={"path": matrix_path})
     gold_path = cfg.paths.get("dev_gold")
-    gold = None
-    if gold_path:
-        ids = set(matrix.candidate_ids)
-        gold = {cid: lab for cid, lab in evaluation.read_gold(gold_path).items() if cid in ids}
+    gold = evaluation.read_gold(gold_path) if gold_path else None
     stats = weaksup.lf_statistics(matrix, gold)
     out_path = cfg.artifact("lf_stats.csv")
     with_acc = gold is not None
@@ -389,10 +380,9 @@ def lf_stats(cfg):
     write_csv(out_path, header, rows)
     for row in [header, *rows]:
         click.echo(",".join(row))
-    dist = weaksup.soft_majority_distribution(matrix)
     click.echo("soft-majority-vote label distribution:")
-    for p in sorted(dist):
-        click.echo(f"  p_true={p:.2f}: {dist[p]}")
+    for p, count in sorted(stats.distribution.items()):
+        click.echo(f"  p_true={p:.2f}: {count}")
     return f"lf stats: {len(stats.per_lf)} LFs -> {out_path}"
 
 
@@ -653,14 +643,20 @@ def regression_nb(cfg, counts_file):
 
     if not os.path.exists(counts_file):
         raise MissingArtifactError(f"counts file not found: {counts_file}")
-    rows = read_csv(counts_file, ("count",), lambda row: (
-        int(row["count"]), float(row["exposure"]) if "exposure" in row else None))
+
+    def count_row(row):
+        count = int(row["count"])
+        exposure = float(row["exposure"]) if "exposure" in row else None
+        if count < 0:
+            raise ValueError(f"count {row['count']!r} is negative")
+        if exposure is not None and not 0 < exposure < math.inf:  # NaN too
+            raise ValueError(f"exposure {row['exposure']!r} is not positive and finite")
+        return count, exposure
+
+    rows = read_csv(counts_file, ("count",), count_row)
     counts = [count for count, _ in rows]
-    exposure = [e for _, e in rows if e is not None]
-    fit = countreg.nb_fit(
-        counts, np.zeros((len(counts), 0)), columns=[],
-        exposure=exposure if exposure else None,
-    )
+    exposure = [e for _, e in rows if e is not None] or None
+    fit = countreg.nb_fit(counts, np.zeros((len(counts), 0)), columns=[], exposure=exposure)
     out_path = cfg.artifact("nb.json")
     write_json(out_path, {"terms": list(fit.summary_rows()), "theta": fit.theta,
                           "loglik": fit.loglik, "aic": fit.aic})

@@ -79,14 +79,11 @@ def _zero_or_one(value: str, column: str) -> int:
 
 
 def read_gold(path) -> dict[str, int]:
-    """Gold labels from a CSV with a candidate_id column and a label (or
-    gold) column; a duplicate id or a label other than 0 or 1 is an error."""
+    """Gold labels from a CSV with candidate_id and label columns; a
+    duplicate id or a label other than 0 or 1 is an error."""
 
-    def gold(row):
-        column = "label" if "label" in row else "gold"
-        return row["candidate_id"], _zero_or_one(row[column], column)
-
-    return dict(read_csv(path, ("candidate_id",), gold, key="candidate_id"))
+    return dict(read_csv(path, ("candidate_id", "label"), lambda row: (
+        row["candidate_id"], _zero_or_one(row["label"], "label")), key="candidate_id"))
 
 
 def scores_to_csv(candidate_ids, scores, threshold, path) -> None:

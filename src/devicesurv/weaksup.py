@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, FitError, InputFormatError, parsing, read_csv, write_csv, writing
+from .errors import ConfigError, FitError, parsing, read_csv, write_csv, writing
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,6 +163,12 @@ def apply_lfs(candidates, lfs) -> LabelMatrix:
     )
 
 
+def _soft_vote(row) -> float:
+    """#TRUE / (#TRUE + #FALSE) of one vote row; 0.5 when no LF voted."""
+    n_true, n_false = row.count(TRUE), row.count(FALSE)
+    return n_true / (n_true + n_false) if n_true + n_false else 0.5
+
+
 @dataclass(frozen=True)
 class LFStat:
     coverage: float
@@ -174,16 +180,22 @@ class LFStat:
 @dataclass
 class LFStats:
     per_lf: dict[str, LFStat]
+    distribution: Counter = field(default_factory=Counter)
 
 
 def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LFStats:
     """Coverage/overlap/conflict per LF, plus empirical accuracy on gold
-    (over non-abstaining rows) when gold labels are supplied. An LF overlaps
-    on a row where it and another LF vote, and conflicts on a row where it
-    votes TRUE and another LF FALSE, or the reverse."""
+    (over non-abstaining rows) when gold labels are supplied; a gold id with
+    no matrix row is skipped. An LF overlaps on a row where it and another
+    LF vote, and conflicts on a row where it votes TRUE and another LF
+    FALSE, or the reverse. ``distribution`` counts the rows with each
+    ``_soft_vote``, rounded to 2 places. Each distinct vote row is scored
+    once."""
     m = matrix.m
     coverage, overlap, conflict = [0] * m, [0] * m, [0] * m
+    distribution = Counter()
     for row, count in Counter(matrix.vote_rows()).items():
+        distribution[round(_soft_vote(row), 2)] += count
         overlapping = m - row.count(ABSTAIN) >= 2
         has_true, has_false = TRUE in row, FALSE in row
         for j, v in enumerate(row):
@@ -197,14 +209,8 @@ def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LF
     accuracy = [None] * m
     if gold is not None:
         row_of = dict(zip(matrix.candidate_ids, matrix.vote_rows()))
-        missing = sorted(set(gold) - row_of.keys())
-        if missing:
-            raise InputFormatError(
-                f"gold ids not in matrix: {missing[:5]}{'...' if len(missing) > 5 else ''}",
-                context={"missing": missing},
-            )
         voted, agree = [0] * m, [0] * m
-        scored = Counter((row_of[cid], label) for cid, label in gold.items())
+        scored = Counter((row_of[cid], label) for cid, label in gold.items() if cid in row_of)
         for (row, label), count in scored.items():
             for j, v in enumerate(row):
                 if v != ABSTAIN:
@@ -214,7 +220,7 @@ def lf_statistics(matrix: LabelMatrix, gold: dict[str, int] | None = None) -> LF
         accuracy = [a / v if v else None for a, v in zip(agree, voted)]
     stats = {lf_id: LFStat(coverage=c / n, overlap=o / n, conflict=k / n, accuracy=a)
              for lf_id, c, o, k, a in zip(matrix.lf_ids, coverage, overlap, conflict, accuracy)}
-    return LFStats(per_lf=stats)
+    return LFStats(per_lf=stats, distribution=distribution)
 
 
 @dataclass(frozen=True)
@@ -223,26 +229,11 @@ class ProbabilisticLabel:
     p_true: float
 
 
-def _soft_vote(row) -> float:
-    """#TRUE / (#TRUE + #FALSE) of one vote row; 0.5 when no LF voted."""
-    n_true, n_false = row.count(TRUE), row.count(FALSE)
-    return n_true / (n_true + n_false) if n_true + n_false else 0.5
-
-
 def soft_majority_vote(matrix: LabelMatrix) -> list[ProbabilisticLabel]:
     """Each row's ``_soft_vote``, in matrix order."""
     rows = list(matrix.vote_rows())
     p_true = {row: _soft_vote(row) for row in set(rows)}
     return [ProbabilisticLabel(cid, p_true[row]) for cid, row in zip(matrix.candidate_ids, rows)]
-
-
-def soft_majority_distribution(matrix: LabelMatrix) -> Counter:
-    """How many rows have each ``_soft_vote``, rounded to 2 places; each
-    distinct vote row is scored once."""
-    dist = Counter()
-    for row, count in Counter(matrix.vote_rows()).items():
-        dist[round(_soft_vote(row), 2)] += count
-    return dist
 
 
 # EM settings: iteration cap, relative log-likelihood tolerance, the

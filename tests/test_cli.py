@@ -238,35 +238,37 @@ class TestConfigValidation:
         err = _stderr_json(result)
         assert err["context"]["key"] == "notes"
 
-    def test_env_override_for_paths(self, runner, tmp_path, small_corpus_dir, monkeypatch):
+    def test_environment_names_no_input(self, runner, tmp_path, small_corpus_dir,
+                                        monkeypatch):
+        # A valid second corpus in DEVICESURV_NOTES is not read: the config
+        # file alone names a run's inputs.
         _, paths, corpus = small_corpus_dir
-        bogus = tmp_path / "bogus.jsonl"
-        bogus.write_text("")
+        (tmp_path / "other").mkdir()
+        other = synth.write_corpus(synth.gen_corpus(synth.SynthConfig(seed=1, n_patients=5)),
+                                   tmp_path / "other")
+        monkeypatch.setenv("DEVICESURV_NOTES", str(other["notes"]))
         outdir = tmp_path / "out"
-        cfg = _write_config(tmp_path, outdir, paths={"notes": bogus})
-        monkeypatch.setenv("DEVICESURV_NOTES", paths["notes"])
+        cfg = _write_config(tmp_path, outdir, paths={"notes": paths["notes"]})
         result = runner.invoke(main, ["candidates", "--config", cfg])
-        assert result.exit_code == 0
+        assert result.exit_code == 0, result.output
         with (outdir / "candidates.jsonl").open() as fh:
             records = [json.loads(line) for line in fh]
         assert [r["candidate_id"] for r in records] == list(corpus.gold_relations)
 
     @pytest.mark.parametrize("names", [["anatomy"], ["pain", "anatomy"]])
-    def test_env_override_for_list_paths(self, runner, tmp_path, small_corpus_dir,
-                                         monkeypatch, names):
-        # DEVICESURV_DICTIONARIES joins several files with os.pathsep and
-        # acts like the same list under paths.dictionaries.
-        _, paths, _ = small_corpus_dir
+    def test_list_of_dictionaries(self, runner, tmp_path, small_corpus_dir, names):
+        # A pain-anatomy candidate needs a pain and an anatomy mention.
+        _, paths, corpus = small_corpus_dir
         files = [resource_path(DICTIONARY_FILES[name]) for name in names]
-        listed = _write_config(tmp_path, tmp_path / "listed",
-                               paths={"notes": paths["notes"], "dictionaries": files})
-        assert runner.invoke(main, ["candidates", "--config", listed]).exit_code == 0
-        cfg = _write_config(tmp_path, tmp_path / "env", paths={"notes": paths["notes"]})
-        monkeypatch.setenv("DEVICESURV_DICTIONARIES", os.pathsep.join(map(str, files)))
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir,
+                            paths={"notes": paths["notes"], "dictionaries": files})
         result = runner.invoke(main, ["candidates", "--config", cfg])
         assert result.exit_code == 0, result.output
-        assert ((tmp_path / "env" / "candidates.jsonl").read_bytes()
-                == (tmp_path / "listed" / "candidates.jsonl").read_bytes())
+        with (outdir / "candidates.jsonl").open() as fh:
+            records = [json.loads(line) for line in fh]
+        assert [r["candidate_id"] for r in records] == (
+            list(corpus.gold_relations) if "pain" in names else [])
 
     def test_every_known_key_is_read(self):
         # A key that loses its last reader in cli.py must leave the table;
@@ -806,6 +808,8 @@ _REGISTRY_CSV = ("patient_id,surgery_date,component_role,manufacturer,model\n"
                  "p1,2010-05-04,{role},Zimmer Biomet,VerSys\n")
 _EVENTS_CSV = "patient_id,class,date,source,provenance\n"
 _TEXT_EVENT = "p1,{cls},2012-02-03,{source},{provenance}\n"
+# A label_matrix.bin of one candidate, c1, and one LF voting TRUE.
+_LABEL_MATRIX = b'{"n": 1, "m": 1, "lf_ids": ["lf0"], "candidate_ids": ["c1"]}\n\x01'
 # One candidates.jsonl line as write_candidates writes it.
 _CANDIDATE = ('{{"candidate_id": "{cid}", "relation_type": "pain-anatomy", "note_id": "n1", '
               '"section": "UNKNOWN", "date_bins": [], "sentence": '
@@ -826,6 +830,10 @@ _DAMAGED_INPUTS = {
                            ["train"], "labels.csv:4", 3),
     "gold_label_yes": ({"scores.csv": _SCORES_CSV, "gold.csv": "candidate_id,label\na,yes\n"},
                        {"gold_relations": "gold.csv"}, ["eval"], "gold.csv", 3),
+    "dev_gold_no_label": ({"label_matrix.bin": _LABEL_MATRIX,
+                           "gold.csv": "candidate_id,gold\nc1,1\n"},
+                          {"dev_gold": "gold.csv"}, ["lf", "stats"],
+                          "gold.csv: missing columns ['label']", 3),
     "cohort_bad_date": ({"cohort.csv": _COHORT_CSV.format(index="2010-13-01")}, {},
                         ["survival", "km"], "cohort.csv", 3),
     "cohort_no_last_contact": ({"cohort.csv": "patient_id,index_date,age_band\n"}, {},
@@ -849,6 +857,12 @@ _DAMAGED_INPUTS = {
     "nb_count_fraction": ({"counts.csv": "patient_id,count\np1,2\np2,1.5\n"}, {},
                           ["regression", "nb", "--counts-file", "{out}/counts.csv"],
                           "counts.csv", 3),
+    "nb_count_negative": ({"counts.csv": "patient_id,count\np1,2\np2,-1\n"}, {},
+                          ["regression", "nb", "--counts-file", "{out}/counts.csv"],
+                          "counts.csv:3", 3),
+    "nb_exposure_nan": ({"counts.csv": "patient_id,count,exposure\np1,2,1\np2,1,nan\n"}, {},
+                        ["regression", "nb", "--counts-file", "{out}/counts.csv"],
+                        "counts.csv:3", 3),
     "ttest_nan": ({"a.csv": "value\n1\n2\n", "b.csv": "value\n1\nnan\n3\n"}, {},
                   ["ttest", "--a-file", "{out}/a.csv", "--b-file", "{out}/b.csv"],
                   "b.csv:3", 3),
@@ -1318,10 +1332,11 @@ class TestStatsCommands:
         cfg = _write_config(tmp_path, tmp_path / "out")
         result = runner.invoke(
             main, ["regression", "nb", "--config", cfg, "--counts-file", str(counts_file)])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 3, result.output
         err = _stderr_json(result)
-        assert err["code"] == "config"
-        assert err["message"] == "exposure must be positive and finite"
+        assert err["code"] == "input_format"
+        assert f"counts.csv:11: cannot parse (ValueError(\"exposure '{exposure}' is not " \
+               "positive and finite\"))" in err["message"]
 
     _COHORT_HEADER = "patient_id,index_date,last_contact_date,age_band,cci,sex\n"
 
@@ -1685,3 +1700,12 @@ def _readme_commands():
 class TestDocs:
     def test_readme_lists_every_command(self):
         assert _readme_commands() == _command_tree(main)
+
+    def test_readme_params_table_matches_params(self):
+        # Key, type and default of each row of the Params table, in order.
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("### Params\n", 1)[1].split("\n#", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert rows == [[key, p.type.__name__, str(p.default)] for key, p in cli._PARAMS.items()]

@@ -24,7 +24,6 @@ from devicesurv.weaksup import (
     labels_to_csv,
     lf_statistics,
     posterior_labels,
-    soft_majority_distribution,
     soft_majority_vote,
 )
 
@@ -192,10 +191,13 @@ class TestLFStatistics:
             assert st_.accuracy == (
                 sum(V[i][j] == gold[f"c{i}"] for i in scored) / len(scored) if scored else None)
 
-    def test_missing_gold_id_error(self):
-        matrix = _matrix([[TRUE]])
-        with pytest.raises(InputFormatError):
-            lf_statistics(matrix, {"nope": 1})
+    def test_gold_ids_outside_the_matrix_are_skipped(self):
+        matrix = _matrix([[TRUE, ABSTAIN], [FALSE, TRUE], [TRUE, FALSE]])
+        gold = {"c0": 1, "c1": 1, "c2": 0}
+        with_outside = {"nope": 0, **gold, "c9": 1}
+        assert lf_statistics(matrix, with_outside) == lf_statistics(matrix, gold)
+        accuracy = [st_.accuracy for st_ in lf_statistics(matrix, with_outside).per_lf.values()]
+        assert accuracy == [1 / 3, 1.0]
 
 
 class TestSoftMajorityVote:
@@ -425,7 +427,7 @@ class TestStatisticsOracle:
         stats, expected = lf_statistics(matrix, gold), _oracle_lf_statistics(matrix, gold)
         assert list(stats.per_lf.items()) == list(expected.per_lf.items())
         assert soft_majority_vote(matrix) == _oracle_soft_majority_vote(matrix)
-        assert soft_majority_distribution(matrix) == Counter(
+        assert stats.distribution == Counter(
             round(lab.p_true, 2) for lab in _oracle_soft_majority_vote(matrix))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,13 +113,13 @@ def rmatvec(X, r) -> np.ndarray:
 
 
 def design_matrix(candidates) -> CSRMatrix:
-    """One CSR row per candidate: the signs of its hashed features summed
-    per column, by ascending column. Each distinct feature string is hashed
-    once."""
+    """One CSR row per candidate, taken one at a time from any iterable: the
+    signs of its hashed features summed per column, by ascending column.
+    Each distinct feature string is hashed once. The entries accumulate in
+    typed arrays that the CSR arrays then share, so no Python number is
+    kept per entry."""
     hashes: dict[str, tuple[int, float]] = {}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
     for c in candidates:
         acc: dict[int, float] = {}
         for feat in raw_features(c):
@@ -132,8 +133,8 @@ def design_matrix(candidates) -> CSRMatrix:
         data.extend(map(acc.__getitem__, cols))
         indptr.append(len(indices))
     return CSRMatrix(
-        np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-        np.array(indptr, dtype=np.int64), (len(indptr) - 1, DIM),
+        np.frombuffer(data, dtype=np.float64), np.frombuffer(indices, dtype=np.int64),
+        np.frombuffer(indptr, dtype=np.int64), (len(indptr) - 1, DIM),
     )
 
 

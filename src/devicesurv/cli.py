@@ -233,9 +233,18 @@ def _load_resources(cfg: ProjectConfig):
 
 
 def _load_candidates(cfg: ProjectConfig):
+    """The candidates of candidates.jsonl, read one at a time as they are
+    consumed; the artifact is required now, before any of them is read."""
     from .extraction import read_candidates
 
     return read_candidates(_require(cfg, "candidates.jsonl"))
+
+
+def _ids_as_read(cands, ids: list):
+    """Each of ``cands`` in turn, appending its id to ``ids`` as it passes."""
+    for c in cands:
+        ids.append(c.candidate_id)
+        yield c
 
 
 def _get_lfs(cfg: ProjectConfig):
@@ -326,13 +335,13 @@ def candidates(cfg):
     rtypes = (cfg.params["relation_type"],)
     relation_arg_types(rtypes[0])
     dictionaries, lexicon = _load_resources(cfg)
-    cands = [
+    cands = (
         c for note in ingest_notes(cfg.path("notes"))
         for c in extract_candidates(preprocess(note), dictionaries, lexicon, rtypes)
-    ]
+    )
     out_path = cfg.artifact("candidates.jsonl")
-    write_candidates(cands, out_path)
-    return f"candidates: {len(cands)} candidates -> {out_path}"
+    n = write_candidates(cands, out_path)
+    return f"candidates: {n} candidates -> {out_path}"
 
 
 @main.group()
@@ -421,22 +430,24 @@ def train(cfg):
     dev_gold = evaluation.read_gold(gold_path) if gold_path else {}
     # One design matrix for the rows that train and the rows that tune
     # the threshold, in candidate-file order.
-    used = [c for c in cands if c.candidate_id in covered or c.candidate_id in dev_gold]
-    ids = [c.candidate_id for c in used]
-    X = clf.design_matrix(used)
+    ids: list[str] = []
+    X = clf.design_matrix(_ids_as_read(
+        (c for c in cands if c.candidate_id in covered or c.candidate_id in dev_gold), ids))
     train_rows = [i for i, cid in enumerate(ids) if cid in covered]
     train_cfg = clf.TrainConfig(**{f.name: cfg.params[f.name] for f in fields(clf.TrainConfig)})
     model = clf.train_noise_aware(
         X.rows(train_rows), [ids[i] for i in train_rows], labels, train_cfg)
+    rows = f"{len(train_rows)} training rows"
     if gold_path:
         dev_rows = [i for i, cid in enumerate(ids) if cid in dev_gold]
         model.threshold = clf.select_threshold(
             clf.score_matrix(model, X.rows(dev_rows)), [dev_gold[ids[i]] for i in dev_rows])
+        rows += f", {len(dev_rows)} dev rows"
     else:
         model.threshold = cfg.params["threshold"]
     model_path = cfg.artifact("classifier.bin")
     model.save(model_path)
-    return f"train: {len(cands)} candidates, threshold {model.threshold:.2f} -> {model_path}"
+    return f"train: {rows}, threshold {model.threshold:.2f} -> {model_path}"
 
 
 @_stage(main, "predict", writes=("scores.csv",))
@@ -446,11 +457,11 @@ def predict(cfg):
     from . import evaluation
 
     model = clf.ClassifierModel.load(_require(cfg, "classifier.bin"))
-    cands = _load_candidates(cfg)
-    scores = clf.predict_many(model, cands)
+    ids: list[str] = []
+    scores = clf.predict_many(model, _ids_as_read(_load_candidates(cfg), ids))
     out_path = cfg.artifact("scores.csv")
-    evaluation.scores_to_csv([c.candidate_id for c in cands], scores, model.threshold, out_path)
-    return f"predict: {len(cands)} candidates -> {out_path}"
+    evaluation.scores_to_csv(ids, scores, model.threshold, out_path)
+    return f"predict: {len(ids)} candidates -> {out_path}"
 
 
 @_stage(main, "eval", paths=("gold_relations",), writes=("metrics.csv",))

@@ -350,17 +350,19 @@ _MENTION_FIELDS = ("char_start", "char_end", "entity_type", "canonical_id", "sub
                    "token_start", "token_end")
 
 
-def write_candidates(cands, path) -> None:
-    """Write candidates as JSONL, one object per candidate; each argument
-    mention is an array of its ``_MENTION_FIELDS`` then its sorted
+def write_candidates(cands, path) -> int:
+    """Write candidates as JSONL, one object per candidate, taking them one
+    at a time from any iterable; returns how many were written. Each
+    argument mention is an array of its ``_MENTION_FIELDS`` then its sorted
     attributes. A sentence is written once, as ``[text, char_start,
     char_end]`` in the first candidate drawn from it; a later candidate
     gives its index among the file's sentences. Tokens and surfaces are not
     stored: ``read_candidates`` rebuilds them from the sentence text exactly
     as ``preprocess`` and ``tag_entities`` do."""
     index: dict[tuple, int] = {}
+    n = 0
     with writing(path) as fh:
-        for c in cands:
+        for n, c in enumerate(cands, start=1):
             s = c.sentence
             span = (s.text, s.char_start, s.char_end)
             ref = index.get(span)
@@ -377,6 +379,7 @@ def write_candidates(cands, path) -> None:
             for key, m in (("arg1", c.arg1), ("arg2", c.arg2)):
                 rec[key] = [getattr(m, f) for f in _MENTION_FIELDS] + [sorted(m.attributes)]
             fh.write(json.dumps(rec) + "\n")
+    return n
 
 
 def _read_mention(sentence: Sentence, rec: list) -> EntityMention:
@@ -391,12 +394,17 @@ def _read_mention(sentence: Sentence, rec: list) -> EntityMention:
     )
 
 
-def read_candidates(path) -> list[RelationCandidate]:
-    """Read a file written by ``write_candidates``, each line inside
-    ``errors.parsing``. Each sentence is tokenized once and shared by its
-    candidates."""
-    out: list[RelationCandidate] = []
-    sentences: list[Sentence] = []
+def read_candidates(path):
+    """Yield, in file order, the candidates of a file written by
+    ``write_candidates``, each line inside ``errors.parsing``. A damaged
+    line stops the reader after the lines before it were yielded.
+
+    A line may cite any earlier sentence, so the reader keeps each
+    sentence's ``(text, char_start, char_end)``. It tokenizes the sentence a
+    line cites and shares it with the following lines that cite the same
+    one; it holds no other sentence and no candidate it has yielded."""
+    spans: list[tuple] = []
+    current, sentence = None, None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(decoded_lines(fh, path), start=1):
             with parsing(path, lineno):
@@ -404,25 +412,25 @@ def read_candidates(path) -> list[RelationCandidate]:
                 ref = rec["sentence"]
                 if isinstance(ref, list):
                     text, start, end = ref
-                    sentences.append(Sentence(text, start, end, tokenize(text, offset=start)))
-                    sentence = sentences[-1]
-                elif type(ref) is int and 0 <= ref < len(sentences):
-                    sentence = sentences[ref]
-                else:
+                    spans.append((text, start, end))
+                    ref = len(spans) - 1
+                elif not (type(ref) is int and 0 <= ref < len(spans)):
                     raise ValueError(f"no sentence {ref!r} before this line")
-                out.append(
-                    RelationCandidate(
-                        relation_type=rec["relation_type"],
-                        arg1=_read_mention(sentence, rec["arg1"]),
-                        arg2=_read_mention(sentence, rec["arg2"]),
-                        sentence=sentence,
-                        note_id=rec["note_id"],
-                        section_header=rec["section"],
-                        date_bins=tuple(rec["date_bins"]),
-                        candidate_id=rec["candidate_id"],
-                    )
+                if ref != current:
+                    text, start, end = spans[ref]
+                    current = ref
+                    sentence = Sentence(text, start, end, tokenize(text, offset=start))
+                cand = RelationCandidate(
+                    relation_type=rec["relation_type"],
+                    arg1=_read_mention(sentence, rec["arg1"]),
+                    arg2=_read_mention(sentence, rec["arg2"]),
+                    sentence=sentence,
+                    note_id=rec["note_id"],
+                    section_header=rec["section"],
+                    date_bins=tuple(rec["date_bins"]),
+                    candidate_id=rec["candidate_id"],
                 )
-    return out
+            yield cand
 
 
 def make_candidate_id(note_id, relation_type, arg1, arg2) -> str:

@@ -133,19 +133,21 @@ class LabelMatrix:
 
 
 def apply_lfs(candidates, lfs) -> LabelMatrix:
-    """Apply labeling functions to candidates. An LF raising internally
-    records ABSTAIN for that row and increments its error counter. A vote
-    equal to 1, 0 or -1 (True, 1.0 and numpy integers too) is stored as that
-    int; any other is a ConfigError."""
+    """Apply labeling functions to candidates, taken one at a time from any
+    iterable. The first candidate's relation type must be every LF's. An LF
+    raising internally records ABSTAIN for that row and increments its
+    error counter. A vote equal to 1, 0 or -1 (True, 1.0 and numpy integers
+    too) is stored as that int; any other is a ConfigError."""
     lfs = list(lfs)
-    candidates = list(candidates)
-    if candidates and lfs:
-        bad = [lf.lf_id for lf in lfs if lf.relation_type != candidates[0].relation_type]
-        if bad:
-            raise ConfigError(f"LFs {bad} do not share the candidates' relation type")
+    candidate_ids: list[str] = []
     votes = bytearray()
     errors = {lf.lf_id: 0 for lf in lfs}
     for cand in candidates:
+        if not candidate_ids:
+            bad = [lf.lf_id for lf in lfs if lf.relation_type != cand.relation_type]
+            if bad:
+                raise ConfigError(f"LFs {bad} do not share the candidates' relation type")
+        candidate_ids.append(cand.candidate_id)
         for lf in lfs:
             try:
                 v = lf(cand)
@@ -156,7 +158,7 @@ def apply_lfs(candidates, lfs) -> LabelMatrix:
                 raise ConfigError(f"LF {lf.lf_id} returned invalid vote {v!r}")
             votes.append(int(v) & 0xFF)  # -1 is the byte 0xff
     return LabelMatrix(
-        candidate_ids=[c.candidate_id for c in candidates],
+        candidate_ids=candidate_ids,
         lf_ids=[lf.lf_id for lf in lfs],
         votes=votes,
         lf_errors=errors,

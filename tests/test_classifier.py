@@ -38,7 +38,7 @@ def pain_candidates(dictionaries, trigger_lexicon):
 class TestFeatures:
     def test_featurize_deterministic(self, pain_candidates):
         a = clf.design_matrix(pain_candidates)
-        b = clf.design_matrix(pain_candidates)
+        b = clf.design_matrix(c for c in pain_candidates)  # a one-pass iterable too
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.indptr, b.indptr)

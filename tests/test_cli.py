@@ -436,6 +436,37 @@ class TestArtifacts:
             models.append((outdir / "classifier.bin").read_bytes())
         assert models[0] == models[1]
 
+    @pytest.mark.parametrize("with_dev", [False, True], ids=["no_dev_gold", "dev_gold"])
+    def test_train_summary_counts_its_rows(self, runner, tmp_path, with_dev):
+        # Three implant-complication candidates; only the pair no word
+        # separates gets a vote, so labels.csv lists one training row.
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text(json.dumps({
+            "note_id": "n1", "patient_id": "p1", "note_datetime": "2020-01-01",
+            "note_type": "progress",
+            "text": "Pinnacle cup dislocation noted. Dislocation of the VerSys stem is "
+                    "suspected. Loosening around the Taperloc stem was seen."}) + "\n")
+        outdir = tmp_path / "out"
+        paths = {"notes": notes}
+        cfg = _write_config(tmp_path, outdir, paths=paths,
+                            params={"relation_type": "implant-complication"})
+        for cmd in (["candidates"], ["lf", "apply"], ["labelmodel", "fit"]):
+            assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0, cmd
+        ids = [json.loads(line)["candidate_id"]
+               for line in (outdir / "candidates.jsonl").read_text().splitlines()]
+        n_labels = len((outdir / "labels.csv").read_text().splitlines()) - 1
+        assert (len(ids), n_labels) == (3, 1)
+        want = f"train: {n_labels} training rows, threshold"
+        if with_dev:
+            dev_gold = tmp_path / "dev_gold.csv"
+            dev_gold.write_text(f"candidate_id,label\n{ids[0]},1\n{ids[1]},0\n")
+            cfg = _write_config(tmp_path, outdir, paths=paths | {"dev_gold": dev_gold},
+                                params={"relation_type": "implant-complication"})
+            want = f"train: {n_labels} training rows, 2 dev rows, threshold"
+        result = runner.invoke(main, ["train", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(want), result.output
+
     def test_class_prior_out_of_range_exit_code(self, runner, tmp_path, small_corpus_dir):
         # The prior is checked before the matrix: on a matrix where every LF
         # abstains it is still exit 2, not the fit's "no signal" (exit 5).
@@ -636,6 +667,42 @@ class TestArtifacts:
         err = _stderr_json(result)
         assert err["code"] == "input_format"
         assert err["context"]["line"] == 3
+
+    def test_repeated_note_id_on_the_last_line_keeps_the_old_candidates(
+            self, runner, tmp_path, small_corpus_dir):
+        # candidates writes as it reads the notes: a note that stops the reader
+        # after the others were written leaves the last run's file as it was.
+        _, paths, _ = small_corpus_dir
+        notes = tmp_path / "notes.jsonl"
+        shutil.copy(paths["notes"], notes)
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir, paths={"notes": notes})
+        assert runner.invoke(main, ["candidates", "--config", cfg]).exit_code == 0
+        before = (outdir / "candidates.jsonl").read_bytes()
+        lines = notes.read_text().splitlines(keepends=True)
+        notes.write_text("".join(lines) + lines[0])
+        result = runner.invoke(main, ["candidates", "--config", cfg])
+        assert result.exit_code == 3, result.output
+        err = _stderr_json(result)
+        assert err["context"]["line"] == len(lines) + 1
+        assert "duplicate note_id" in err["message"]
+        assert (outdir / "candidates.jsonl").read_bytes() == before
+        assert not [n for n in os.listdir(outdir) if n.endswith(".tmp")]
+
+    def test_damaged_last_candidate_keeps_the_old_label_matrix(self, runner, tmp_path,
+                                                               small_corpus_dir):
+        _, paths, _ = small_corpus_dir
+        outdir, cfg = _chain(runner, tmp_path, paths, [["candidates"], ["lf", "apply"]])
+        before = (outdir / "label_matrix.bin").read_bytes()
+        path = outdir / "candidates.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1][: len(lines[-1]) // 2] + "\n"
+        path.write_text("".join(lines))
+        result = runner.invoke(main, ["lf", "apply", "--config", cfg])
+        assert result.exit_code == 3, result.output
+        assert _stderr_json(result)["context"]["line"] == len(lines)
+        assert (outdir / "label_matrix.bin").read_bytes() == before
+        assert not [n for n in os.listdir(outdir) if n.endswith(".tmp")]
 
     def test_stale_candidates_exit_code(self, runner, tmp_path, small_corpus_dir):
         _, paths, _ = small_corpus_dir

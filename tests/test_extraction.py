@@ -1,7 +1,9 @@
 """Unit tests for dictionary tagging, context attributes, and candidates."""
 
+import gc
 import hashlib
 import json
+import weakref
 from datetime import datetime
 
 import numpy as np
@@ -280,7 +282,7 @@ class TestCandidateFile:
         )
         path = tmp_path / "candidates.jsonl"
         write_candidates(cands, path)
-        back = read_candidates(path)
+        back = list(read_candidates(path))
         assert len(back) == len(cands)
         for a, b in zip(back, cands):
             assert a.sentence == b.sentence  # text, offsets and tokens
@@ -349,7 +351,42 @@ class TestCandidateFile:
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputFormatError, match="candidates.jsonl:2"):
-            read_candidates(path)
+            list(read_candidates(path))
+
+    def test_damaged_line_stops_the_reader_after_the_lines_before_it(self, synth_candidates,
+                                                                     tmp_path):
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(synth_candidates[:6], path)
+        lines = path.read_text().splitlines(keepends=True)
+        k = 5
+        lines[k - 1] = lines[k - 1][:20] + "\n"
+        path.write_text("".join(lines))
+        reader = read_candidates(path)
+        assert [next(reader).candidate_id for _ in range(k - 1)] == [
+            c.candidate_id for c in synth_candidates[:k - 1]]
+        with pytest.raises(InputFormatError, match=f"candidates.jsonl:{k}"):
+            next(reader)
+
+    def test_reader_holds_no_sentence_behind_the_consumer(self, synth_candidates, tmp_path):
+        # The reader keeps the sentence the current line cites and drops it at
+        # the first line citing another: a consumer that keeps no candidate
+        # keeps no sentence alive.
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(synth_candidates, path)
+        reader = read_candidates(path)
+        first = next(reader)
+        sentence = weakref.ref(first.sentence)
+        span = (first.sentence.text, first.sentence.char_start, first.sentence.char_end)
+        del first
+        moved_on = False
+        for c in reader:
+            if (c.sentence.text, c.sentence.char_start, c.sentence.char_end) != span:
+                moved_on = True
+                break
+            assert sentence() is c.sentence  # shared while lines cite it
+        del c
+        gc.collect()
+        assert moved_on and sentence() is None
 
 
 class TestTriggerLexicon:

@@ -76,6 +76,13 @@ class TestApplyLFs:
         assert matrix.votes.tolist() == [[ABSTAIN], [ABSTAIN]]
         assert matrix.lf_errors == {"lf_boom": 2}
 
+    def test_one_pass_iterable(self):
+        # The CLI streams candidates from their file: each is read once.
+        lf = LabelingFunction("lf0", "pain-anatomy", lambda c: TRUE)
+        matrix = apply_lfs((FakeCandidate(f"c{i}") for i in range(3)), [lf])
+        assert matrix.candidate_ids == ["c0", "c1", "c2"]
+        assert matrix.votes.tolist() == [[TRUE]] * 3
+
     def test_relation_type_mismatch(self):
         lf = LabelingFunction("lf0", "implant-complication", lambda c: TRUE)
         with pytest.raises(ConfigError):

@@ -605,7 +605,11 @@ def survival_cox(cfg):
     from . import survival
 
     ds = _load_survival_dataset(cfg)
+    groups = _group_summaries(ds)
     fit = survival.cox_fit(ds)
+    # The sample is freed before the payload reads the first p-value, so the
+    # scipy.special import that read starts reuses its memory.
+    del ds
     out_path = cfg.artifact("cox.json")
     payload = {
         "terms": list(fit.summary_rows()),
@@ -614,7 +618,7 @@ def survival_cox(cfg):
         "score_statistic": fit.score_statistic,
         "score_p_value": fit.score_p_value,
         "n_iter": fit.n_iter,
-        "groups": _group_summaries(ds),
+        "groups": groups,
     }
     write_json(out_path, payload)
     return (
@@ -643,17 +647,14 @@ def regression():
     """Count-regression commands."""
 
 
-@_stage(regression, "nb", writes=("nb.json",))
-@click.option("--counts-file", required=True, type=str,
-              help="CSV with columns patient_id, count, and optional exposure.")
-def regression_nb(cfg, counts_file):
-    """Negative-binomial regression of per-patient counts; write nb.json."""
+def _read_counts(path: str):
+    """A counts CSV's ``count`` column and its ``exposure`` column (None when
+    the file has none) as float arrays. The rows go when this returns, before
+    the NB fit loads scipy."""
     import numpy as np
 
-    from . import countreg
-
-    if not os.path.exists(counts_file):
-        raise MissingArtifactError(f"counts file not found: {counts_file}")
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"counts file not found: {path}")
 
     def count_row(row):
         count = int(row["count"])
@@ -664,9 +665,22 @@ def regression_nb(cfg, counts_file):
             raise ValueError(f"exposure {row['exposure']!r} is not positive and finite")
         return count, exposure
 
-    rows = read_csv(counts_file, ("count",), count_row)
-    counts = [count for count, _ in rows]
-    exposure = [e for _, e in rows if e is not None] or None
+    rows = read_csv(path, ("count",), count_row)
+    exposure = [e for _, e in rows if e is not None]
+    return (np.array([count for count, _ in rows], dtype=float),
+            np.array(exposure) if exposure else None)
+
+
+@_stage(regression, "nb", writes=("nb.json",))
+@click.option("--counts-file", required=True, type=str,
+              help="CSV with columns patient_id, count, and optional exposure.")
+def regression_nb(cfg, counts_file):
+    """Negative-binomial regression of per-patient counts; write nb.json."""
+    import numpy as np
+
+    from . import countreg
+
+    counts, exposure = _read_counts(counts_file)
     fit = countreg.nb_fit(counts, np.zeros((len(counts), 0)), columns=[], exposure=exposure)
     out_path = cfg.artifact("nb.json")
     write_json(out_path, {"terms": list(fit.summary_rows()), "theta": fit.theta,

@@ -4,7 +4,8 @@ categories, and the Welch t-test.
 nb_fit alternates IRLS Newton steps on the coefficients (survival.newton_step)
 with a guarded 1-D Newton on the dispersion theta (Var = mu + mu^2/theta).
 Large fitted theta means no overdispersion, at which point the fit coincides
-with Poisson.
+with Poisson. scipy loads inside the NB kernels and the Welch test, not on
+import.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, FitError
 from .outcomes import Covariate, build_design
-from .survival import newton_step, wald, wald_rows
+from .survival import newton_step, wald, wald_p_values, wald_rows
 
 log = logging.getLogger(__name__)
 
@@ -32,18 +32,23 @@ class NBFit:
     irr: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    p_values: np.ndarray
     columns: list[str]
     theta: float
     loglik: float
     aic: float
     n_iter: int
 
+    @property
+    def p_values(self) -> np.ndarray:
+        return wald_p_values(self.coef, self.se)
+
     def summary_rows(self):
         return wald_rows(self, "IRR", self.irr)
 
 
 def _nb_loglik(y, mu, theta):
+    from scipy import special
+
     return float(
         np.sum(
             special.gammaln(y + theta)
@@ -63,6 +68,8 @@ def _nb_info(D, mu, theta):
 
 def _theta_newton(y, mu, theta):
     """One guarded Newton step on theta for fixed mu."""
+    from scipy import special
+
     d1 = float(
         np.sum(
             special.digamma(y + theta)
@@ -211,6 +218,8 @@ class TTestResult:
 
 def ttest_welch(a, b) -> TTestResult:
     """Two-sided Welch t-test with Welch-Satterthwaite degrees of freedom."""
+    from scipy import special
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:

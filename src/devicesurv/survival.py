@@ -3,6 +3,10 @@
 The Cox model maximizes the Breslow-tie partial log-likelihood with damped
 Newton-Raphson (``newton_step``, also the NB fit's); ``wald`` gives both fits
 their standard errors from the inverse observed information.
+
+No fit imports scipy. A fit keeps its statistics, and each p-value is a
+property that loads ``scipy.special`` when it is read, so a command can let
+go of its sample before that import.
 """
 
 from __future__ import annotations
@@ -75,30 +79,32 @@ def _km(times: np.ndarray, events: np.ndarray) -> KMCurve:
     )
 
 
-@dataclass(frozen=True)
-class LogRankResult:
-    statistic: float
-    df: int
-    p_value: float
-
-
 def _chi2_sf(x: float, df: int) -> float:
     """Upper chi-squared tail, the kernel scipy.stats.chi2.sf calls. A
     round-off negative statistic gives p = 1, not chdtrc's nan. scipy loads
-    here, so ``survival km``, which computes no p-value, starts without it."""
+    here, when a p-value is read, not when a fit runs."""
     from scipy import special
 
     return float(special.chdtrc(df, max(x, 0.0)))
 
 
-def _chi2_test(u: np.ndarray, V: np.ndarray) -> tuple[float, float]:
-    """The statistic u' V^-1 u and its chi-squared p-value on len(u) degrees
-    of freedom; a pseudo-inverse stands in for a singular V."""
+def _chi2_statistic(u: np.ndarray, V: np.ndarray) -> float:
+    """The statistic u' V^-1 u, chi-squared on len(u) degrees of freedom; a
+    pseudo-inverse stands in for a singular V."""
     try:
-        stat = float(u @ np.linalg.solve(V, u))
+        return float(u @ np.linalg.solve(V, u))
     except np.linalg.LinAlgError:
-        stat = float(u @ np.linalg.pinv(V) @ u)
-    return stat, _chi2_sf(stat, len(u))
+        return float(u @ np.linalg.pinv(V) @ u)
+
+
+@dataclass(frozen=True)
+class LogRankResult:
+    statistic: float
+    df: int
+
+    @property
+    def p_value(self) -> float:
+        return _chi2_sf(self.statistic, self.df)
 
 
 def newton_step(objective, beta, ll, score, info):
@@ -118,17 +124,22 @@ def newton_step(objective, beta, ll, score, info):
 
 
 def wald(beta: np.ndarray, info: np.ndarray) -> dict:
-    """Standard errors from the inverse information, 95% bounds on exp(beta)
-    and two-sided normal p-values, keyed by the fits' field names."""
-    from scipy import special
-
+    """Standard errors from the inverse information and 95% bounds on
+    exp(beta), keyed by the fits' field names."""
     se = np.sqrt(np.diag(np.linalg.inv(info)))
-    z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
     with np.errstate(over="ignore"):  # degenerate fits get infinite CI bounds
         ci_low = np.exp(beta - 1.96 * se)
         ci_high = np.exp(beta + 1.96 * se)
-    return {"se": se, "ci_low": ci_low, "ci_high": ci_high,
-            "p_values": 2 * special.ndtr(-np.abs(z))}
+    return {"se": se, "ci_low": ci_low, "ci_high": ci_high}
+
+
+def wald_p_values(coef: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """Two-sided normal p-values of coef / se, the fits' ``p_values``; a
+    term whose se is 0 gets z = 0."""
+    from scipy import special
+
+    z = np.divide(coef, se, out=np.zeros_like(coef), where=se > 0)
+    return 2 * special.ndtr(-np.abs(z))
 
 
 def wald_rows(fit, ratio_name: str, ratio: np.ndarray):
@@ -161,10 +172,9 @@ def logrank_test(dataset: SurvivalDataset) -> LogRankResult:
     m = n_j[:, : k - 1]
     V = np.diag((f * n) @ m) - (m * f[:, None]).T @ m
     diff = (observed - expected)[: k - 1]
-    if np.allclose(diff, 0.0):
-        return LogRankResult(statistic=0.0, df=k - 1, p_value=1.0)
-    stat, p = _chi2_test(diff, V)
-    return LogRankResult(statistic=stat, df=k - 1, p_value=p)
+    # all O - E at zero is statistic 0, whose p-value is exactly 1
+    stat = 0.0 if np.allclose(diff, 0.0) else _chi2_statistic(diff, V)
+    return LogRankResult(statistic=stat, df=k - 1)
 
 
 @dataclass(frozen=True)
@@ -174,13 +184,21 @@ class CoxFit:
     hr: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    p_values: np.ndarray
     columns: list[str]
     loglik: float
     loglik_null: float
     score_statistic: float  # score test at beta=0 (log-rank analogue)
-    score_p_value: float
     n_iter: int
+
+    @property
+    def p_values(self) -> np.ndarray:
+        return wald_p_values(self.coef, self.se)
+
+    @property
+    def score_p_value(self) -> float:
+        """The score test's p-value on one degree of freedom per term; 1.0
+        with no term."""
+        return _chi2_sf(self.score_statistic, len(self.coef)) if len(self.coef) else 1.0
 
     def summary_rows(self):
         return wald_rows(self, "HR", self.hr)
@@ -231,7 +249,7 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
     beta = np.zeros(p)
     ll, score, info = objective(beta)
     ll_null = ll
-    score_stat, score_p = _chi2_test(score, info) if p else (0.0, 1.0)
+    score_stat = _chi2_statistic(score, info) if p else 0.0
     trace = [ll]
     n_iter = 0
     if p:
@@ -268,6 +286,5 @@ def cox_fit(dataset: SurvivalDataset) -> CoxFit:
         loglik=ll,
         loglik_null=ll_null,
         score_statistic=score_stat,
-        score_p_value=score_p,
         n_iter=n_iter,
     )

@@ -1626,6 +1626,28 @@ def every_input(tmp_path_factory, small_corpus_dir):
     return cfg, options
 
 
+# Runs KM, log-rank and Cox on six subjects, prints the scipy modules loaded,
+# then reads every p-value and prints whether scipy.special and scipy.stats
+# are loaded.
+_FITS_THEN_P_VALUES = """
+import sys
+import numpy as np
+from devicesurv import countreg, survival
+from devicesurv.outcomes import SurvivalDataset
+
+ds = SurvivalDataset(
+    subject_ids=list("abcdef"), times=np.array([1.0, 3, 5, 2, 4, 6]),
+    events=np.array([1, 1, 0, 1, 0, 1]), X=np.array([[0.0], [0], [0], [1], [1], [1]]),
+    columns=["x"], groups=list("AAABBB"))
+survival.km_estimate(ds)
+logrank = survival.logrank_test(ds)
+cox = survival.cox_fit(ds)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+logrank.p_value, cox.p_values, cox.score_p_value
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         modules = _modules_after("import devicesurv.cli")
@@ -1656,6 +1678,7 @@ class TestStartup:
         assert {m.split(".")[1] for m in modules if m.startswith("devicesurv.")} == {
             "cli", "errors", *own.split()}
         assert {lib for lib in ("numpy", "scipy") if lib in modules} == set(libraries.split())
+        assert "scipy.stats" not in modules
 
     def test_synth_loads_no_extractor(self):
         # synth only generates: it never tags its own notes, so its gold stays
@@ -1682,10 +1705,10 @@ class TestStartup:
         if not user_env and (os.cpu_count() or 1) > 1:
             assert threads == "1"  # numpy's OpenBLAS started no second thread
 
-    def test_statistics_modules_load_no_scipy_stats(self):
-        modules = _modules_after("import devicesurv.survival, devicesurv.countreg")
-        assert "scipy.special" in modules
-        assert "scipy.stats" not in modules
+    def test_fits_load_no_scipy_until_a_p_value_is_read(self):
+        # A fit keeps its statistics; reading a p-value loads scipy.special,
+        # and nothing loads scipy.stats.
+        assert _fresh_stdout(_FITS_THEN_P_VALUES).splitlines() == ["[]", "True False"]
 
     def test_eval_loads_no_classifier_or_scipy(self, tmp_path):
         _, cfg = _eval_setup(tmp_path)

@@ -224,6 +224,10 @@ class TestCox:
         fit = cox_fit(_dataset([1, 2, 3], [1, 1, 0]))
         assert fit.coef.size == 0
         assert fit.loglik == fit.loglik_null
+        # No term: the score test has no degree of freedom and cannot reject.
+        assert fit.score_statistic == 0.0
+        assert fit.score_p_value == 1.0
+        assert fit.p_values.shape == (0,)
 
     def test_constant_column_rejected(self):
         times, events, x = self._fixture()

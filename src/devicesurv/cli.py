@@ -649,8 +649,8 @@ def regression():
 
 def _read_counts(path: str):
     """A counts CSV's ``count`` column and its ``exposure`` column (None when
-    the file has none) as float arrays. The rows go when this returns, before
-    the NB fit loads scipy."""
+    the file has none) as float arrays; each ``patient_id`` names one row.
+    The rows go when this returns, before the NB fit loads scipy."""
     import numpy as np
 
     if not os.path.exists(path):
@@ -665,7 +665,7 @@ def _read_counts(path: str):
             raise ValueError(f"exposure {row['exposure']!r} is not positive and finite")
         return count, exposure
 
-    rows = read_csv(path, ("count",), count_row)
+    rows = read_csv(path, ("patient_id", "count"), count_row, key="patient_id")
     exposure = [e for _, e in rows if e is not None]
     return (np.array([count for count, _ in rows], dtype=float),
             np.array(exposure) if exposure else None)

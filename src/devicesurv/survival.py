@@ -29,7 +29,10 @@ class _RiskSets:
     (Therneau & Grambsch 2000, ch. 3)."""
 
     def __init__(self, times: np.ndarray, events: np.ndarray):
-        self.times = np.unique(times[events == 1])
+        # distinct by sorting and differencing, not np.unique, whose first call
+        # imports numpy.ma
+        t = np.sort(times[events == 1])
+        self.times = t[np.diff(t, prepend=-np.inf) > 0]
         self.index = np.searchsorted(self.times, times, side="right")
 
     def per_time(self, values: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ def gen_label_matrix(n: int, lf_specs, class_prior: float, seed: int):
     matrix = LabelMatrix(
         candidate_ids=ids,
         lf_ids=[s.lf_id for s in specs],
-        votes=votes,
+        votes=votes.tobytes(),
     )
     gold = {cid: int(label) for cid, label in zip(ids, y)}
     return matrix, gold

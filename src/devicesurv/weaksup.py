@@ -3,10 +3,10 @@
 Votes are ternary: TRUE (1), FALSE (0), ABSTAIN (-1). A ``LabelMatrix``
 stores them as the bytes ``label_matrix.bin`` holds: one signed byte per
 vote, row-major, a row of m LF votes per candidate. Applying LFs, saving,
-loading and the LF statistics work on those bytes and load no numpy; the
-statistics count each distinct vote row once, weighted by how often it
-occurs. Only the label model, ``fit_label_model`` and ``posterior_labels``,
-imports numpy, inside the function.
+loading, the LF statistics and the label model work on those bytes and load
+no numpy: the statistics, the EM fit and the posteriors score each distinct
+vote row once, weighted by how often it occurs. Only ``LabelMatrix.votes``
+builds a numpy array.
 
 The label model is a conditionally independent accuracy/propensity model:
 each labeling function j abstains with probability 1 - beta_j and, when
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FitError, parsing, read_csv, write_csv, writing
@@ -49,20 +50,13 @@ class LabelingFunction:
 class LabelMatrix:
     """The votes of ``lf_ids`` on ``candidate_ids``. ``vote_bytes`` holds
     them, n x m signed bytes, row-major; ``votes`` reads them as an n x m
-    int8 numpy array, built on first use. ``votes`` may be passed as those
-    bytes or as an n x m array."""
+    int8 numpy array, built on first use."""
 
-    def __init__(self, candidate_ids, lf_ids, votes, lf_errors=None):
+    def __init__(self, candidate_ids, lf_ids, votes: bytes, lf_errors=None):
         self.candidate_ids, self.lf_ids = candidate_ids, lf_ids
         self.lf_errors = {} if lf_errors is None else lf_errors
-        if isinstance(votes, (bytes, bytearray)):
-            self.vote_bytes, fits = bytes(votes), len(votes) == self.n * self.m
-        else:
-            import numpy as np
-
-            array = np.asarray(votes, dtype=np.int8)
-            self.vote_bytes, fits = array.tobytes(), array.shape == (self.n, self.m)
-        if not fits:
+        self.vote_bytes = bytes(votes)
+        if len(self.vote_bytes) != self.n * self.m:
             raise ConfigError("label matrix dimensions inconsistent with id lists")
         if len(set(candidate_ids)) != len(candidate_ids):
             raise ConfigError("candidate_ids must be unique")
@@ -250,128 +244,116 @@ ALPHA_MIN, ALPHA_MAX = 0.01, 0.99
 class LabelModel:
     lf_ids: list[str]
     class_prior: float
-    alpha: np.ndarray
-    beta: np.ndarray
+    alpha: list[float]
+    beta: list[float]
     n_iter: int = 0
     log_likelihood: float = float("nan")
     ll_history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lf_ids": self.lf_ids,
-            "class_prior": self.class_prior,
-            "alpha": list(map(float, self.alpha)),
-            "beta": list(map(float, self.beta)),
-            "n_iter": self.n_iter,
-            "log_likelihood": self.log_likelihood,
-        }
+        """What ``label_model.json`` holds: every field but ``ll_history``."""
+        return {k: v for k, v in asdict(self).items() if k != "ll_history"}
 
 
-def _log_class_scores(V, alpha, beta, eps=1e-12):
-    """Per-row log P(votes | Y=T) and log P(votes | Y=F)."""
-    import numpy as np
-
-    a = np.clip(alpha, eps, 1 - eps)
-    b = np.clip(beta, 0.0, 1.0)
-    log_abstain = np.log(np.clip(1 - b, eps, 1.0))
-    log_agree = np.log(np.clip(b * a, eps, 1.0))
-    log_disagree = np.log(np.clip(b * (1 - a), eps, 1.0))
-    is_true = V == TRUE
-    is_false = V == FALSE
-    is_abs = V == ABSTAIN
-    logA = (
-        is_true @ log_agree + is_false @ log_disagree + is_abs @ log_abstain
-    )
-    logB = (
-        is_true @ log_disagree + is_false @ log_agree + is_abs @ log_abstain
-    )
-    return logA, logB
+def _class_scores(rows, alpha, beta, eps=1e-12) -> dict:
+    """log P(row | Y=T) and log P(row | Y=F) of each distinct vote row,
+    keyed by row."""
+    given_true, given_false = [], []
+    for a, b in zip(alpha, beta):
+        a, b = min(max(a, eps), 1 - eps), min(max(b, 0.0), 1.0)
+        abstain = math.log(min(max(1 - b, eps), 1.0))
+        agree = math.log(min(max(b * a, eps), 1.0))
+        disagree = math.log(min(max(b * (1 - a), eps), 1.0))
+        # indexed by the vote: FALSE (0), TRUE (1), ABSTAIN (-1)
+        given_true.append((disagree, agree, abstain))
+        given_false.append((agree, disagree, abstain))
+    return {row: (sum(t[v] for t, v in zip(given_true, row)),
+                  sum(f[v] for f, v in zip(given_false, row))) for row in rows}
 
 
-def _posterior(logA, logB, pi):
-    import numpy as np
+def _posterior(scores, pi) -> float:
+    log_true, log_false = scores
+    z = math.log(pi) - math.log(1 - pi) + log_true - log_false
+    return 1.0 / (1.0 + math.exp(-min(max(z, -500), 500)))
 
-    z = np.log(pi) - np.log(1 - pi) + logA - logB
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+def _loglik(scores, pi) -> float:
+    """log P(row) = log(P(row, Y=T) + P(row, Y=F))."""
+    joint = (scores[0] + math.log(pi), scores[1] + math.log(1 - pi))
+    hi, lo = max(joint), min(joint)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
-def _loglik(logA, logB, pi):
-    import numpy as np
-
-    hi = np.maximum(logA + np.log(pi), logB + np.log(1 - pi))
-    lo = np.minimum(logA + np.log(pi), logB + np.log(1 - pi))
-    return float(np.sum(hi + np.log1p(np.exp(lo - hi))))
+def _em_step(histogram: Counter, alpha, beta, pi):
+    """One EM iteration over the distinct vote rows ``histogram`` counts:
+    the log-likelihood at ``alpha``, each row's posterior P(Y=T | row), keyed
+    by row, and the M-step's alpha: each LF's posterior-weighted agreement
+    rate over the rows it voted on, clipped to [ALPHA_MIN, ALPHA_MAX]."""
+    scores = _class_scores(histogram, alpha, beta)
+    ll = sum(count * _loglik(scores[row], pi) for row, count in histogram.items())
+    q = {row: _posterior(s, pi) for row, s in scores.items()}
+    agree, voted = [0.0] * len(alpha), [0] * len(alpha)
+    for row, count in histogram.items():
+        for j, v in enumerate(row):
+            if v != ABSTAIN:
+                voted[j] += count
+                agree[j] += count * (q[row] if v == TRUE else 1 - q[row])
+    new_alpha = [min(max(g / c if c else a, ALPHA_MIN), ALPHA_MAX)
+                 for g, c, a in zip(agree, voted, alpha)]
+    return ll, q, new_alpha
 
 
 def fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel:
-    """EM fit of the accuracy/propensity model.
+    """EM fit of the accuracy/propensity model on the vote-pattern histogram:
+    each distinct vote row is scored once and weighted by its count.
 
-    E-step computes posteriors q_i; M-step sets alpha_j to the q-weighted
-    agreement rate over non-abstaining rows. beta_j is pinned to empirical
-    coverage; the class prior stays fixed. Stops on relative log-likelihood
-    change < EM_TOL or after EM_MAX_ITER iterations.
+    beta_j is pinned to empirical coverage and the class prior stays fixed;
+    alpha starts at INIT_ALPHA and each iteration is one ``_em_step``. Stops
+    on relative log-likelihood change < EM_TOL or after EM_MAX_ITER
+    iterations.
     """
-    import numpy as np
-
     # Checked first: a bad prior is a config error whatever the matrix holds.
     if not 0 < class_prior < 1:
         raise ConfigError("class prior must be in (0, 1)", context={"key": "class_prior"})
-    V = matrix.votes
-    n, m = V.shape
+    n, m = matrix.n, matrix.m
     if n < 1 or m < 1:
         raise FitError("label matrix must be nonempty")
-    nonabstain = V != ABSTAIN
-    if not nonabstain.any():
+    histogram = Counter(matrix.vote_rows())
+    covered = [sum(count for row, count in histogram.items() if row[j] != ABSTAIN)
+               for j in range(m)]
+    if not any(covered):
         raise FitError("no signal: every labeling function abstained on every row")
-    beta = nonabstain.mean(axis=0)
-    alpha = np.full(m, INIT_ALPHA)
-    pi = class_prior
+    beta = [c / n for c in covered]
+    alpha = [INIT_ALPHA] * m
     ll_history: list[float] = []
-    prev_ll = -np.inf
-    n_iter = 0
-    is_true = (V == TRUE).astype(float)
-    is_false = (V == FALSE).astype(float)
-    denom = nonabstain.sum(axis=0).astype(float)
     for n_iter in range(1, EM_MAX_ITER + 1):
-        logA, logB = _log_class_scores(V, alpha, beta)
-        q = _posterior(logA, logB, pi)
-        ll = _loglik(logA, logB, pi)
+        ll, _, new_alpha = _em_step(histogram, alpha, beta, class_prior)
         ll_history.append(ll)
-        if prev_ll != -np.inf and abs(ll - prev_ll) < EM_TOL * abs(prev_ll):
+        if n_iter > 1 and abs(ll - ll_history[-2]) < EM_TOL * abs(ll_history[-2]):
             break
-        prev_ll = ll
-        agree = q @ is_true + (1 - q) @ is_false
-        with np.errstate(invalid="ignore"):
-            new_alpha = np.where(denom > 0, agree / np.where(denom > 0, denom, 1.0), alpha)
-        alpha = np.clip(new_alpha, ALPHA_MIN, ALPHA_MAX)
+        alpha = new_alpha
     # Symmetry breaking: labeling functions are assumed better than chance.
-    active = beta > 0
-    if active.any() and float(alpha[active].mean()) < 0.5:
-        alpha = np.clip(1 - alpha, ALPHA_MIN, ALPHA_MAX)
-        logA, logB = _log_class_scores(V, alpha, beta)
-        ll_history.append(_loglik(logA, logB, pi))
-    return LabelModel(
-        lf_ids=list(matrix.lf_ids),
-        class_prior=pi,
-        alpha=alpha,
-        beta=beta,
-        n_iter=n_iter,
-        log_likelihood=ll_history[-1],
-        ll_history=ll_history,
-    )
+    active = [a for a, c in zip(alpha, covered) if c]
+    if sum(active) / len(active) < 0.5:
+        alpha = [min(max(1 - a, ALPHA_MIN), ALPHA_MAX) for a in alpha]
+        ll_history.append(_em_step(histogram, alpha, beta, class_prior)[0])
+    return LabelModel(lf_ids=list(matrix.lf_ids), class_prior=class_prior, alpha=alpha,
+                      beta=beta, n_iter=n_iter, log_likelihood=ll_history[-1],
+                      ll_history=ll_history)
 
 
 def posterior_labels(model: LabelModel, matrix: LabelMatrix) -> list[ProbabilisticLabel]:
     """Bayes-rule posteriors under the fitted model, one for each row some LF
-    voted on, in matrix order. An all-abstain row carries no signal and gets
-    no label, so the classifier does not train on it."""
+    voted on, in matrix order; each distinct vote row is scored once. An
+    all-abstain row carries no signal and gets no label, so the classifier
+    does not train on it."""
     if list(model.lf_ids) != list(matrix.lf_ids):
         raise ConfigError("model and matrix lf_ids do not match")
-    logA, logB = _log_class_scores(matrix.votes, model.alpha, model.beta)
-    q = _posterior(logA, logB, model.class_prior)
-    voted = (matrix.votes != ABSTAIN).any(axis=1)
-    return [ProbabilisticLabel(cid, p)
-            for cid, p, v in zip(matrix.candidate_ids, q.tolist(), voted.tolist()) if v]
+    scores = _class_scores(set(matrix.vote_rows()), model.alpha, model.beta)
+    p_true = {row: _posterior(s, model.class_prior) for row, s in scores.items()}
+    return [ProbabilisticLabel(cid, p_true[row])
+            for cid, row in zip(matrix.candidate_ids, matrix.vote_rows())
+            if TRUE in row or FALSE in row]
 
 
 def labels_to_csv(labels, path) -> None:

@@ -930,6 +930,12 @@ _DAMAGED_INPUTS = {
     "nb_exposure_nan": ({"counts.csv": "patient_id,count,exposure\np1,2,1\np2,1,nan\n"}, {},
                         ["regression", "nb", "--counts-file", "{out}/counts.csv"],
                         "counts.csv:3", 3),
+    "nb_repeated_patient": ({"counts.csv": "patient_id,count,exposure\np1,2,1.0\np1,3,1.5\n"},
+                            {}, ["regression", "nb", "--counts-file", "{out}/counts.csv"],
+                            "counts.csv:3", 3),
+    "nb_no_patient_id": ({"counts.csv": "count\n2\n3\n"}, {},
+                         ["regression", "nb", "--counts-file", "{out}/counts.csv"],
+                         "counts.csv", 3),
     "ttest_nan": ({"a.csv": "value\n1\n2\n", "b.csv": "value\n1\nnan\n3\n"}, {},
                   ["ttest", "--a-file", "{out}/a.csv", "--b-file", "{out}/b.csv"],
                   "b.csv:3", 3),
@@ -1584,21 +1590,21 @@ def _modules_after(statement):
 
 
 # Each benchmark command and `report forest`: the devicesurv modules it loads
-# besides cli and errors, and which of numpy and scipy it loads.
+# besides cli and errors, and which of numpy, numpy.ma and scipy it loads.
 _COMMAND_IMPORTS = {
     ("candidates",): ("corpus defaults extraction", ""),
     ("lf", "apply"): ("corpus extraction lf_lib weaksup", ""),
     ("lf", "stats"): ("evaluation weaksup", ""),
-    ("labelmodel", "fit"): ("weaksup", "numpy"),
+    ("labelmodel", "fit"): ("weaksup", ""),
     ("train",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
     ("predict",): ("classifier corpus evaluation extraction lf_lib weaksup", "numpy"),
     ("eval",): ("evaluation", ""),
     ("cohort",): ("outcomes", ""),
     ("events", "merge"): ("outcomes", ""),
     ("survival", "km"): ("outcomes survival", "numpy"),
-    ("survival", "logrank"): ("outcomes survival", "numpy scipy"),
-    ("survival", "cox"): ("outcomes survival", "numpy scipy"),
-    ("regression", "nb"): ("countreg outcomes survival", "numpy scipy"),
+    ("survival", "logrank"): ("outcomes survival", "numpy numpy.ma scipy"),
+    ("survival", "cox"): ("outcomes survival", "numpy numpy.ma scipy"),
+    ("regression", "nb"): ("countreg outcomes survival", "numpy numpy.ma scipy"),
     ("reconcile",): ("defaults outcomes reconcile", ""),
     ("report", "forest"): ("", ""),
 }
@@ -1662,7 +1668,7 @@ class TestStartup:
             "devicesurv.cli", "devicesurv.errors"}
 
     def test_weaksup_import_loads_no_numpy(self):
-        # Only the label model's fit and posteriors import numpy, when called.
+        # Only LabelMatrix.votes imports numpy, when read.
         modules = _modules_after("import devicesurv.weaksup, devicesurv.lf_lib")
         assert "devicesurv.weaksup" in modules
         assert "numpy" not in modules
@@ -1677,7 +1683,8 @@ class TestStartup:
         own, libraries = _COMMAND_IMPORTS[command]
         assert {m.split(".")[1] for m in modules if m.startswith("devicesurv.")} == {
             "cli", "errors", *own.split()}
-        assert {lib for lib in ("numpy", "scipy") if lib in modules} == set(libraries.split())
+        assert {lib for lib in ("numpy", "numpy.ma", "scipy") if lib in modules} == set(
+            libraries.split())
         assert "scipy.stats" not in modules
 
     def test_synth_loads_no_extractor(self):

@@ -4,20 +4,27 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devicesurv import synth
 from devicesurv.errors import ConfigError, FitError, InputFormatError
 from devicesurv.weaksup import (
     ABSTAIN,
+    ALPHA_MAX,
+    ALPHA_MIN,
+    EM_MAX_ITER,
+    EM_TOL,
     FALSE,
+    INIT_ALPHA,
     TRUE,
     LabelMatrix,
+    LabelModel,
     LabelingFunction,
     LFStat,
     LFStats,
     ProbabilisticLabel,
+    _em_step,
     apply_lfs,
     fit_label_model,
     labels_from_csv,
@@ -34,7 +41,7 @@ def _matrix(rows, lf_ids=None):
     return LabelMatrix(
         candidate_ids=[f"c{i}" for i in range(n)],
         lf_ids=lf_ids or [f"lf{j}" for j in range(m)],
-        votes=votes,
+        votes=votes.tobytes(),
     )
 
 
@@ -130,7 +137,7 @@ class TestSerialization:
 
     def test_duplicate_candidate_ids_rejected(self):
         with pytest.raises(ConfigError):
-            LabelMatrix(["a", "a"], ["lf0"], np.zeros((2, 1), dtype=np.int8))
+            LabelMatrix(["a", "a"], ["lf0"], np.zeros((2, 1), dtype=np.int8).tobytes())
 
 
 class TestLFStatistics:
@@ -171,7 +178,8 @@ class TestLFStatistics:
     def test_conflict_bounded_by_overlap_and_coverage(self):
         rng = np.random.default_rng(0)
         votes = rng.choice([TRUE, FALSE, ABSTAIN], size=(50, 4)).astype(np.int8)
-        matrix = LabelMatrix([f"c{i}" for i in range(50)], [f"lf{j}" for j in range(4)], votes)
+        matrix = LabelMatrix([f"c{i}" for i in range(50)], [f"lf{j}" for j in range(4)],
+                             votes.tobytes())
         for st_ in lf_statistics(matrix).per_lf.values():
             assert st_.conflict <= st_.overlap <= st_.coverage
 
@@ -182,7 +190,8 @@ class TestLFStatistics:
         rng = np.random.default_rng(seed)
         n, m = rng.integers(1, 60), rng.integers(1, 7)
         votes = rng.choice([TRUE, FALSE, ABSTAIN], size=(n, m), p=rng.dirichlet([1, 1, 1]))
-        matrix = LabelMatrix([f"c{i}" for i in range(n)], [f"lf{j}" for j in range(m)], votes)
+        matrix = LabelMatrix([f"c{i}" for i in range(n)], [f"lf{j}" for j in range(m)],
+                             votes.astype(np.int8).tobytes())
         rows = rng.permutation(n)[: rng.integers(0, n + 1)]
         gold = {f"c{i}": int(rng.integers(0, 2)) for i in rows}
         V = matrix.votes.tolist()
@@ -226,7 +235,7 @@ class TestSoftMajorityVote:
         extended = LabelMatrix(
             base.candidate_ids,
             base.lf_ids + ["lf_abstain"],
-            np.hstack([base.votes, np.full((base.n, 1), ABSTAIN, dtype=np.int8)]),
+            np.hstack([base.votes, np.full((base.n, 1), ABSTAIN, dtype=np.int8)]).tobytes(),
         )
         assert [l.p_true for l in soft_majority_vote(base)] == [
             l.p_true for l in soft_majority_vote(extended)
@@ -264,7 +273,7 @@ class TestLabelModel:
         model = fit_label_model(matrix)
         labels = posterior_labels(model, matrix)
         assert all(lab.p_true > 0.99 for lab in labels)
-        assert np.all(model.alpha == 0.99)
+        assert model.alpha == [0.99, 0.99]
 
     def test_em_monotone_loglik(self):
         matrix, _ = synth.gen_label_matrix(
@@ -284,11 +293,11 @@ class TestLabelModel:
         permuted = LabelMatrix(
             matrix.candidate_ids,
             [matrix.lf_ids[j] for j in perm],
-            matrix.votes[:, perm],
+            matrix.votes[:, perm].tobytes(),
         )
         pmodel = fit_label_model(permuted)
-        assert np.allclose(pmodel.alpha, model.alpha[perm])
-        assert np.allclose(pmodel.beta, model.beta[perm])
+        assert np.allclose(pmodel.alpha, [model.alpha[j] for j in perm])
+        assert np.allclose(pmodel.beta, [model.beta[j] for j in perm])
         p0 = [l.p_true for l in posterior_labels(model, matrix)]
         p1 = [l.p_true for l in posterior_labels(pmodel, permuted)]
         assert np.allclose(p0, p1)
@@ -300,7 +309,7 @@ class TestLabelModel:
         doubled = LabelMatrix(
             matrix.candidate_ids + [f"{cid}-dup" for cid in matrix.candidate_ids],
             matrix.lf_ids,
-            np.vstack([matrix.votes, matrix.votes]),
+            np.vstack([matrix.votes, matrix.votes]).tobytes(),
         )
         m1 = fit_label_model(matrix)
         m2 = fit_label_model(doubled)
@@ -449,3 +458,151 @@ class TestCoverage:
         labels = posterior_labels(fit_label_model(matrix), matrix)
         assert [lab.candidate_id for lab in labels] == [
             cid for cid in matrix.candidate_ids if cid in covered]
+
+
+# The numpy bodies of the label model before it ran on the vote-pattern
+# histogram, kept verbatim as its oracle: they score every row of the n x m
+# vote array.
+def _oracle_log_class_scores(V, alpha, beta, eps=1e-12):
+    """Per-row log P(votes | Y=T) and log P(votes | Y=F)."""
+    a = np.clip(alpha, eps, 1 - eps)
+    b = np.clip(beta, 0.0, 1.0)
+    log_abstain = np.log(np.clip(1 - b, eps, 1.0))
+    log_agree = np.log(np.clip(b * a, eps, 1.0))
+    log_disagree = np.log(np.clip(b * (1 - a), eps, 1.0))
+    is_true = V == TRUE
+    is_false = V == FALSE
+    is_abs = V == ABSTAIN
+    logA = (
+        is_true @ log_agree + is_false @ log_disagree + is_abs @ log_abstain
+    )
+    logB = (
+        is_true @ log_disagree + is_false @ log_agree + is_abs @ log_abstain
+    )
+    return logA, logB
+
+
+def _oracle_posterior(logA, logB, pi):
+    z = np.log(pi) - np.log(1 - pi) + logA - logB
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def _oracle_loglik(logA, logB, pi):
+    hi = np.maximum(logA + np.log(pi), logB + np.log(1 - pi))
+    lo = np.minimum(logA + np.log(pi), logB + np.log(1 - pi))
+    return float(np.sum(hi + np.log1p(np.exp(lo - hi))))
+
+
+def _oracle_em_step(V, alpha, beta, pi):
+    """One pass of the old fit's loop body: the log-likelihood, every row's
+    posterior and the M-step's alpha."""
+    logA, logB = _oracle_log_class_scores(V, alpha, beta)
+    q = _oracle_posterior(logA, logB, pi)
+    ll = _oracle_loglik(logA, logB, pi)
+    is_true = (V == TRUE).astype(float)
+    is_false = (V == FALSE).astype(float)
+    denom = (V != ABSTAIN).sum(axis=0).astype(float)
+    agree = q @ is_true + (1 - q) @ is_false
+    with np.errstate(invalid="ignore"):
+        new_alpha = np.where(denom > 0, agree / np.where(denom > 0, denom, 1.0), alpha)
+    return ll, q, np.clip(new_alpha, ALPHA_MIN, ALPHA_MAX)
+
+
+def _oracle_fit_label_model(matrix: LabelMatrix, class_prior: float = 0.5) -> LabelModel:
+    if not 0 < class_prior < 1:
+        raise ConfigError("class prior must be in (0, 1)", context={"key": "class_prior"})
+    V = matrix.votes
+    n, m = V.shape
+    if n < 1 or m < 1:
+        raise FitError("label matrix must be nonempty")
+    nonabstain = V != ABSTAIN
+    if not nonabstain.any():
+        raise FitError("no signal: every labeling function abstained on every row")
+    beta = nonabstain.mean(axis=0)
+    alpha = np.full(m, INIT_ALPHA)
+    pi = class_prior
+    ll_history: list[float] = []
+    prev_ll = -np.inf
+    n_iter = 0
+    is_true = (V == TRUE).astype(float)
+    is_false = (V == FALSE).astype(float)
+    denom = nonabstain.sum(axis=0).astype(float)
+    for n_iter in range(1, EM_MAX_ITER + 1):
+        logA, logB = _oracle_log_class_scores(V, alpha, beta)
+        q = _oracle_posterior(logA, logB, pi)
+        ll = _oracle_loglik(logA, logB, pi)
+        ll_history.append(ll)
+        if prev_ll != -np.inf and abs(ll - prev_ll) < EM_TOL * abs(prev_ll):
+            break
+        prev_ll = ll
+        agree = q @ is_true + (1 - q) @ is_false
+        with np.errstate(invalid="ignore"):
+            new_alpha = np.where(denom > 0, agree / np.where(denom > 0, denom, 1.0), alpha)
+        alpha = np.clip(new_alpha, ALPHA_MIN, ALPHA_MAX)
+    # Symmetry breaking: labeling functions are assumed better than chance.
+    active = beta > 0
+    if active.any() and float(alpha[active].mean()) < 0.5:
+        alpha = np.clip(1 - alpha, ALPHA_MIN, ALPHA_MAX)
+        logA, logB = _oracle_log_class_scores(V, alpha, beta)
+        ll_history.append(_oracle_loglik(logA, logB, pi))
+    return LabelModel(
+        lf_ids=list(matrix.lf_ids),
+        class_prior=pi,
+        alpha=alpha,
+        beta=beta,
+        n_iter=n_iter,
+        log_likelihood=ll_history[-1],
+        ll_history=ll_history,
+    )
+
+
+def _assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+
+@st.composite
+def _matrices_with_alpha(draw):
+    """A drawn matrix, an alpha in [ALPHA_MIN, ALPHA_MAX] per LF and a class
+    prior."""
+    matrix, _ = draw(_matrices_with_gold())
+    alpha = draw(st.lists(st.floats(ALPHA_MIN, ALPHA_MAX), min_size=matrix.m,
+                          max_size=matrix.m))
+    return matrix, alpha, draw(st.sampled_from([0.5, 0.1, 0.73]))
+
+
+class TestEMOracle:
+    # Rows with two or more votes, conflicting ones and repeated ones.
+    @example(case=(_matrix([[TRUE, FALSE, ABSTAIN], [TRUE, TRUE, FALSE], [TRUE, TRUE, FALSE],
+                            [ABSTAIN, ABSTAIN, ABSTAIN], [FALSE, FALSE, TRUE]]),
+                   [0.2, 0.9, 0.6], 0.5))
+    @given(case=_matrices_with_alpha())
+    @settings(max_examples=300, deadline=None)
+    def test_one_step_matches_the_numpy_bodies(self, case):
+        matrix, alpha, pi = case
+        beta = [c.coverage for c in lf_statistics(matrix).per_lf.values()]
+        ll, q, new_alpha = _em_step(Counter(matrix.vote_rows()), alpha, beta, pi)
+        expected_ll, expected_q, expected_alpha = _oracle_em_step(matrix.votes, alpha, beta, pi)
+        _assert_close(ll, expected_ll)
+        _assert_close(new_alpha, expected_alpha)
+        _assert_close([q[row] for row in matrix.vote_rows()], expected_q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("accuracies,coverages,flips", [
+        ([0.9, 0.8, 0.7, 0.6], [0.5] * 4, False),
+        # EM ends below chance on these two, and the fit flips alpha
+        ([0.05, 0.9], [0.9, 0.2], True),
+        ([0.85, 0.6, 0.3], [0.2, 0.3, 0.9], True),
+    ], ids=["four", "flipped", "uneven"])
+    def test_full_fit_matches_the_numpy_fit(self, seed, accuracies, coverages, flips):
+        specs = [synth.LFSpec(f"lf{j}", a, b) for j, (a, b) in enumerate(zip(accuracies, coverages))]
+        matrix, _ = synth.gen_label_matrix(5000, specs, 0.5, seed=seed)
+        model, expected = fit_label_model(matrix), _oracle_fit_label_model(matrix)
+        assert len(expected.ll_history) == expected.n_iter + flips
+        assert model.n_iter == expected.n_iter
+        assert model.beta == expected.beta.tolist()
+        _assert_close(model.ll_history, expected.ll_history)
+        _assert_close(model.alpha, expected.alpha)
+        _assert_close(model.log_likelihood, expected.log_likelihood)
+        np.testing.assert_allclose([lab.p_true for lab in posterior_labels(model, matrix)],
+                                   [lab.p_true for lab in posterior_labels(expected, matrix)],
+                                   rtol=0, atol=1e-12)

@@ -10,6 +10,7 @@ artifact, 5 fit failure, 1 other.
 
 from __future__ import annotations
 
+import argparse
 import fcntl
 import functools
 import hashlib
@@ -20,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # One OpenBLAS thread unless the user chose a count, set before any command
 # imports numpy: the commands' matrix products are small, a second thread
@@ -28,8 +29,6 @@ from typing import TYPE_CHECKING, NamedTuple
 # depend on the machine's core count.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import click  # noqa: E402
 
 # Each command imports the modules it runs in its body, so a command that
 # does no array math starts without numpy, and only the statistics commands
@@ -138,9 +137,9 @@ def load_config(path: str) -> ProjectConfig:
     params = {key: params.get(key, p.default) for key, p in _PARAMS.items()}
     if "output_dir" not in raw:
         raise ConfigError("config must set output_dir")
-    if not isinstance(raw["output_dir"], str):
-        raise ConfigError(f"config output_dir must be a string, not {raw['output_dir']!r}",
-                          context={"key": "output_dir"})
+    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
+        raise ConfigError("config output_dir must be a nonempty string, not "
+                          f"{raw['output_dir']!r}", context={"key": "output_dir"})
     cfg = ProjectConfig(output_dir=raw["output_dir"], paths=paths, params=params, raw=raw)
     for key, value in paths.items():
         listed = key in _LIST_PATH_KEYS
@@ -196,9 +195,16 @@ class _Lock:
         return False
 
 
-# Filled as ``_stage`` registers each command: its declared config paths and
-# written artifacts, each artifact's producer, and every path key a command reads.
-_STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+class _Stage(NamedTuple):
+    run: Callable  # run(config, **options): the command as its arguments call it
+    paths: tuple  # the config paths it reads
+    writes: tuple  # the artifacts it writes to the output directory
+    options: tuple  # (flag, default, help) beside --config; a None default is required
+
+
+# Filled as ``_stage`` registers each command, keyed by its full name: the
+# command tree ``main`` parses, each artifact's producer and every path key.
+_STAGES: dict[str, _Stage] = {}
 _PRODUCERS: dict[str, str] = {}
 _KNOWN_PATH_KEYS: set[str] = set()
 
@@ -211,7 +217,7 @@ def _require(cfg: ProjectConfig, artifact: str) -> str:
     if not os.path.exists(path):
         raise MissingArtifactError(f"{path} not found (run '{producer}' first)")
     made = os.path.getmtime(path)
-    for key in _STAGES[producer][0]:
+    for key in _STAGES[producer].paths:
         for inp in cfg.files(key):
             if os.path.getmtime(inp) > made:
                 raise MissingArtifactError(
@@ -274,30 +280,52 @@ def _get_lfs(cfg: ProjectConfig):
     return lf_lib.starter_lfs(rtype)
 
 
-@click.group()
-def main():
+# Each command group's line in ``devicesurv --help``.
+_GROUPS = {"events": "Event-stream commands.", "labelmodel": "Generative label-model commands.",
+           "lf": "Labeling-function commands.", "regression": "Count-regression commands.",
+           "report": "Reporting commands.", "survival": "Survival-analysis commands.",
+           "synth": "Synthetic-data commands."}
+
+
+def main(args=None, prog_name="devicesurv", standalone_mode=True):
     """Clinical-text device-event extraction and surveillance statistics."""
+    # standalone_mode is click's keyword, which callers still pass; a failing
+    # command exits by SystemExit whatever its value.
+    root = argparse.ArgumentParser(prog=prog_name, description=main.__doc__)
+    groups = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+    for command, stage in sorted(_STAGES.items()):
+        group, _, name = command.rpartition(" ")
+        if group not in groups:
+            parser = groups[""].add_parser(group, help=_GROUPS[group], description=_GROUPS[group])
+            groups[group] = parser.add_subparsers(metavar="COMMAND", required=True)
+        doc = stage.run.__doc__
+        parser = groups[group].add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        for flag, default, text in (("--config", None, "Project config JSON."), *stage.options):
+            parser.add_argument(flag, default=default, required=default is None,
+                                help=text if default is None else f"{text} (default: {default})")
+        parser.set_defaults(run=stage.run)
+    options = vars(root.parse_args(args))
+    options.pop("run")(**options)
 
 
-def _stage(group: click.Group, name: str, paths=(), writes=()):
-    """Register ``body(cfg, **options)`` as command ``name`` of ``group``,
-    declaring the config ``paths`` it reads and the artifacts it ``writes``
-    to the output directory.
+def _stage(command: str, paths=(), writes=(), options=()):
+    """Register ``body(cfg, **options)`` as ``command``, its full name, with
+    the config ``paths`` it reads, the artifacts it ``writes`` to the output
+    directory and its ``options`` beside ``--config``, each ``(flag, default,
+    help)``; a ``None`` default makes the option required.
 
     The body returns its summary line. The command loads the config and
     holds the output-directory lock around the body, then writes
     ``<command>.meta.json`` naming the declared outputs and prints the
     summary. A library error becomes error JSON on stderr and its exit code."""
-    command = name if group is main else f"{group.name} {name}"
-    _STAGES[command] = (paths, writes)
     _PRODUCERS.update(dict.fromkeys(writes, command))
     _KNOWN_PATH_KEYS.update(paths)
 
     def register(body):
         @functools.wraps(body)
-        def run(config_path, **options):
+        def run(config, **options):
             try:
-                cfg = load_config(config_path)
+                cfg = load_config(config)
                 with _Lock(cfg.output_dir):
                     summary = body(cfg, **options)
                     meta = {
@@ -307,24 +335,22 @@ def _stage(group: click.Group, name: str, paths=(), writes=()):
                         "outputs": [cfg.artifact(a) for a in writes],
                     }
                     write_json(cfg.artifact(f"{command.replace(' ', '_')}.meta.json"), meta)
-                click.echo(summary)
+                print(summary, flush=True)  # a closed pipe fails here, in the try
             except DeviceSurvError as exc:
-                click.echo(json.dumps(exc.to_json()), err=True)
+                print(json.dumps(exc.to_json()), file=sys.stderr)
                 sys.exit(exc.exit_code)
             except OSError as exc:
-                click.echo(
-                    json.dumps({"code": "io", "message": str(exc), "context": {}}), err=True
-                )
+                print(json.dumps({"code": "io", "message": str(exc), "context": {}}),
+                      file=sys.stderr)
                 sys.exit(1)
 
-        run = click.option("--config", "config_path", required=True, type=str,
-                           help="Project config JSON.")(run)
-        return group.command(name)(run)
+        _STAGES[command] = _Stage(run, paths, writes, options)
+        return run
 
     return register
 
 
-@_stage(main, "candidates", paths=("notes", "dictionaries", "trigger_lexicon"),
+@_stage("candidates", paths=("notes", "dictionaries", "trigger_lexicon"),
         writes=("candidates.jsonl",))
 def candidates(cfg):
     """Generate relation candidates; write candidates.jsonl for the later stages."""
@@ -344,12 +370,7 @@ def candidates(cfg):
     return f"candidates: {n} candidates -> {out_path}"
 
 
-@main.group()
-def lf():
-    """Labeling-function commands."""
-
-
-@_stage(lf, "apply", paths=("lf_module",), writes=("label_matrix.bin", "label_matrix.csv"))
+@_stage("lf apply", paths=("lf_module",), writes=("label_matrix.bin", "label_matrix.csv"))
 def lf_apply(cfg):
     """Apply the configured LF set; write the label matrix."""
     from . import weaksup
@@ -367,7 +388,7 @@ def lf_apply(cfg):
     )
 
 
-@_stage(lf, "stats", paths=("dev_gold",), writes=("lf_stats.csv",))
+@_stage("lf stats", paths=("dev_gold",), writes=("lf_stats.csv",))
 def lf_stats(cfg):
     """Per-LF coverage/overlap/conflict (and accuracy when dev gold is set)."""
     from . import evaluation, weaksup
@@ -388,19 +409,14 @@ def lf_stats(cfg):
             for lf_id, st in stats.per_lf.items()]
     write_csv(out_path, header, rows)
     for row in [header, *rows]:
-        click.echo(",".join(row))
-    click.echo("soft-majority-vote label distribution:")
+        print(",".join(row))
+    print("soft-majority-vote label distribution:")
     for p, count in sorted(stats.distribution.items()):
-        click.echo(f"  p_true={p:.2f}: {count}")
+        print(f"  p_true={p:.2f}: {count}")
     return f"lf stats: {len(stats.per_lf)} LFs -> {out_path}"
 
 
-@main.group()
-def labelmodel():
-    """Generative label-model commands."""
-
-
-@_stage(labelmodel, "fit", writes=("label_model.json", "labels.csv"))
+@_stage("labelmodel fit", writes=("label_model.json", "labels.csv"))
 def labelmodel_fit(cfg):
     """Fit the label model and write posterior probabilistic labels."""
     from . import weaksup
@@ -416,7 +432,7 @@ def labelmodel_fit(cfg):
     )
 
 
-@_stage(main, "train", paths=("dev_gold",), writes=("classifier.bin", "classifier.bin.json"))
+@_stage("train", paths=("dev_gold",), writes=("classifier.bin", "classifier.bin.json"))
 def train(cfg):
     """Train the noise-aware classifier on the probabilistic labels."""
     from . import classifier as clf
@@ -450,7 +466,7 @@ def train(cfg):
     return f"train: {rows}, threshold {model.threshold:.2f} -> {model_path}"
 
 
-@_stage(main, "predict", writes=("scores.csv",))
+@_stage("predict", writes=("scores.csv",))
 def predict(cfg):
     """Score candidates with the trained classifier; write scores.csv."""
     from . import classifier as clf
@@ -464,7 +480,7 @@ def predict(cfg):
     return f"predict: {len(ids)} candidates -> {out_path}"
 
 
-@_stage(main, "eval", paths=("gold_relations",), writes=("metrics.csv",))
+@_stage("eval", paths=("gold_relations",), writes=("metrics.csv",))
 def eval_cmd(cfg):
     """Score predictions against gold labels; write metrics.csv."""
     from . import evaluation
@@ -480,7 +496,7 @@ def eval_cmd(cfg):
     return f"eval: P={p} R={r} F1={f} -> {out_path}"
 
 
-@_stage(main, "reconcile", paths=("registry", "implant_catalog"),
+@_stage("reconcile", paths=("registry", "implant_catalog"),
         writes=("reconciliation.csv", "reconciliation_summary.json"))
 def reconcile_cmd(cfg):
     """Reconcile extracted implant records against the registry snapshot."""
@@ -501,7 +517,7 @@ def reconcile_cmd(cfg):
     return f"reconcile: {counts} -> {out_path}"
 
 
-@_stage(main, "cohort", paths=("patients",), writes=("cohort.csv", "coded_events.csv"))
+@_stage("cohort", paths=("patients",), writes=("cohort.csv", "coded_events.csv"))
 def cohort(cfg):
     """Select the surgical cohort from coded patient records."""
     from . import outcomes
@@ -517,12 +533,7 @@ def cohort(cfg):
     )
 
 
-@main.group()
-def events():
-    """Event-stream commands."""
-
-
-@_stage(events, "merge", paths=("text_events",), writes=("merged_events.csv",))
+@_stage("events merge", paths=("text_events",), writes=("merged_events.csv",))
 def events_merge(cfg):
     """Merge coded and text-derived events into a unified stream."""
     from . import outcomes
@@ -564,12 +575,7 @@ def _load_survival_dataset(
                           context={"path": cohort_path, **exc.context}) from None
 
 
-@main.group("survival")
-def survival_group():
-    """Survival-analysis commands."""
-
-
-@_stage(survival_group, "km", writes=("km.csv",))
+@_stage("survival km", writes=("km.csv",))
 def survival_km(cfg):
     """Kaplan-Meier survival curve of the cohort; write km.csv."""
     from . import survival
@@ -582,9 +588,8 @@ def survival_km(cfg):
     return f"survival km: {len(curve.times)} event times -> {out_path}"
 
 
-@_stage(survival_group, "logrank", writes=("logrank.json",))
-@click.option("--group-by", default="cci", show_default=True,
-              help="Covariate grouping the comparison.")
+@_stage("survival logrank", writes=("logrank.json",),
+        options=(("--group-by", "cci", "Covariate grouping the comparison."),))
 def survival_logrank(cfg, group_by):
     """Log-rank test across the groups of a cohort.csv column; write logrank.json."""
     from . import survival
@@ -599,7 +604,7 @@ def survival_logrank(cfg, group_by):
     )
 
 
-@_stage(survival_group, "cox", writes=("cox.json",))
+@_stage("survival cox", writes=("cox.json",))
 def survival_cox(cfg):
     """Cox proportional-hazards fit on the cohort covariates; write cox.json."""
     from . import survival
@@ -642,11 +647,6 @@ def _group_summaries(ds: SurvivalDataset):
     }
 
 
-@main.group()
-def regression():
-    """Count-regression commands."""
-
-
 def _read_counts(path: str):
     """A counts CSV's ``count`` column and its ``exposure`` column (None when
     the file has none) as float arrays; each ``patient_id`` names one row.
@@ -671,9 +671,8 @@ def _read_counts(path: str):
             np.array(exposure) if exposure else None)
 
 
-@_stage(regression, "nb", writes=("nb.json",))
-@click.option("--counts-file", required=True, type=str,
-              help="CSV with columns patient_id, count, and optional exposure.")
+@_stage("regression nb", writes=("nb.json",), options=(
+    ("--counts-file", None, "CSV with columns patient_id, count, and optional exposure."),))
 def regression_nb(cfg, counts_file):
     """Negative-binomial regression of per-patient counts; write nb.json."""
     import numpy as np
@@ -688,9 +687,8 @@ def regression_nb(cfg, counts_file):
     return f"regression nb: theta={fit.theta:.3g} AIC={fit.aic:.2f} -> {out_path}"
 
 
-@_stage(main, "ttest", writes=("ttest.json",))
-@click.option("--a-file", required=True, type=str, help="CSV with a value column.")
-@click.option("--b-file", required=True, type=str, help="CSV with a value column.")
+@_stage("ttest", writes=("ttest.json",), options=(("--a-file", None, "CSV with a value column."),
+                                                  ("--b-file", None, "CSV with a value column.")))
 def ttest(cfg, a_file, b_file):
     """Two-sided Welch t-test between two value files."""
     from . import countreg
@@ -717,12 +715,7 @@ def ttest(cfg, a_file, b_file):
     )
 
 
-@main.group("synth")
-def synth_group():
-    """Synthetic-data commands."""
-
-
-@_stage(synth_group, "gen", writes=("notes.jsonl", "gold_relations.csv", "gold_events.csv",
+@_stage("synth gen", writes=("notes.jsonl", "gold_relations.csv", "gold_events.csv",
                                     "registry.csv", "extracted_implants.csv"))
 def synth_gen(cfg):
     """Generate a synthetic corpus with gold labels into the output dir."""
@@ -736,12 +729,7 @@ def synth_gen(cfg):
     )
 
 
-@main.group()
-def report():
-    """Reporting commands."""
-
-
-@_stage(report, "forest", writes=("forest.csv",))
+@_stage("report forest", writes=("forest.csv",))
 def report_forest(cfg):
     """Format a Cox fit artifact as a forest-table CSV."""
     cox_path = _require(cfg, "cox.json")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 from datetime import datetime
+from typing import NamedTuple
 
 import pytest
 
@@ -69,3 +72,48 @@ def extract_notes(dictionaries, trigger_lexicon):
 @pytest.fixture(scope="session")
 def synth_candidates(synth_corpus, extract_notes):
     return extract_notes(synth_corpus.notes)
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # a nonzero exit's SystemExit, or what the command raised
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies each write to ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, s):
+        self.both.write(s)
+        return super().write(s)
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process and captures what it prints and
+    how it ends, as ``click.testing.CliRunner`` does: ``SystemExit`` gives the
+    exit code, and any other exception is exit 1 with that exception."""
+
+    def invoke(self, main, args) -> Result:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return Result(code, both.getvalue(), out.getvalue(), err.getvalue(), exception)
+
+
+@pytest.fixture()
+def runner():
+    return CliRunner()

@@ -48,6 +48,16 @@ class Mutant(NamedTuple):
 _EM_STEP = "tests/test_weaksup.py::TestEMOracle::test_one_step_matches_the_numpy_bodies"
 _EM_FIT = "tests/test_weaksup.py::TestEMOracle::test_full_fit_matches_the_numpy_fit"
 _PARSE_DATE = "tests/test_outcomes.py::TestParseDate::test_matches_oracle"
+_STATISTICS = "tests/test_weaksup.py::TestStatisticsOracle::test_equal_to_the_numpy_bodies"
+_COVERED = "tests/test_weaksup.py::TestCoverage::test_covered_candidate_ids"
+_LOGRANK_HAND = ("tests/test_survival.py::TestRiskSetOracles::"
+                 "test_logrank_hand_fixture_against_loop")
+_LOGRANK_TIED = ("tests/test_survival.py::TestRiskSetOracles::"
+                 "test_logrank_tied_three_groups_against_loop")
+_COX_SE = ("tests/test_survival.py::TestRiskSetOracles::"
+           "test_cox_se_against_finite_difference_hessian")
+_CSR_PRODUCTS = "tests/test_classifier.py::TestNumpyCsr::test_products_match_scipy_bit_for_bit"
+_USAGE = "tests/test_cli.py::TestUsageErrors::test_exits_2_with_usage_and_writes_nothing"
 
 MUTANTS = (
     # The label model's EM over the vote-pattern histogram.
@@ -78,17 +88,48 @@ MUTANTS = (
     Mutant("second 60 accepted", "errors.py",
            r"(?::[0-5]\d(?:\.", r"(?::(?:[0-5]\d|60)(?:\.", (_PARSE_DATE,)),
     Mutant("offset hour 24 accepted", "errors.py",
-           r"[+-](?:[01]\d|2[0-3])", r"[+-](?:[01]\d|2[0-4])", (_PARSE_DATE,),
-           survives="differs only on a cell with a time and a +24 or -24 offset hour, "
-                    "which the draw makes rarely"),
+           r"[+-](?:[01]\d|2[0-3])", r"[+-](?:[01]\d|2[0-4])", (_PARSE_DATE,)),
     Mutant("fast path without its length test", "errors.py",
            'if len(cell) == 10 and cell[4] == cell[7] == "-":',
            'if cell[4:5] == cell[7:8] == "-":', (_PARSE_DATE,)),
     Mutant("no ValueError on a non-match", "errors.py",
            "if match is None:", "if False:", (_PARSE_DATE,)),
-    Mutant("re.ASCII dropped", "errors.py", "re.ASCII)", "0)", (_PARSE_DATE,),
-           survives="differs only on ASCII date digits with a non-ASCII time digit, "
-                    "which the draw makes rarely"),
+    Mutant("re.ASCII dropped", "errors.py", "re.ASCII)", "0)", (_PARSE_DATE,)),
+    # The LF statistics and the covered rows, over the vote-pattern histogram.
+    Mutant("overlap at one vote", "weaksup.py",
+           "row.count(ABSTAIN) >= 2", "row.count(ABSTAIN) >= 1", (_STATISTICS,)),
+    Mutant("all-abstain row covered", "weaksup.py",
+           "if TRUE in row or FALSE in row]", "if row.count(ABSTAIN) <= len(row)]", (_COVERED,)),
+    Mutant("all-abstain soft vote 0.0", "weaksup.py",
+           "if n_true + n_false else 0.5", "if n_true + n_false else 0.0", (_STATISTICS,)),
+    Mutant("agreement skips FALSE", "weaksup.py",
+           "if v == label:", "if v == label == TRUE:", (_STATISTICS,)),
+    # The risk-set table KM, log-rank and Cox share.
+    Mutant("event time binned before its own time", "survival.py",
+           'self.index = np.searchsorted(self.times, times, side="right")',
+           'self.index = np.searchsorted(self.times, times, side="left")',
+           (_LOGRANK_HAND, _LOGRANK_TIED, _COX_SE)),
+    Mutant("at risk summed forwards", "survival.py",
+           "return np.cumsum(self.per_time(values)[::-1], axis=0)[::-1]",
+           "return np.cumsum(self.per_time(values), axis=0)",
+           (_LOGRANK_HAND, _LOGRANK_TIED, _COX_SE)),
+    Mutant("log-rank variance without the ties factor", "survival.py",
+           "f = d * (n - d) / np.maximum(n - 1, 1) / n**2", "f = d / n**2",
+           (_LOGRANK_HAND, _LOGRANK_TIED)),
+    Mutant("Cox information without the mean term", "survival.py",
+           " - (xbar * d[:, None]).T @ xbar", "", (_COX_SE,)),
+    # The classifier's CSR products, summed in scipy's order.
+    Mutant("X @ w summed in reverse", "classifier.py",
+           "np.bincount(_entry_rows(X), X.data * w[X.indices], minlength=X.shape[0])",
+           "np.bincount(_entry_rows(X)[::-1], (X.data * w[X.indices])[::-1], "
+           "minlength=X.shape[0])", (_CSR_PRODUCTS,)),
+    Mutant("X.T @ r summed in reverse", "classifier.py",
+           "np.bincount(X.indices, X.data * r[_entry_rows(X)], minlength=X.shape[1])",
+           "np.bincount(X.indices[::-1], (X.data * r[_entry_rows(X)])[::-1], "
+           "minlength=X.shape[1])", (_CSR_PRODUCTS,)),
+    # The command line: a required option left out is a usage error.
+    Mutant("options never required", "cli.py",
+           "required=default is None", "required=False", (_USAGE,)),
 )
 
 # A pytest plugin, written next to each copy, whose profile skips shrinking.

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 from scipy import optimize, sparse
 
 from devicesurv import classifier as clf

@@ -15,21 +15,15 @@ import struct
 import subprocess
 import sys
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import devicesurv
 from devicesurv import cli, outcomes, reconcile, survival, synth, weaksup
 from devicesurv.classifier import ClassifierModel, TrainConfig
 from devicesurv.cli import main
 from devicesurv.defaults import DICTIONARY_FILES, resource_path
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +52,8 @@ def _stderr_json(result):
     return json.loads(result.stderr.strip().splitlines()[-1])
 
 
-def _command_tree(group, prefix=()):
-    out = set()
-    for name, cmd in group.commands.items():
-        if isinstance(cmd, click.Group):
-            out |= _command_tree(cmd, prefix + (name,))
-        else:
-            out.add(prefix + (name,))
-    return out
+def _command_tree():
+    return {tuple(command.split()) for command in cli._STAGES}
 
 
 class TestConfigValidation:
@@ -641,7 +629,7 @@ class TestArtifacts:
                     ("cohort",), ("events", "merge"), ("survival", "km"),
                     ("survival", "logrank"), ("survival", "cox"), ("report", "forest"),
                     ("regression", "nb"), ("ttest",)]
-        assert set(commands) == _command_tree(main)
+        assert set(commands) == _command_tree()
         for command in commands:
             before = set(os.listdir(outdir)) if outdir.exists() else set()
             argv = [*command, "--config", cfg, *options.get(command, [])]
@@ -778,8 +766,7 @@ class TestArtifacts:
     def test_each_artifact_has_one_producer(self):
         # Every command declares what it writes; no artifact has two writers,
         # and every artifact a command requires has one.
-        assert set(cli._STAGES) == {" ".join(c) for c in _command_tree(main)}
-        writes = [a for _, declared in cli._STAGES.values() for a in declared]
+        writes = [a for stage in cli._STAGES.values() for a in stage.writes]
         assert len(writes) == len(set(writes)) == len(cli._PRODUCERS)
         with open(cli.__file__, encoding="utf-8") as fh:
             required = set(re.findall(r'_require\(cfg, "([^"]+)"\)', fh.read()))
@@ -963,6 +950,8 @@ _DAMAGED_INPUTS = {
                                  ["cohort"], "config.json", 2),
     "config_output_dir_not_string": ({"config.json": '{"output_dir": 5}'}, {}, ["cohort"],
                                      "output_dir", 2),
+    "config_output_dir_empty": ({"config.json": '{"output_dir": ""}'}, {}, ["cohort"],
+                                "output_dir", 2),
     "config_path_null": ({"config.json": '{"output_dir": ".", "paths": {"notes": null}}'}, {},
                          ["candidates"], "paths.notes", 2),
     "config_path_list": ({"config.json": '{"output_dir": ".", "paths": {"notes": ["a"]}}'}, {},
@@ -1664,6 +1653,7 @@ class TestStartup:
     def test_cli_import_loads_no_numpy(self):
         modules = _modules_after("import devicesurv.cli")
         assert "numpy" not in modules
+        assert "click" not in modules
         assert {m for m in modules if m.startswith("devicesurv.")} == {
             "devicesurv.cli", "devicesurv.errors"}
 
@@ -1679,12 +1669,12 @@ class TestStartup:
         cfg, options = every_input
         argv = [*command, "--config", cfg, *options.get(command, [])]
         modules = _modules_after(
-            f"from devicesurv.cli import main; main({argv!r}, standalone_mode=False)")
+            f"from devicesurv.cli import main; main({argv!r})")
         own, libraries = _COMMAND_IMPORTS[command]
         assert {m.split(".")[1] for m in modules if m.startswith("devicesurv.")} == {
             "cli", "errors", *own.split()}
-        assert {lib for lib in ("numpy", "numpy.ma", "scipy") if lib in modules} == set(
-            libraries.split())
+        assert {lib for lib in ("numpy", "numpy.ma", "scipy", "click")
+                if lib in modules} == set(libraries.split())
         assert "scipy.stats" not in modules
 
     def test_synth_loads_no_extractor(self):
@@ -1720,8 +1710,7 @@ class TestStartup:
     def test_eval_loads_no_classifier_or_scipy(self, tmp_path):
         _, cfg = _eval_setup(tmp_path)
         modules = _modules_after(
-            f"from devicesurv.cli import main; main(['eval', '--config', {cfg!r}], "
-            "standalone_mode=False)")
+            f"from devicesurv.cli import main; main(['eval', '--config', {cfg!r}])")
         assert "devicesurv.evaluation" in modules
         assert "devicesurv.classifier" not in modules
         assert "scipy" not in modules
@@ -1736,8 +1725,8 @@ class TestStartup:
             assert runner.invoke(main, cmd + ["--config", cfg]).exit_code == 0
         modules = _modules_after(
             "from devicesurv.cli import main; "
-            f"main(['train', '--config', {cfg!r}], standalone_mode=False); "
-            f"main(['predict', '--config', {cfg!r}], standalone_mode=False)")
+            f"main(['train', '--config', {cfg!r}]); "
+            f"main(['predict', '--config', {cfg!r}])")
         assert "devicesurv.classifier" in modules
         assert "scipy" not in modules
         assert (outdir / "scores.csv").exists()
@@ -1748,8 +1737,7 @@ class TestStartup:
             "patient_id,class,date,source,provenance\np1,revision,2012-02-01,coded,CPT:27134\n")
         cfg = _write_config(tmp_path, tmp_path)
         modules = _modules_after(
-            f"from devicesurv.cli import main; main(['survival', 'km', '--config', {cfg!r}], "
-            "standalone_mode=False)")
+            f"from devicesurv.cli import main; main(['survival', 'km', '--config', {cfg!r}])")
         assert "devicesurv.survival" in modules
         assert "scipy" not in modules
         assert (tmp_path / "km.csv").read_text().splitlines()[1:] == ["761,0.000000,1,1"]
@@ -1765,17 +1753,44 @@ class TestStartup:
         assert result.exit_code == 0
         assert doc in result.output
 
-    @pytest.mark.parametrize("command", sorted(_command_tree(main)), ids=" ".join)
+    @pytest.mark.parametrize("command", sorted(_command_tree()), ids=" ".join)
     def test_every_command_has_help(self, runner, command):
-        # Its own --help shows a description, and so does its group's listing.
-        group = main
-        for name in command[:-1]:
-            group = group.commands[name]
-        doc = group.commands[command[-1]].help
+        # Its own --help shows its docstring, and its group's listing names it
+        # with a description.
+        doc = cli._STAGES[" ".join(command)].run.__doc__
         assert doc and doc.strip()
-        assert doc.split()[0] in runner.invoke(main, [*command, "--help"]).output
+        result = runner.invoke(main, [*command, "--help"])
+        assert result.exit_code == 0
+        assert " ".join(doc.split()) in " ".join(result.output.split())
         listing = runner.invoke(main, [*command[:-1], "--help"]).output
-        assert re.search(rf"^  {command[-1]} +\S", listing, re.M), listing
+        assert re.search(rf"^ +{command[-1]}(?: +|\n +)\S", listing, re.M), listing
+
+
+# argv after `devicesurv`, where "{cfg}" is a config whose output directory
+# does not exist yet.
+_USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["bogus", "--config", "{cfg}"],
+    "group_without_subcommand": ["lf"],
+    "no_config": ["candidates"],
+    "nb_without_counts_file": ["regression", "nb", "--config", "{cfg}"],
+    "unknown_option": ["candidates", "--config", "{cfg}", "--bogus", "1"],
+    "abbreviated_option": ["candidates", "--conf", "{cfg}"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+    def test_exits_2_with_usage_and_writes_nothing(self, runner, tmp_path, case):
+        # The command line is refused before the config is read: no traceback,
+        # no output directory.
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir)
+        result = runner.invoke(main, [arg.format(cfg=cfg) for arg in _USAGE_ERRORS[case]])
+        assert result.exit_code == 2, result.output
+        assert re.search(r"^[Uu]sage: ", result.stderr, re.M), result.stderr
+        assert type(result.exception) is SystemExit
+        assert not outdir.exists()
 
 
 def _readme_commands():
@@ -1796,7 +1811,15 @@ def _readme_commands():
 
 class TestDocs:
     def test_readme_lists_every_command(self):
-        assert _readme_commands() == _command_tree(main)
+        assert _readme_commands() == _command_tree()
+
+    def test_readme_names_the_runtime_dependencies(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            block = re.search(r"^dependencies = \[(.*?)^\]", fh.read(), re.M | re.S)[1]
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            named = re.search(r"Runtime dependencies are ([^.]*)\.", fh.read())[1]
+        assert re.split(r",? and |, ", named) == re.findall(r'"([\w.-]+)', block)
 
     def test_readme_params_table_matches_params(self):
         # Key, type and default of each row of the Params table, in order.

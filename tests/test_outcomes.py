@@ -511,10 +511,13 @@ def _date_cells():
     r"""The language of ``\d{4}[-W]?\d{1,3}-?\d{0,2}([T Zt]\d{1,2}(:\d{2}){0,2}
     (\.\d{1,7})?Z?([-+Z]\d{2}(:?\d{2})?)?)?``. Each field is drawn apart,
     most often as ``parse_date`` reads it, with a number at or just past its
-    bounds, and the fields are joined; then, in about half the cells, the
-    last digits are respelled in any script, as ``\d`` matches. (Drawn from
-    the regex itself, the cells take twice as long and almost none of them
-    is a date ``parse_date`` reads.)"""
+    bounds, and the fields are joined. The offset's hours are mostly 00, 23
+    or 24 and its minutes 00, 59 or 60, and in one time in eight the time's last
+    digit is a non-ASCII one, so a cell with ASCII date digits and a
+    non-ASCII time digit is common. Then, in about half the cells, the last
+    digits are respelled in any script, as ``\d`` matches. (Drawn from the
+    regex itself, the cells take twice as long and almost none of them is a
+    date ``parse_date`` reads.)"""
     def joined(*parts):
         return st.tuples(*parts).map("".join)
 
@@ -525,15 +528,20 @@ def _date_cells():
         return st.builds(lambda keep, text: text if keep else "",
                          st.sampled_from([False] * (one_in - 1) + [True]), part)
 
+    def edged(part, *edges):  # three draws in four one of ``edges``, else ``part``
+        return st.builds(lambda edge, text: edge or text,
+                         st.sampled_from([*edges] * 3 + [""] * len(edges)), part)
+
     hour, minute = _digits(1, 2, 2, _upto(0, 23)), _digits(2, 2, 2, _upto(0, 59))
     minutes = st.builds(lambda a, b, n: f":{a}:{b}"[:3 * n], minute, minute,
                         st.sampled_from([1, 2] * 4 + [0]))
     fraction = maybe(joined(st.just("."), st.text("0123456789", min_size=1, max_size=7)), 4)
-    offset = maybe(joined(sep("+", "-", "Z"), _digits(2, 2, 2, _upto(0, 23)),
+    offset = maybe(joined(sep("+", "-", "Z"), edged(_digits(2, 2, 2, _upto(0, 23)), "00", "23", "24"),
                           st.builds(lambda colon, mm: "" if colon is None else colon + mm,
-                                    sep(":", "", None), minute)), 2)
-    time = maybe(joined(sep("T", " ", "Z", "t"), hour, minutes, fraction,
-                        st.sampled_from(["", "", "", "Z"]), offset), 2)
+                                    sep(":", "", None), edged(minute, "00", "59", "60"))), 2)
+    time = maybe(st.builds(_respelled, joined(sep("T", " ", "Z", "t"), hour, minutes, fraction,
+                                              st.sampled_from(["", "", "", "Z"]), offset),
+                           maybe(st.characters(categories=["Nd"], min_codepoint=128), 8)), 2)
     cells = joined(_digits(4, 4, 4, st.integers(1, 9999)), sep("-", "", "W"),
                    _digits(1, 3, 2, _upto(1, 12)), sep("-", ""), _digits(0, 2, 2, _upto(1, 31)),
                    time)
